@@ -31,14 +31,17 @@
 // jobs finish within the grace period, and persists still-queued jobs
 // to the manifest file, which the next start replays.
 //
-// With -data-dir the daemon keeps a persistent store: uploaded graphs
-// and computed ordering permutations are written there and served
-// again after a restart, and repeat order jobs are answered from the
-// artifact cache without recomputation. -mem-budget bounds how many
-// graph bytes stay resident in memory; least-recently-used graphs are
-// evicted and transparently reloaded from disk when next needed.
+// Every graph and ordering lives in a store: uploaded graphs and
+// computed ordering permutations are written there, queries run over
+// the stored orderings, and repeat order jobs are answered from the
+// artifact cache without recomputation. With -data-dir the store is
+// durable and served again after a restart; without it the store sits
+// in a temporary directory that is removed on a clean shutdown.
+// -mem-budget bounds how many graph bytes stay resident in memory;
+// least-recently-used graphs are evicted and transparently reloaded
+// from disk when next needed.
 //
-// With a store, uploaded graphs become version 1 of a lineage and each
+// Uploaded graphs become version 1 of a lineage and each
 // edit batch appends the next version; a bare name (or name@latest)
 // always resolves to the tip, so queries never see a stale graph, and
 // name@vN pins an old version. Ordering artifacts are carried forward
@@ -75,10 +78,9 @@ func main() {
 		timeout   = flag.Duration("timeout", 5*time.Minute, "default per-job deadline")
 		grace     = flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight jobs")
 		dataDir   = flag.String("data", "", "directory of graph files to preload (.bin .graph .txt .el .edges)")
-		storeDir  = flag.String("data-dir", "", "persistent store directory for graphs and ordering artifacts ('' = in-memory only)")
-		memBudget = flag.Int64("mem-budget", 0, "byte budget for graphs held resident in memory; evicted graphs reload from the store (0 = unlimited; needs -data-dir)")
-		maxUpload = flag.Int64("max-upload", 32<<20, "max graph upload size in bytes")
-		maxUpB    = flag.Int64("max-upload-bytes", 0, "alias for -max-upload (takes precedence when set)")
+		storeDir  = flag.String("data-dir", "", "persistent store directory for graphs and ordering artifacts ('' = a temporary directory removed on exit)")
+		memBudget = flag.Int64("mem-budget", 0, "byte budget for graphs held resident in memory; evicted graphs reload from the store (0 = unlimited)")
+		maxUpload = flag.Int64("max-upload-bytes", 32<<20, "max graph upload size in bytes")
 		tenRate   = flag.Float64("tenant-rate", 0, "per-tenant request rate limit in req/s, keyed by the X-Tenant header (0 disables)")
 		tenBurst  = flag.Int("tenant-burst", 0, "per-tenant rate-limit burst (0 = one second of -tenant-rate)")
 		tenWts    = flag.String("tenant-weights", "", "fair-queueing tenant weights as name=weight,... (unlisted tenants weigh 1)")
@@ -102,32 +104,40 @@ func main() {
 	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
-	if *maxUpB > 0 {
-		*maxUpload = *maxUpB
+	// removeTemp deletes the store directory when it is a temporary
+	// one; fatal runs it too, so a failed start leaves nothing behind.
+	removeTemp := func() {}
+	fatal := func(msg string, args ...any) {
+		log.Error(msg, args...)
+		removeTemp()
+		os.Exit(1)
 	}
+
 	if *kWorkers == 0 {
 		*kWorkers = runtime.GOMAXPROCS(0)
 	}
 	weights, err := fair.ParseWeights(*tenWts)
 	if err != nil {
-		log.Error("parsing -tenant-weights", "err", err)
-		os.Exit(1)
+		fatal("parsing -tenant-weights", "err", err)
 	}
 
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		st, err = store.Open(store.Config{Dir: *storeDir, MemBudget: *memBudget})
-		if err != nil {
-			log.Error("opening data store", "dir", *storeDir, "err", err)
-			os.Exit(1)
+	dir := *storeDir
+	if dir == "" {
+		if dir, err = os.MkdirTemp("", "gorderd-store-"); err != nil {
+			fatal("creating temporary data store", "err", err)
 		}
-		log.Info("data store opened", "dir", *storeDir,
-			"graphs", st.GraphCount(), "orders", st.OrderCount(), "mem_budget", *memBudget)
-	} else if *memBudget != 0 {
-		log.Error("-mem-budget requires -data-dir (evicted graphs must have a disk copy to reload from)")
-		os.Exit(1)
+		removeTemp = func() {
+			if err := os.RemoveAll(dir); err != nil {
+				log.Warn("removing temporary data store", "dir", dir, "err", err)
+			}
+		}
 	}
+	st, err := store.Open(store.Config{Dir: dir, MemBudget: *memBudget})
+	if err != nil {
+		fatal("opening data store", "dir", dir, "err", err)
+	}
+	log.Info("data store opened", "dir", dir, "temporary", *storeDir == "",
+		"graphs", st.GraphCount(), "orders", st.OrderCount(), "mem_budget", *memBudget)
 
 	srv := server.New(server.Config{
 		Pool: server.PoolConfig{
@@ -155,8 +165,7 @@ func main() {
 	if *dataDir != "" {
 		n, err := srv.Reg.LoadDir(*dataDir)
 		if err != nil {
-			log.Error("loading dataset directory", "dir", *dataDir, "err", err)
-			os.Exit(1)
+			fatal("loading dataset directory", "dir", *dataDir, "err", err)
 		}
 		log.Info("datasets preloaded", "dir", *dataDir, "graphs", n)
 	}
@@ -167,8 +176,7 @@ func main() {
 	if *manifest != "" {
 		reqs, err := server.ReadManifest(*manifest)
 		if err != nil {
-			log.Error("reading job manifest", "path", *manifest, "err", err)
-			os.Exit(1)
+			fatal("reading job manifest", "path", *manifest, "err", err)
 		}
 		if len(reqs) > 0 {
 			n := srv.Replay(reqs)
@@ -181,8 +189,7 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Error("listen failed", "addr", *addr, "err", err)
-		os.Exit(1)
+		fatal("listen failed", "addr", *addr, "err", err)
 	}
 	// The resolved address goes to stdout as a plain line so scripts
 	// (and the smoke test) can find a :0-assigned port.
@@ -202,8 +209,7 @@ func main() {
 	case <-ctx.Done():
 		log.Info("shutdown signal received", "grace", *grace)
 	case err := <-errCh:
-		log.Error("http server failed", "err", err)
-		os.Exit(1)
+		fatal("http server failed", "err", err)
 	}
 
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
@@ -212,13 +218,11 @@ func main() {
 		log.Warn("http shutdown incomplete", "err", err)
 	}
 	if err := srv.DrainAndPersist(*grace, *manifest); err != nil {
-		log.Error("drain failed", "err", err)
-		os.Exit(1)
+		fatal("drain failed", "err", err)
 	}
-	if st != nil {
-		if err := st.Close(); err != nil {
-			log.Warn("closing data store", "err", err)
-		}
+	if err := st.Close(); err != nil {
+		log.Warn("closing data store", "err", err)
 	}
+	removeTemp()
 	log.Info("gorderd stopped")
 }

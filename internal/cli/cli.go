@@ -82,14 +82,7 @@ func MethodNames() []string {
 	return registry.MethodNames()
 }
 
-// ComputeOrdering dispatches an ordering by name.
+// ComputeOrdering dispatches an ordering by name via the registry.
 func ComputeOrdering(g *graph.Graph, spec OrderingSpec) (order.Permutation, error) {
-	return ComputeOrderingCtx(context.Background(), g, spec)
-}
-
-// ComputeOrderingCtx dispatches an ordering by name with cooperative
-// cancellation, via the registry. Kept as a compatibility shim for
-// callers written against the pre-registry API.
-func ComputeOrderingCtx(ctx context.Context, g *graph.Graph, spec OrderingSpec) (order.Permutation, error) {
-	return registry.Compute(ctx, g, spec.Method, spec.options())
+	return registry.Compute(context.Background(), g, spec.Method, spec.options())
 }

@@ -23,9 +23,17 @@ import (
 // the resolved address on stdout.
 func startGorderd(t *testing.T, extraArgs ...string) (string, *exec.Cmd) {
 	t.Helper()
+	return startGorderdIn(t, t.TempDir(), extraArgs...)
+}
+
+// startGorderdIn is startGorderd with TMPDIR set to tmpDir, where a
+// daemon started without -data-dir puts its temporary store.
+func startGorderdIn(t *testing.T, tmpDir string, extraArgs ...string) (string, *exec.Cmd) {
+	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0", "-grace", "10s"}, extraArgs...)
 	cmd := exec.Command(filepath.Join(binDir, "gorderd"), args...)
 	cmd.Dir = t.TempDir() // keep any default manifest writes out of the repo
+	cmd.Env = append(os.Environ(), "TMPDIR="+tmpDir)
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -343,5 +351,64 @@ func TestGorderdStoreSurvivesRestart(t *testing.T) {
 	cmd2.Process.Signal(syscall.SIGTERM)
 	if err := cmd2.Wait(); err != nil {
 		t.Fatalf("second gorderd exited uncleanly: %v", err)
+	}
+}
+
+// TestGorderdDefaultModeUsesTempStore: without -data-dir the daemon
+// still runs over a store — in a temporary directory under TMPDIR — so
+// queries are served over the computed ordering and graphs accept
+// edits, and a clean shutdown removes the directory.
+func TestGorderdDefaultModeUsesTempStore(t *testing.T) {
+	tmp := t.TempDir()
+	base, cmd := startGorderdIn(t, tmp, "-manifest", "")
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 1 {
+		t.Errorf("TMPDIR holds %d entries (%v), want the one temporary store", len(entries), err)
+	}
+
+	graphPath := filepath.Join(t.TempDir(), "g.txt")
+	run(t, "graphgen", "-type", "social", "-n", "800", "-seed", "4", "-format", "text", "-o", graphPath)
+	data, err := os.ReadFile(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, info := httpJSON[map[string]any](t, http.MethodPost,
+		base+"/graphs?name=g", "application/octet-stream", bytes.NewReader(data)); code != http.StatusCreated {
+		t.Fatalf("upload: status %d (%v)", code, info)
+	}
+	code, job := httpJSON[map[string]any](t, http.MethodPost, base+"/jobs", "application/json",
+		strings.NewReader(`{"kind":"order","graph":"g","method":"gorder"}`))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d (%v)", code, job)
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		_, st := httpJSON[map[string]any](t, http.MethodGet, base+"/jobs/"+job["id"].(string), "", nil)
+		if st["state"] == "done" {
+			break
+		}
+		if st["state"] == "failed" || st["state"] == "canceled" || time.Now().After(deadline) {
+			t.Fatalf("order job did not finish: %v", st)
+		}
+	}
+
+	code, resp := httpJSON[struct {
+		Ordering struct {
+			Method string `json:"method"`
+		} `json:"ordering"`
+	}](t, http.MethodPost, base+"/query", "application/json",
+		strings.NewReader(`{"graph":"g","kernel":"BFS"}`))
+	if code != http.StatusOK || resp.Ordering.Method != "gorder" {
+		t.Errorf("query: status %d served over %q, want 200 over gorder", code, resp.Ordering.Method)
+	}
+	if code, edit := httpJSON[map[string]any](t, http.MethodPost, base+"/graphs/g/edges", "application/json",
+		strings.NewReader(`{"add_nodes":1,"add":[{"from":800,"to":0}]}`)); code != http.StatusOK {
+		t.Errorf("edit: status %d (%v), want 200", code, edit)
+	}
+
+	cmd.Process.Signal(syscall.SIGTERM)
+	if err := cmd.Wait(); err != nil {
+		t.Fatalf("gorderd exited uncleanly: %v", err)
+	}
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+		t.Fatalf("TMPDIR holds %d entries (%v) after a clean shutdown, want none", len(entries), err)
 	}
 }

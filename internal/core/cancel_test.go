@@ -61,24 +61,7 @@ func TestOrderParallelCtxCanceled(t *testing.T) {
 	g := gen.BarabasiAlbert(5000, 6, 9)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := OrderParallelCtx(ctx, g, Options{}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := OrderPartitionedCtx(ctx, g, Options{}, PartitionedOptions{Workers: 4, Partitions: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestOrderParallelCtxMatchesOrderParallel(t *testing.T) {
-	g := gen.SBM(2000, 20, 8, 1, 4)
-	want := OrderParallel(g, Options{}, 4)
-	got, err := OrderParallelCtx(context.Background(), g, Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for u := range want {
-		if want[u] != got[u] {
-			t.Fatalf("perm[%d] = %d, want %d", u, got[u], want[u])
-		}
 	}
 }

@@ -94,8 +94,8 @@ func TestOrderStatsCarrier(t *testing.T) {
 	// Every vertex is placed at least once; ghost hubs in the extended
 	// partition subgraphs account for the surplus.
 	var parSt OrderStats
-	if _, err := OrderParallelCtx(WithOrderStats(context.Background(), &parSt), g,
-		Options{}, 4); err != nil {
+	if _, err := OrderPartitionedCtx(WithOrderStats(context.Background(), &parSt), g,
+		Options{}, PartitionedOptions{Workers: 4, Partitions: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if parSt.Placements() < int64(g.NumNodes()) {

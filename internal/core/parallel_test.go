@@ -6,8 +6,15 @@ import (
 	"testing/quick"
 
 	"gorder/internal/gen"
+	"gorder/internal/graph"
 	"gorder/internal/order"
 )
+
+// orderParallel runs the partitioned Gorder with parallelism p as both
+// the partition count and the worker bound.
+func orderParallel(g *graph.Graph, p int) order.Permutation {
+	return OrderPartitioned(g, Options{}, PartitionedOptions{Workers: p, Partitions: p})
+}
 
 func TestQuickParallelValid(t *testing.T) {
 	f := func(seed int64) bool {
@@ -15,7 +22,7 @@ func TestQuickParallelValid(t *testing.T) {
 		n := 1 + rng.Intn(80)
 		g := randGraph(rng, n, rng.Intn(4*n))
 		for _, p := range []int{0, 1, 2, 4, n + 3} {
-			perm := OrderParallel(g, Options{}, p)
+			perm := orderParallel(g, p)
 			if len(perm) != n || perm.Validate() != nil {
 				return false
 			}
@@ -29,15 +36,15 @@ func TestQuickParallelValid(t *testing.T) {
 
 func TestParallelEmpty(t *testing.T) {
 	g := randGraph(rand.New(rand.NewSource(1)), 1, 0)
-	if p := OrderParallel(g, Options{}, 4); len(p) != 1 {
+	if p := orderParallel(g, 4); len(p) != 1 {
 		t.Errorf("singleton graph: %v", p)
 	}
 }
 
 func TestParallelDeterministic(t *testing.T) {
 	g := gen.BarabasiAlbert(600, 4, 3)
-	a := OrderParallel(g, Options{}, 4)
-	b := OrderParallel(g, Options{}, 4)
+	a := orderParallel(g, 4)
+	b := orderParallel(g, 4)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("parallel ordering not deterministic")
@@ -61,7 +68,7 @@ func TestParallelQuality(t *testing.T) {
 		par      int
 		fraction float64
 	}{{2, 0.90}, {4, 0.85}, {8, 0.80}} {
-		par := WindowScore(g, OrderParallel(g, Options{}, tc.par), w)
+		par := WindowScore(g, orderParallel(g, tc.par), w)
 		if float64(par) < tc.fraction*float64(exact) {
 			t.Errorf("parallelism %d: F=%d below %.0f%% of exact %d",
 				tc.par, par, 100*tc.fraction, exact)
@@ -77,7 +84,7 @@ func TestParallelQuality(t *testing.T) {
 func TestParallelPartitionsContiguous(t *testing.T) {
 	g := gen.BarabasiAlbert(500, 4, 9)
 	const par = 5
-	perm := OrderParallel(g, Options{}, par)
+	perm := orderParallel(g, par)
 	seq := perm.Sequence()
 	// Recompute the default (guide) partition and check that the
 	// stitched sequence is a concatenation of the partitions, each

@@ -11,7 +11,7 @@ import (
 // Attach one to a context with WithOrderStats; every greedy run under
 // that context adds its counts on return (including cancelled runs,
 // which report the work done so far). The counters are atomic so the
-// concurrent per-chunk runs of OrderParallelCtx can share one carrier.
+// concurrent per-partition runs of OrderPartitionedCtx can share one carrier.
 type OrderStats struct {
 	heapOps    atomic.Int64
 	placements atomic.Int64
@@ -31,7 +31,7 @@ func (s *OrderStats) Placements() int64 { return s.placements.Load() }
 type orderStatsKey struct{}
 
 // WithOrderStats returns a context under which every Gorder greedy run
-// (OrderWithCtx, and each chunk of OrderParallelCtx) adds its
+// (OrderWithCtx, and each partition of OrderPartitionedCtx) adds its
 // operation counts to st — an httptrace-style carrier, so the
 // instrumentation costs nothing when absent and needs no change to the
 // ordering signatures. The registry's ComputeObserved uses it to put

@@ -64,8 +64,8 @@ type Source interface {
 // Config wires an Executor.
 type Config struct {
 	Source Source
-	// Store, when non-nil, supplies ordering artifacts (the "latest
-	// cached artifact" fallback) and persists whole-graph results.
+	// Store supplies ordering artifacts (the "latest cached artifact"
+	// fallback) and persists whole-graph results.
 	Store *store.Store
 	// ResultBudget and GraphBudget are LRU byte budgets for decoded
 	// results and relabeled graphs; zero means the defaults.
@@ -183,10 +183,14 @@ func (o *orderedGraph) memBytes() int64 {
 	return b + int64(len(o.perm))*4
 }
 
-// New returns an executor over cfg. cfg.Source is required.
+// New returns an executor over cfg. cfg.Source and cfg.Store are
+// required.
 func New(cfg Config) *Executor {
 	if cfg.Source == nil {
 		panic("query: Config.Source is required")
+	}
+	if cfg.Store == nil {
+		panic("query: Config.Store is required")
 	}
 	if cfg.ResultBudget <= 0 {
 		cfg.ResultBudget = DefaultResultBudget
@@ -359,7 +363,7 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 		c := v.(*cachedResult)
 		return respond(c, cachedOrdering(c), true, false)
 	}
-	if e.cfg.Store != nil && k.WholeGraph {
+	if k.WholeGraph {
 		if data, ok := e.cfg.Store.GetResult(digest, kname, paramKey); ok {
 			if c, derr := decodeResult(data); derr == nil && c.res.Kernel == k.Name {
 				e.materializedHits.Add(1)
@@ -412,7 +416,7 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 		c.method, c.optKey = used.Method, used.Key
 	}
 	e.results.put(resultKey, c, c.memBytes())
-	if e.cfg.Store != nil && k.WholeGraph {
+	if k.WholeGraph {
 		if err := e.cfg.Store.PutResult(digest, kname, paramKey, encodeResult(c)); err != nil {
 			e.materializeFails.Add(1)
 		}
@@ -531,10 +535,8 @@ func (e *Executor) chooseOrdering(digest, orderReq string) (method, optKey, srcT
 	case orderReq == "natural":
 		return "natural", "", "natural", nil
 	case orderReq == "":
-		if e.cfg.Store != nil {
-			if m, k, ok := e.cfg.Store.LatestOrder(digest, ""); ok {
-				return m, k, "latest", nil
-			}
+		if m, k, ok := e.cfg.Store.LatestOrder(digest, ""); ok {
+			return m, k, "latest", nil
 		}
 		return "natural", "", "natural", nil
 	default:
@@ -545,10 +547,8 @@ func (e *Executor) chooseOrdering(digest, orderReq string) (method, optKey, srcT
 				orderReq, strings.Join(registry.MethodNames(), " "))
 		}
 		m := strings.ToLower(desc.Name)
-		if e.cfg.Store != nil {
-			if _, k, ok := e.cfg.Store.LatestOrder(digest, m); ok {
-				return m, k, "explicit", nil
-			}
+		if _, k, ok := e.cfg.Store.LatestOrder(digest, m); ok {
+			return m, k, "explicit", nil
 		}
 		return "", "", "", errf(409, "order_not_ready",
 			"no %s ordering artifact for graph %s; submit an ordering job first", m, digest)

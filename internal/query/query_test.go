@@ -70,6 +70,18 @@ func reversePerm(n int) order.Permutation {
 	return p
 }
 
+// openTestStore opens an empty store under a fresh test temp dir,
+// closed at cleanup.
+func openTestStore(t *testing.T) *store.Store {
+	t.Helper()
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // newTestExec builds an executor over one 300-vertex graph named
 // "web", with a store (rooted in a temp dir) holding a reverse-order
 // "gorder" artifact.
@@ -78,11 +90,7 @@ func newTestExec(t *testing.T, cfg Config) (*Executor, *store.Store, *graph.Grap
 	g := gen.BarabasiAlbert(300, 3, 5)
 	src := newFakeSource()
 	src.add("web", "d1", g)
-	st, err := store.Open(store.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { st.Close() })
+	st := openTestStore(t)
 	if err := st.PutGraph("d1", "web", g, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -222,25 +230,6 @@ func TestQueryOrderingSelection(t *testing.T) {
 	}
 	if resp.Ordering.Method != "rcm" || resp.Ordering.Source != "latest" {
 		t.Fatalf("ordering = %+v, want latest rcm", resp.Ordering)
-	}
-	// Store-less executors always serve natural order.
-	src := newFakeSource()
-	src.add("web", "d1", g)
-	bare := New(Config{Source: src})
-	resp, qerr = bare.Run(ctx, Request{Graph: "web", Kernel: "BFS"})
-	if qerr != nil {
-		t.Fatal(qerr)
-	}
-	if resp.Ordering.Method != "natural" || resp.Ordering.Source != "natural" {
-		t.Fatalf("store-less ordering = %+v", resp.Ordering)
-	}
-	// A repeat with an explicit ordering is a legitimate cache hit —
-	// result keys deliberately exclude the ordering because results
-	// are order-invariant — so probe the 409 with an uncached source.
-	probe := 42
-	if _, qerr := bare.Run(ctx, Request{Graph: "web", Kernel: "BFS", Source: &probe,
-		Order: "gorder"}); qerr == nil || qerr.Status != 409 {
-		t.Fatalf("store-less explicit order error = %+v", qerr)
 	}
 }
 
@@ -478,7 +467,7 @@ func TestQueryServesPinnedVersionDuringEdit(t *testing.T) {
 	// The "edit" lands between the admission Stat and the graph load:
 	// every Stat on "web" repoints the name at the new version.
 	src.onStat = func() { src.names["web"] = "d2" }
-	ex := New(Config{Source: src})
+	ex := New(Config{Source: src, Store: openTestStore(t)})
 
 	source := 0
 	resp, qerr := ex.Run(context.Background(), Request{Graph: "web", Kernel: "bfs", Source: &source})

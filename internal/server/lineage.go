@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -20,8 +19,8 @@ import (
 // old tip forward incrementally, and keeps a per-lineage quality
 // record whose decay signal drives automatic repair jobs. GET
 // /graphs/{name}/lineage exposes the version history and quality
-// state. All of it requires a persistent store — version history has
-// to survive restarts to mean anything.
+// state. Version history lives in the store, so it survives restarts
+// whenever the store's directory does.
 
 // Default quality-monitor thresholds when Config leaves them zero,
 // validated on evolving-graph workloads (see examples/evolvinggraph):
@@ -118,12 +117,6 @@ type editResponse struct {
 func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request, name string) {
 	if r.Method != http.MethodPost {
 		s.methodNotAllowed(w, r, http.MethodPost)
-		return
-	}
-	st := s.cfg.Store
-	if st == nil {
-		s.writeError(w, http.StatusNotImplemented, "no_store",
-			"graph mutation requires the daemon to run with a persistent store (-data-dir)")
 		return
 	}
 	if _, _, versioned := parseRef(name); versioned {
@@ -338,10 +331,10 @@ func qualityOptions(q store.Quality) (registry.Options, int) {
 // quality has already drifted, so it only seeds lineages with no
 // record yet.
 func (s *Server) recordOrderingQuality(digest string, g *graph.Graph, method, optKey string, copts registry.Options, perm order.Permutation, w int, f int64, computed bool) {
-	st := s.cfg.Store
-	if st == nil || method == "" {
+	if method == "" {
 		return
 	}
+	st := s.cfg.Store
 	var packing float64
 	packed := false
 	for _, li := range st.Lineages() {
@@ -385,9 +378,6 @@ func (s *Server) recordOrderingQuality(digest string, g *graph.Graph, method, op
 // only step that re-baselines.
 func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, info GraphInfo, found func(order.Permutation)) (map[string]float64, error) {
 	st := s.cfg.Store
-	if st == nil {
-		return nil, errors.New("repair jobs require a persistent store")
-	}
 	name := info.Lineage
 	if name == "" {
 		return nil, fmt.Errorf("graph %q is not a lineage tip; repair targets a lineage by name", info.ID)
@@ -486,11 +476,6 @@ func (s *Server) handleGraphLineage(w http.ResponseWriter, r *http.Request, name
 		return
 	}
 	st := s.cfg.Store
-	if st == nil {
-		s.writeError(w, http.StatusNotImplemented, "no_store",
-			"lineages require the daemon to run with a persistent store (-data-dir)")
-		return
-	}
 	li, ok := st.Lineage(name)
 	if !ok {
 		s.writeError(w, http.StatusNotFound, "graph_not_found", "no graph lineage %q", name)

@@ -198,17 +198,10 @@ func TestMutationEndToEnd(t *testing.T) {
 // job, which re-places the suffix and bumps the repair counter without
 // touching the baseline.
 func TestMutationAutoRepair(t *testing.T) {
-	dir := t.TempDir()
-	stq, err := store.Open(store.Config{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Config{
 		Pool:           PoolConfig{Workers: 1, QueueDepth: 8},
-		Store:          stq,
 		DecayThreshold: 1.5, // unreachable: every mutation counts as decayed
 	})
-	t.Cleanup(func() { stq.Close() })
 
 	g := gen.BarabasiAlbert(400, 4, 11)
 	postGraph(t, ts, "soc", edgeListBytes(t, g))
@@ -238,7 +231,6 @@ func TestMutationAutoRepair(t *testing.T) {
 	if q.CleanNodes != 400 {
 		t.Fatalf("repair moved the baseline: clean_nodes %d, want 400", q.CleanNodes)
 	}
-	_ = s
 }
 
 // TestLineageSurvivesDaemonRestart reopens the store under a fresh
@@ -339,9 +331,6 @@ func TestCorruptTipServesPreviousVersion(t *testing.T) {
 
 // TestMutationValidation covers the endpoint's failure envelopes.
 func TestMutationValidation(t *testing.T) {
-	_, plain := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
-	postEdges(t, plain, "x", editRequest{AddNodes: 1}, http.StatusNotImplemented)
-
 	_, ts := newStoreServer(t, t.TempDir(), 0)
 	postGraph(t, ts, "soc", edgeListBytes(t, gen.BarabasiAlbert(50, 3, 1)))
 	postEdges(t, ts, "nope", editRequest{AddNodes: 1}, http.StatusNotFound)

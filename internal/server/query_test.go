@@ -154,7 +154,7 @@ func TestReadsNotBlockedByCompute(t *testing.T) {
 		defer close(done)
 		resp := postQuery(t, ts, query.Request{Graph: "small", Kernel: "BFS"}, http.StatusOK)
 		if resp.Ordering.Method != "natural" {
-			t.Errorf("store-less query served over %q", resp.Ordering.Method)
+			t.Errorf("query on an unordered graph served over %q", resp.Ordering.Method)
 		}
 		r, err := http.Get(ts.URL + "/graphs")
 		if err != nil || r.StatusCode != http.StatusOK {

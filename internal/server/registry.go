@@ -28,14 +28,14 @@ type GraphInfo struct {
 	Bytes int64     `json:"bytes"` // size of the source file/upload
 	Added time.Time `json:"added"`
 	// Resident reports whether the graph is currently held in memory;
-	// OnDisk whether a persistent blob backs it. A store-less registry
-	// reports resident and not on disk for everything.
+	// OnDisk whether a persistent blob backs it (always, once
+	// registered).
 	Resident bool `json:"resident"`
 	OnDisk   bool `json:"on_disk"`
 	// Lineage/Version/Latest are set when the lookup resolved through
-	// a versioned lineage (a bare name, name@latest, or name@vN with a
-	// store attached): which lineage, which version this info describes,
-	// and the lineage's current tip version.
+	// a versioned lineage (a bare name, name@latest, or name@vN): which
+	// lineage, which version this info describes, and the lineage's
+	// current tip version.
 	Lineage string `json:"lineage,omitempty"`
 	Version int    `json:"version,omitempty"`
 	Latest  int    `json:"latest,omitempty"`
@@ -45,56 +45,45 @@ type GraphInfo struct {
 // Graphs are deduplicated by content hash: uploading the same bytes
 // twice (under any name) yields the same ID and stores one copy.
 //
-// With a store attached the registry keeps only the catalog metadata;
-// the graphs themselves live in the store's residency cache (LRU
-// under a byte budget) with their blobs on disk, and survive restarts.
+// The registry keeps only the catalog metadata; the graphs themselves
+// live in the store's residency cache (LRU under a byte budget) with
+// their blobs on disk, and survive restarts.
 type Registry struct {
 	mu     sync.RWMutex
-	byID   map[string]*regEntry
+	byID   map[string]GraphInfo
 	byName map[string]string // latest name -> id
-	store  *store.Store      // nil: graphs pinned in memory below
-	graphs *Counter          // registered graph count (metric)
-	bytes  *Counter          // cumulative accepted upload bytes (metric)
+	store  *store.Store
+	graphs *Counter // registered graph count (metric)
+	bytes  *Counter // cumulative accepted upload bytes (metric)
 
 	ingests      *Counter // parses performed (dedup hits excluded)
 	ingestMillis *Counter // cumulative parse+build wall time, ms
 	ingestEdges  *Counter // cumulative edges ingested
 }
 
-type regEntry struct {
-	info GraphInfo
-	g    *graph.Graph // nil when a store holds the graph
-}
-
-// NewRegistry returns an empty registry wired to m's metrics.
-func NewRegistry(m *Metrics) *Registry {
-	return &Registry{
-		byID:         make(map[string]*regEntry),
+// NewRegistry returns a registry backed by st and wired to m's
+// metrics. Graphs already in the store are registered (metadata only —
+// they become resident on first use); future Adds persist through it.
+func NewRegistry(m *Metrics, st *store.Store) *Registry {
+	r := &Registry{
+		byID:         make(map[string]GraphInfo),
 		byName:       make(map[string]string),
+		store:        st,
 		graphs:       m.Counter("graphs_loaded"),
 		bytes:        m.Counter("graphs_bytes_accepted"),
 		ingests:      m.Counter("ingest_total"),
 		ingestMillis: m.Counter("ingest_ms_total"),
 		ingestEdges:  m.Counter("ingest_edges_total"),
 	}
-}
-
-// AttachStore backs the registry with st: graphs already in the store
-// are registered (metadata only — they become resident on first use)
-// and future Adds persist through it. Call before serving traffic.
-func (r *Registry) AttachStore(st *store.Store) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.store = st
 	for _, meta := range st.Catalog() {
-		r.byID[meta.Digest] = &regEntry{info: GraphInfo{
+		r.byID[meta.Digest] = GraphInfo{
 			ID:    meta.Digest,
 			Name:  meta.Name,
 			Nodes: meta.Nodes,
 			Edges: meta.Edges,
 			Bytes: meta.SrcBytes,
 			Added: meta.Added,
-		}}
+		}
 		r.graphs.Inc()
 	}
 	for name, digest := range st.Names() {
@@ -102,6 +91,7 @@ func (r *Registry) AttachStore(st *store.Store) {
 			r.byName[name] = digest
 		}
 	}
+	return r
 }
 
 // graphID derives the registry ID from the source bytes: the first 16
@@ -113,65 +103,33 @@ func graphID(data []byte) string {
 }
 
 // Add parses data (binary CSR or text edge list, sniffed) and
-// registers it under name. If the identical bytes are already
-// registered the existing entry is returned with created == false and
-// the name is added as an alias.
+// registers it under name via AddParsed. Bytes already registered skip
+// the parse and only gain name as an alias (created == false).
 func (r *Registry) Add(name string, data []byte) (GraphInfo, bool, error) {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return GraphInfo{}, false, fmt.Errorf("graph name is required")
-	}
 	id := graphID(data)
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if e, ok := r.byID[id]; ok {
-		r.byName[name] = id
-		if r.store != nil {
-			if err := r.store.SetName(name, id); err != nil {
-				return GraphInfo{}, false, fmt.Errorf("recording alias %q: %w", name, err)
-			}
+	r.mu.RLock()
+	_, dup := r.byID[id]
+	r.mu.RUnlock()
+	var g *graph.Graph
+	var parse time.Duration
+	if !dup {
+		start := time.Now()
+		var err error
+		if g, err = cli.ReadGraphBytes(data); err != nil {
+			return GraphInfo{}, false, fmt.Errorf("parsing graph %q: %w", name, err)
 		}
-		return r.annotateLocked(e.info), false, nil
+		parse = time.Since(start)
 	}
-	start := time.Now()
-	g, err := cli.ReadGraphBytes(data)
-	if err != nil {
-		return GraphInfo{}, false, fmt.Errorf("parsing graph %q: %w", name, err)
-	}
-	r.ingests.Inc()
-	r.ingestMillis.Add(time.Since(start).Milliseconds())
-	r.ingestEdges.Add(g.NumEdges())
-	info := GraphInfo{
-		ID:    id,
-		Name:  name,
-		Nodes: g.NumNodes(),
-		Edges: g.NumEdges(),
-		Bytes: int64(len(data)),
-		Added: time.Now().UTC(),
-	}
-	e := &regEntry{info: info}
-	if r.store != nil {
-		// Persist before registering: an upload either lands durably or
-		// fails visibly, never registers RAM-only by accident.
-		if err := r.store.PutGraph(id, name, g, int64(len(data))); err != nil {
-			return GraphInfo{}, false, err
-		}
-	} else {
-		e.g = g
-	}
-	r.byID[id] = e
-	r.byName[name] = id
-	r.graphs.Inc()
-	r.bytes.Add(int64(len(data)))
-	return r.annotateLocked(info), true, nil
+	return r.AddParsed(name, id, g, int64(len(data)), parse)
 }
 
 // AddParsed registers an already-parsed graph under name with the
 // given content digest — the streaming upload path, where the body was
 // hashed and parsed incrementally and never existed as one buffer.
-// Semantics match Add on the same bytes: identical content (by digest)
-// deduplicates to the existing entry with created == false.
+// Identical content (by digest) deduplicates to the existing entry
+// with created == false and records name as an alias; g may be nil
+// only when the digest is already registered. A new graph is persisted
+// before it is registered: it either lands durably or fails visibly.
 func (r *Registry) AddParsed(name, id string, g *graph.Graph, srcBytes int64, parse time.Duration) (GraphInfo, bool, error) {
 	name = strings.TrimSpace(name)
 	if name == "" {
@@ -179,18 +137,22 @@ func (r *Registry) AddParsed(name, id string, g *graph.Graph, srcBytes int64, pa
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.byID[id]; ok {
+	if info, ok := r.byID[id]; ok {
 		r.byName[name] = id
-		if r.store != nil {
-			if err := r.store.SetName(name, id); err != nil {
-				return GraphInfo{}, false, fmt.Errorf("recording alias %q: %w", name, err)
-			}
+		if err := r.store.SetName(name, id); err != nil {
+			return GraphInfo{}, false, fmt.Errorf("recording alias %q: %w", name, err)
 		}
-		return r.annotateLocked(e.info), false, nil
+		return r.annotateLocked(info), false, nil
+	}
+	if g == nil {
+		return GraphInfo{}, false, fmt.Errorf("graph %s was deregistered during registration; retry", id)
 	}
 	r.ingests.Inc()
 	r.ingestMillis.Add(parse.Milliseconds())
 	r.ingestEdges.Add(g.NumEdges())
+	if err := r.store.PutGraph(id, name, g, srcBytes); err != nil {
+		return GraphInfo{}, false, err
+	}
 	info := GraphInfo{
 		ID:    id,
 		Name:  name,
@@ -199,15 +161,7 @@ func (r *Registry) AddParsed(name, id string, g *graph.Graph, srcBytes int64, pa
 		Bytes: srcBytes,
 		Added: time.Now().UTC(),
 	}
-	e := &regEntry{info: info}
-	if r.store != nil {
-		if err := r.store.PutGraph(id, name, g, srcBytes); err != nil {
-			return GraphInfo{}, false, err
-		}
-	} else {
-		e.g = g
-	}
-	r.byID[id] = e
+	r.byID[id] = info
 	r.byName[name] = id
 	r.graphs.Inc()
 	r.bytes.Add(srcBytes)
@@ -217,11 +171,7 @@ func (r *Registry) AddParsed(name, id string, g *graph.Graph, srcBytes int64, pa
 // annotateLocked fills the dynamic residency fields of an info
 // snapshot.
 func (r *Registry) annotateLocked(info GraphInfo) GraphInfo {
-	if r.store == nil {
-		info.Resident, info.OnDisk = true, false
-	} else {
-		info.Resident, info.OnDisk = r.store.Resident(info.ID), true
-	}
+	info.Resident, info.OnDisk = r.store.Resident(info.ID), true
 	return info
 }
 
@@ -280,37 +230,33 @@ func parseRef(ref string) (name string, version int, versioned bool) {
 }
 
 // resolveLocked maps a reference to its entry: a registered digest, a
-// version-qualified lineage member (store required), or a name — in
-// that order. Lineage-resolved lookups also report which lineage and
-// version the reference landed on.
-func (r *Registry) resolveLocked(ref string) (*regEntry, GraphInfo, bool) {
-	if e, ok := r.byID[ref]; ok {
-		return e, e.info, true
+// version-qualified lineage member, or a name — in that order.
+// Lineage-resolved lookups also report which lineage and version the
+// reference landed on.
+func (r *Registry) resolveLocked(ref string) (GraphInfo, bool) {
+	if info, ok := r.byID[ref]; ok {
+		return info, true
 	}
 	name, want, versioned := parseRef(ref)
-	if versioned && r.store != nil {
+	if versioned {
 		digest, resolved, latest, err := r.store.ResolveVersion(name, want)
 		if err == nil {
-			if e, ok := r.byID[digest]; ok {
-				info := e.info
+			if info, ok := r.byID[digest]; ok {
 				info.Lineage, info.Version, info.Latest = name, resolved, latest
-				return e, info, true
+				return info, true
 			}
 		}
-		return nil, GraphInfo{}, false
+		return GraphInfo{}, false
 	}
 	if id, named := r.byName[ref]; named {
-		if e, ok := r.byID[id]; ok {
-			info := e.info
-			if r.store != nil {
-				if _, resolved, latest, err := r.store.ResolveVersion(ref, 0); err == nil {
-					info.Lineage, info.Version, info.Latest = ref, resolved, latest
-				}
+		if info, ok := r.byID[id]; ok {
+			if _, resolved, latest, err := r.store.ResolveVersion(ref, 0); err == nil {
+				info.Lineage, info.Version, info.Latest = ref, resolved, latest
 			}
-			return e, info, true
+			return info, true
 		}
 	}
-	return nil, GraphInfo{}, false
+	return GraphInfo{}, false
 }
 
 // Stat resolves a graph's metadata by ID, version reference
@@ -320,32 +266,25 @@ func (r *Registry) resolveLocked(ref string) (*regEntry, GraphInfo, bool) {
 func (r *Registry) Stat(ref string) (GraphInfo, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	_, info, ok := r.resolveLocked(ref)
+	info, ok := r.resolveLocked(ref)
 	if !ok {
 		return GraphInfo{}, false
 	}
 	return r.annotateLocked(info), true
 }
 
-// Get resolves a graph by ID, version reference, or name. With a
-// store attached this may reload an evicted graph from disk; a graph
-// whose blob turns out corrupt is deregistered (the store already
-// dropped the blob and healed any lineage it tipped) and reported as
-// absent, so the content can be re-uploaded.
+// Get resolves a graph by ID, version reference, or name. This may
+// reload an evicted graph from disk; a graph whose blob turns out
+// corrupt is deregistered (the store already dropped the blob and
+// healed any lineage it tipped) and reported as absent, so the content
+// can be re-uploaded.
 func (r *Registry) Get(ref string) (*graph.Graph, GraphInfo, bool) {
 	r.mu.RLock()
-	e, info, ok := r.resolveLocked(ref)
+	info, ok := r.resolveLocked(ref)
+	r.mu.RUnlock()
 	if !ok {
-		r.mu.RUnlock()
 		return nil, GraphInfo{}, false
 	}
-	if r.store == nil {
-		g := e.g
-		r.mu.RUnlock()
-		return g, info, true
-	}
-	r.mu.RUnlock()
-
 	g, err := r.store.GetGraph(info.ID)
 	if err != nil {
 		if errors.Is(err, store.ErrCorrupt) || errors.Is(err, store.ErrUnknownGraph) {
@@ -360,12 +299,8 @@ func (r *Registry) Get(ref string) (*graph.Graph, GraphInfo, bool) {
 // mutation path behind POST /graphs/{name}/edges. The graph is
 // serialized to derive its content digest (the same ID an upload of
 // those bytes would get), appended to the store lineage, and the name
-// repointed at the new tip. Requires a store: version history has to
-// live somewhere that survives restarts.
+// repointed at the new tip.
 func (r *Registry) Advance(name string, g *graph.Graph) (GraphInfo, error) {
-	if r.store == nil {
-		return GraphInfo{}, fmt.Errorf("versioned mutation requires a persistent store")
-	}
 	var buf bytes.Buffer
 	if err := g.WriteBinary(&buf); err != nil {
 		return GraphInfo{}, fmt.Errorf("serializing mutated graph: %w", err)
@@ -379,22 +314,21 @@ func (r *Registry) Advance(name string, g *graph.Graph) (GraphInfo, error) {
 	if err != nil {
 		return GraphInfo{}, err
 	}
-	e, ok := r.byID[id]
+	info, ok := r.byID[id]
 	if !ok {
-		e = &regEntry{info: GraphInfo{
+		info = GraphInfo{
 			ID:    id,
 			Name:  name,
 			Nodes: g.NumNodes(),
 			Edges: g.NumEdges(),
 			Bytes: int64(len(data)),
 			Added: time.Now().UTC(),
-		}}
-		r.byID[id] = e
+		}
+		r.byID[id] = info
 		r.graphs.Inc()
 		r.bytes.Add(int64(len(data)))
 	}
 	r.byName[name] = id
-	info := e.info
 	info.Lineage, info.Version, info.Latest = name, ver, ver
 	return r.annotateLocked(info), nil
 }
@@ -411,12 +345,10 @@ func (r *Registry) drop(id string) {
 		if d != id {
 			continue
 		}
-		if r.store != nil {
-			if tip, _, _, err := r.store.ResolveVersion(name, 0); err == nil {
-				if _, ok := r.byID[tip]; ok {
-					r.byName[name] = tip
-					continue
-				}
+		if tip, _, _, err := r.store.ResolveVersion(name, 0); err == nil {
+			if _, ok := r.byID[tip]; ok {
+				r.byName[name] = tip
+				continue
 			}
 		}
 		delete(r.byName, name)
@@ -428,8 +360,8 @@ func (r *Registry) List() []GraphInfo {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]GraphInfo, 0, len(r.byID))
-	for _, e := range r.byID {
-		out = append(out, r.annotateLocked(e.info))
+	for _, info := range r.byID {
+		out = append(out, r.annotateLocked(info))
 	}
 	slices.SortFunc(out, func(a, b GraphInfo) int {
 		if c := strings.Compare(a.Name, b.Name); c != 0 {

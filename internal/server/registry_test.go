@@ -31,7 +31,7 @@ func TestRegistryLoadDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewRegistry(NewMetrics())
+	r := NewRegistry(NewMetrics(), openTestStore(t))
 	n, err := r.LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestRegistryLoadDirCorruptFileFails(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "bad.el"), []byte("zap pow"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRegistry(NewMetrics()).LoadDir(dir); err == nil {
+	if _, err := NewRegistry(NewMetrics(), openTestStore(t)).LoadDir(dir); err == nil {
 		t.Fatal("corrupt dataset dir loaded without error")
 	}
 }
@@ -65,7 +65,7 @@ func TestRegistryLoadDirCorruptFileFails(t *testing.T) {
 // hit (same bytes again) skips the parse and must not count.
 func TestRegistryRecordsIngestMetrics(t *testing.T) {
 	m := NewMetrics()
-	r := NewRegistry(m)
+	r := NewRegistry(m, openTestStore(t))
 	if _, _, err := r.Add("tiny", []byte("0 1\n1 2\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRegistryRecordsIngestMetrics(t *testing.T) {
 }
 
 func TestRegistryRejectsEmptyName(t *testing.T) {
-	r := NewRegistry(NewMetrics())
+	r := NewRegistry(NewMetrics(), openTestStore(t))
 	if _, _, err := r.Add("   ", []byte("0 1\n")); err == nil {
 		t.Fatal("blank name accepted")
 	}

@@ -21,18 +21,19 @@ import (
 	"gorder/internal/store"
 )
 
-// Config configures a Server. The zero value is usable: one worker, a
-// 64-deep queue, 5-minute default deadline, 32 MiB upload cap, no
-// persistence.
+// Config configures a Server. Store is required; every other field's
+// zero value is usable: one worker, a 64-deep queue, 5-minute default
+// deadline, 32 MiB upload cap.
 type Config struct {
 	Pool      PoolConfig
 	MaxUpload int64 // bytes accepted on POST /graphs; <= 0 means 32 MiB
 	Logger    *slog.Logger
-	// Store, when set, persists graphs and ordering artifacts: the
-	// registry is backed by it (catalog restored on construction, LRU
-	// residency under its byte budget), ordering jobs consult the
-	// artifact cache before computing and persist results after, and
-	// the store_* metrics are exported.
+	// Store persists graphs and ordering artifacts: the registry is
+	// backed by it (catalog restored on construction, LRU residency
+	// under its byte budget), ordering jobs consult the artifact cache
+	// before computing and persist results after, and the store_*
+	// metrics are exported. A daemon without a durable data directory
+	// runs over a store in a temporary one.
 	Store *store.Store
 
 	// Query-tier knobs. Queries run on the HTTP goroutines behind
@@ -55,7 +56,7 @@ type Config struct {
 	TenantBurst   int
 	TenantWeights fair.Weights
 
-	// Mutation-tier knobs (POST /graphs/{name}/edges; store required).
+	// Mutation-tier knobs (POST /graphs/{name}/edges).
 	// DecayThreshold is the quality ratio below which a repair job is
 	// enqueued (<= 0 means 0.93); RepairFullBelow the ratio below which
 	// the repair recomputes from scratch instead of re-placing the
@@ -123,8 +124,12 @@ type Server struct {
 	orderingPlacements *Counter
 }
 
-// New builds a Server (workers not yet started; call Start).
+// New builds a Server (workers not yet started; call Start). It panics
+// if cfg.Store is nil.
 func New(cfg Config) *Server {
+	if cfg.Store == nil {
+		panic("server: Config.Store is required")
+	}
 	if cfg.MaxUpload <= 0 {
 		cfg.MaxUpload = 32 << 20
 	}
@@ -139,7 +144,7 @@ func New(cfg Config) *Server {
 		cfg:          cfg,
 		log:          cfg.Logger,
 		Metrics:      m,
-		Reg:          NewRegistry(m),
+		Reg:          NewRegistry(m, cfg.Store),
 		httpRequests: m.Counter("http_requests_total"),
 		httpErrors:   m.Counter("http_errors_total"),
 
@@ -150,19 +155,17 @@ func New(cfg Config) *Server {
 		orderingHeapOps:    m.Counter("ordering_heap_ops_total"),
 		orderingPlacements: m.Counter("ordering_placements_total"),
 	}
-	if st := cfg.Store; st != nil {
-		s.Reg.AttachStore(st)
-		m.Func("store_hits_total", st.Hits)
-		m.Func("store_misses_total", st.Misses)
-		m.Func("store_evictions_total", st.Evictions)
-		m.Func("store_resident_bytes", st.ResidentBytes)
-		m.Func("store_graph_reloads_total", st.Reloads)
-		m.Func("store_graphs", st.GraphCount)
-		m.Func("store_orders", st.OrderCount)
-		m.Func("store_results", st.ResultCount)
-		m.Func("store_result_hits_total", st.ResultHits)
-		m.Func("store_result_misses_total", st.ResultMisses)
-	}
+	st := cfg.Store
+	m.Func("store_hits_total", st.Hits)
+	m.Func("store_misses_total", st.Misses)
+	m.Func("store_evictions_total", st.Evictions)
+	m.Func("store_resident_bytes", st.ResidentBytes)
+	m.Func("store_graph_reloads_total", st.Reloads)
+	m.Func("store_graphs", st.GraphCount)
+	m.Func("store_orders", st.OrderCount)
+	m.Func("store_results", st.ResultCount)
+	m.Func("store_result_hits_total", st.ResultHits)
+	m.Func("store_result_misses_total", st.ResultMisses)
 	s.initQuery(m)
 	s.initTraffic(m)
 	// Pre-register one counter triple per catalog ordering so /metrics
@@ -415,9 +418,6 @@ func (s *Server) validateJob(req *JobRequest) (code, msg string) {
 			}
 		}
 	case KindRepair:
-		if s.cfg.Store == nil {
-			return "no_store", "repair jobs require the daemon to run with a persistent store (-data-dir)"
-		}
 		if req.Graph != "" {
 			if _, ok := s.cfg.Store.Lineage(req.Graph); !ok {
 				return "unknown_lineage", fmt.Sprintf("no graph lineage %q to repair", req.Graph)
@@ -506,7 +506,7 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 	g, info, ok := s.Reg.Get(req.Graph)
 	if !ok {
 		// The graph was known at submit time but may since have been
-		// deregistered (a store-backed graph whose blob went corrupt).
+		// deregistered (its stored blob went corrupt).
 		return nil, fmt.Errorf("graph %q is no longer registered", req.Graph)
 	}
 	w := req.Window
@@ -525,23 +525,21 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 		// — the amortization the store exists for.
 		var method, optKey string
 		var copts registry.Options
-		if st := s.cfg.Store; st != nil {
-			if desc, ok := registry.Lookup(req.Method); ok {
-				if c, key, err := registry.OptionsKey(req.Method, opts); err == nil {
-					method, optKey, copts = strings.ToLower(desc.Name), key, c
-				}
+		if desc, ok := registry.Lookup(req.Method); ok {
+			if c, key, err := registry.OptionsKey(req.Method, opts); err == nil {
+				method, optKey, copts = strings.ToLower(desc.Name), key, c
 			}
-			if optKey != "" {
-				if perm, ok := st.GetOrder(info.ID, method, optKey, g.NumNodes()); ok {
-					found(perm)
-					f := order.Score(g, perm, w)
-					s.recordOrderingQuality(info.ID, g, method, optKey, copts, perm, w, f, false)
-					return map[string]float64{
-						"score_F":   float64(f),
-						"bandwidth": float64(order.Bandwidth(g, perm)),
-						"cache_hit": 1,
-					}, nil
-				}
+		}
+		if optKey != "" {
+			if perm, ok := s.cfg.Store.GetOrder(info.ID, method, optKey, g.NumNodes()); ok {
+				found(perm)
+				f := order.Score(g, perm, w)
+				s.recordOrderingQuality(info.ID, g, method, optKey, copts, perm, w, f, false)
+				return map[string]float64{
+					"score_F":   float64(f),
+					"bandwidth": float64(order.Bandwidth(g, perm)),
+					"cache_hit": 1,
+				}, nil
 			}
 		}
 		perm, obs, err := registry.ComputeObserved(ctx, g, req.Method, opts)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,9 +19,25 @@ import (
 	"gorder/internal/store"
 )
 
-// newTestServer builds a started server + httptest frontend.
+// openTestStore opens a store under a fresh test temp dir, closed at
+// cleanup.
+func openTestStore(t *testing.T) *store.Store {
+	t.Helper()
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// newTestServer builds a started server + httptest frontend, over a
+// fresh temp-dir store unless cfg supplies one.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	if cfg.Store == nil {
+		cfg.Store = openTestStore(t)
+	}
 	s := New(cfg)
 	s.Start()
 	ts := httptest.NewServer(s.Handler())
@@ -250,6 +267,51 @@ func TestUploadDeduplicatesByContent(t *testing.T) {
 	}
 }
 
+// TestUploadPersistFailureIs500: a graph that parses but cannot be
+// persisted is a server-side failure (500 persist_failed), never a
+// malformed upload; once the data directory is writable again the same
+// upload registers normally. Blank names stay client errors.
+func TestUploadPersistFailureIs500(t *testing.T) {
+	st := openTestStore(t)
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}, Store: st})
+	upload := func(name string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/graphs?name="+name, "application/octet-stream",
+			bytes.NewReader(edgeListBytes(t, gen.Ring(32))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, decodeJSON[struct{ Error apiError }](t, resp.Body).Error.Code
+	}
+
+	// Replace the blob directory with a regular file: every graph write
+	// now fails the way a full or read-only disk would.
+	graphs := filepath.Join(st.Dir(), "graphs")
+	if err := os.RemoveAll(graphs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(graphs, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if status, code := upload("ring"); status != http.StatusInternalServerError || code != "persist_failed" {
+		t.Fatalf("upload to an unwritable store: %d %q, want 500 persist_failed", status, code)
+	}
+
+	if err := os.Remove(graphs); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(graphs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := upload("ring"); status != http.StatusCreated {
+		t.Fatalf("upload after the store recovered: status %d, want 201", status)
+	}
+	if status, code := upload("%20%20"); status != http.StatusBadRequest {
+		t.Fatalf("blank-name upload: %d %q, want 400", status, code)
+	}
+}
+
 func TestUploadSizeLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{MaxUpload: 128, Pool: PoolConfig{Workers: 1}})
 	big := bytes.Repeat([]byte("0 1\n"), 100)
@@ -379,7 +441,7 @@ func TestShutdownPersistsQueuedJobs(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "queued.json")
 
-	s := New(Config{Pool: PoolConfig{Workers: 1, QueueDepth: 16, DefaultTimeout: 30 * time.Second}})
+	s := New(Config{Pool: PoolConfig{Workers: 1, QueueDepth: 16, DefaultTimeout: 30 * time.Second}, Store: openTestStore(t)})
 	s.Start()
 	data := edgeListBytes(t, gen.BarabasiAlbert(20000, 8, 2))
 	if _, _, err := s.Reg.Add("big", data); err != nil {
@@ -434,7 +496,7 @@ func TestShutdownPersistsQueuedJobs(t *testing.T) {
 	}
 
 	// A fresh server replays the manifest.
-	s2 := New(Config{Pool: PoolConfig{Workers: 2, QueueDepth: 16}})
+	s2 := New(Config{Pool: PoolConfig{Workers: 2, QueueDepth: 16}, Store: openTestStore(t)})
 	s2.Start()
 	defer s2.DrainAndPersist(5*time.Second, "")
 	if _, _, err := s2.Reg.Add("big", data); err != nil {
@@ -446,7 +508,7 @@ func TestShutdownPersistsQueuedJobs(t *testing.T) {
 }
 
 func TestReplaySkipsUnknownGraphs(t *testing.T) {
-	s := New(Config{Pool: PoolConfig{Workers: 1}})
+	s := New(Config{Pool: PoolConfig{Workers: 1}, Store: openTestStore(t)})
 	s.Start()
 	defer s.DrainAndPersist(time.Second, "")
 	n := s.Replay([]JobRequest{{Kind: KindOrder, Graph: "ghost", Method: "rcm"}})

@@ -21,7 +21,6 @@ import (
 	"gorder/internal/gen"
 	"gorder/internal/order"
 	"gorder/internal/query"
-	"gorder/internal/store"
 )
 
 // tenantDo issues one request under an X-Tenant identity and returns
@@ -350,16 +349,10 @@ func TestQuietTenantNotStarvedUnderReadFlood(t *testing.T) {
 // under four tenants: no 5xx, and every accepted job reaches a
 // terminal, successful state (none lost, none failed).
 func TestMixedTrafficRace(t *testing.T) {
-	st, err := store.Open(store.Config{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, ts := newTestServer(t, Config{
 		Pool:             PoolConfig{Workers: 2, QueueDepth: 128},
-		Store:            st,
 		QueryConcurrency: 4,
 	})
-	t.Cleanup(func() { st.Close() })
 	postGraph(t, ts, "mix", edgeListBytes(t, gen.BarabasiAlbert(2000, 4, 8)))
 
 	const goroutines, iters = 8, 12

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strings"
 	"time"
 
 	"gorder/internal/graph"
@@ -38,10 +39,10 @@ func (c *countingReader) Read(p []byte) (int, error) {
 
 // handleGraphUpload serves POST /graphs.
 func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("name")
+	name := strings.TrimSpace(r.URL.Query().Get("name"))
 	if name == "" {
 		s.writeError(w, http.StatusBadRequest, "missing_name",
-			"upload requires a ?name= query parameter")
+			"upload requires a non-blank ?name= query parameter")
 		return
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUpload)
@@ -75,7 +76,9 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 	id := hex.EncodeToString(h.Sum(nil)[:8])
 	info, created, err := s.Reg.AddParsed(name, id, g, cr.n, time.Since(start))
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad_graph", "%v", err)
+		// The body parsed, so this is a server-side failure (a full or
+		// unwritable data directory), never the client's graph.
+		s.writeError(w, http.StatusInternalServerError, "persist_failed", "%v", err)
 		return
 	}
 	status := http.StatusOK // deduplicated: existing graph

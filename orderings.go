@@ -39,7 +39,7 @@ func OrderCtx(ctx context.Context, g *Graph, opt Options) (Permutation, error) {
 // OrderParallelCtx is OrderParallel with cooperative cancellation; see
 // OrderCtx.
 func OrderParallelCtx(ctx context.Context, g *Graph, opt Options, parallelism int) (Permutation, error) {
-	return core.OrderParallelCtx(ctx, g, opt, parallelism)
+	return core.OrderPartitionedCtx(ctx, g, opt, PartitionedOptions{Workers: parallelism, Partitions: parallelism})
 }
 
 // Original returns the identity permutation — the dataset's native
@@ -154,7 +154,8 @@ func ScoreDelta(gOld, gNew *Graph, p Permutation, w int, added, removed []Edge) 
 // OrderPartitioned with Workers = Partitions = parallelism, kept for
 // the historical signature; new code should call OrderPartitioned.
 func OrderParallel(g *Graph, opt Options, parallelism int) Permutation {
-	return core.OrderParallel(g, opt, parallelism)
+	p, _ := OrderParallelCtx(context.Background(), g, opt, parallelism)
+	return p
 }
 
 // PartitionedOptions configures OrderPartitioned: worker bound,

@@ -13,6 +13,7 @@ import (
 	"gorder/internal/cli"
 	"gorder/internal/registry"
 	"gorder/internal/server"
+	"gorder/internal/store"
 )
 
 // These tests pin every consumer's view of the method and kernel
@@ -91,7 +92,12 @@ func TestParityParallelFamilyNames(t *testing.T) {
 }
 
 func TestParityServerAdvertisedMethods(t *testing.T) {
-	s := server.New(server.Config{})
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	s := server.New(server.Config{Store: st})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/methods")

@@ -58,11 +58,26 @@ if grep -rn --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> single server mode gate (the store is required, never optional)"
+# gorderd always runs over a store (a temp dir without -data-dir), so a
+# nil store is a construction bug, not a mode. Only the required-field
+# guards in server.New and query.New may compare a store with nil.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    '(^|[^A-Za-z0-9_])(store|Store|st) *(==|!=) *nil' \
+    internal/server internal/query cmd/gorderd 2>/dev/null \
+    | grep -vE '^internal/(server/server|query/query)\.go:[0-9]+:	if cfg\.Store == nil \{$'; then
+    echo "FAIL: store-nil branch outside the constructor guards" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> benchmark module vet + short tests (compiles against internal/query and internal/store)"
+(cd benchmark && go vet . && go test -short .)
 
 echo "==> go test -race ./..."
 go test -race ./...
