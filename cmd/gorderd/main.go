@@ -37,9 +37,11 @@
 // artifact cache without recomputation. With -data-dir the store is
 // durable and served again after a restart; without it the store sits
 // in a temporary directory that is removed on a clean shutdown.
-// -mem-budget bounds how many graph bytes stay resident in memory;
-// least-recently-used graphs are evicted and transparently reloaded
-// from disk when next needed.
+// Only lineage tips stay resident in memory, so an edit replaces the
+// old version instead of adding a copy; superseded versions (name@vN)
+// are read from disk on demand without being cached. -mem-budget caps
+// the resident tip bytes; least-recently-used tips are evicted and
+// transparently reloaded from disk when next needed.
 //
 // Uploaded graphs become version 1 of a lineage and each
 // edit batch appends the next version; a bare name (or name@latest)
@@ -79,7 +81,7 @@ func main() {
 		grace     = flag.Duration("grace", 30*time.Second, "shutdown grace period for in-flight jobs")
 		dataDir   = flag.String("data", "", "directory of graph files to preload (.bin .graph .txt .el .edges)")
 		storeDir  = flag.String("data-dir", "", "persistent store directory for graphs and ordering artifacts ('' = a temporary directory removed on exit)")
-		memBudget = flag.Int64("mem-budget", 0, "byte budget for graphs held resident in memory; evicted graphs reload from the store (0 = unlimited)")
+		memBudget = flag.Int64("mem-budget", 0, "byte budget for graphs held resident in memory, which holds lineage tips only; evicted tips and superseded versions reload from the store (0 = unlimited)")
 		maxUpload = flag.Int64("max-upload-bytes", 32<<20, "max graph upload size in bytes")
 		tenRate   = flag.Float64("tenant-rate", 0, "per-tenant request rate limit in req/s, keyed by the X-Tenant header (0 disables)")
 		tenBurst  = flag.Int("tenant-burst", 0, "per-tenant rate-limit burst (0 = one second of -tenant-rate)")

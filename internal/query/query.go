@@ -160,6 +160,9 @@ type Executor struct {
 	hubMu sync.Mutex
 	hubs  map[string]int // digest -> hub vertex (natural IDs)
 
+	flightMu sync.Mutex
+	flights  map[string]*flight // graph key -> relabeling under construction
+
 	scratch sync.Pool // *registry.QueryScratch
 
 	kernelRuns       atomic.Int64
@@ -167,6 +170,7 @@ type Executor struct {
 	cacheMisses      atomic.Int64
 	materializedHits atomic.Int64
 	relabelBuilds    atomic.Int64
+	relabelCarries   atomic.Int64
 	materializeFails atomic.Int64
 	parallelRuns     map[string]*atomic.Int64 // kernel name -> multicore runs
 }
@@ -176,6 +180,20 @@ type Executor struct {
 type orderedGraph struct {
 	g    *graph.Graph
 	perm order.Permutation // nil for natural order
+}
+
+// flight is one relabeling under construction. Queries that miss the
+// graph cache on its key meanwhile wait on done instead of relabeling
+// again; og is set before done closes, and stays nil when the build
+// failed or found no artifact, so the next waiter retries.
+type flight struct {
+	done chan struct{}
+	og   *orderedGraph
+}
+
+// graphKey names one relabeled-graph cache entry.
+func graphKey(digest, method, optKey string) string {
+	return digest + "|" + method + "|" + optKey
 }
 
 func (o *orderedGraph) memBytes() int64 {
@@ -209,6 +227,7 @@ func New(cfg Config) *Executor {
 		results:      newByteLRU(cfg.ResultBudget),
 		graphs:       newByteLRU(cfg.GraphBudget),
 		hubs:         make(map[string]int),
+		flights:      make(map[string]*flight),
 		scratch:      sync.Pool{New: func() any { return new(registry.QueryScratch) }},
 		parallelRuns: par,
 	}
@@ -269,11 +288,12 @@ func (e *Executor) RunBatch(ctx context.Context, reqs []Request) []BatchItem {
 // the resolved natural graph, the relabeled graph and permutation, and
 // the borrowed traversal scratch. The zero value is ready.
 type groupState struct {
-	natural *graph.Graph
-	digest  string
-	og      *orderedGraph
-	used    OrderingUsed
-	scratch *registry.QueryScratch
+	natural  *graph.Graph
+	digest   string // natural's digest
+	og       *orderedGraph
+	ogDigest string // og's digest; a cached og is served without natural
+	used     OrderingUsed
+	scratch  *registry.QueryScratch
 }
 
 func (st *groupState) release(e *Executor) {
@@ -376,7 +396,7 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 	}
 	e.cacheMisses.Add(1)
 
-	og, used, qerr := e.orderedGraphFor(req, digest, st)
+	og, used, qerr := e.orderedGraphFor(ctx, req, digest, nodes, st)
 	if qerr != nil {
 		return nil, qerr
 	}
@@ -470,60 +490,105 @@ func (e *Executor) naturalGraph(ref, digest string, st *groupState) (*graph.Grap
 // orderedGraphFor resolves which ordering serves req and returns the
 // graph relabeled into it (cached under the executor's graph budget),
 // reusing st's resolution when the batch group already did this work.
-func (e *Executor) orderedGraphFor(req Request, digest string, st *groupState) (*orderedGraph, OrderingUsed, *Error) {
-	if st.og != nil && st.digest == digest {
+// nodes is digest's vertex count, from the admission Stat.
+func (e *Executor) orderedGraphFor(ctx context.Context, req Request, digest string, nodes int, st *groupState) (*orderedGraph, OrderingUsed, *Error) {
+	if st.og != nil && st.ogDigest == digest {
 		return st.og, st.used, nil
 	}
-	method, optKey, srcTag, qerr := e.chooseOrdering(digest, req.Order)
-	if qerr != nil {
-		return nil, OrderingUsed{}, qerr
-	}
-	used := OrderingUsed{Method: method, Key: optKey, Source: srcTag}
-
-	g, qerr := e.naturalGraph(req.Graph, digest, st)
-	if qerr != nil {
-		return nil, OrderingUsed{}, qerr
-	}
-	if method == "natural" {
-		st.og, st.used = &orderedGraph{g: g}, used
-		return st.og, used, nil
-	}
-
-	graphKey := digest + "|" + method + "|" + optKey
-	if v, ok := e.graphs.get(graphKey); ok {
-		st.og, st.used = v.(*orderedGraph), used
-		return st.og, used, nil
-	}
-	perm, ok := e.cfg.Store.GetOrder(digest, method, optKey, g.NumNodes())
-	if !ok && req.Order == "" {
-		// A repair job can replace the latest artifact between
-		// chooseOrdering listing it and the read here; re-choose once
-		// against the current latest before giving up.
-		if method, optKey, _, qerr = e.chooseOrdering(digest, req.Order); qerr != nil {
+	for retried := false; ; retried = true {
+		method, optKey, srcTag, qerr := e.chooseOrdering(digest, req.Order)
+		if qerr != nil {
 			return nil, OrderingUsed{}, qerr
 		}
-		used = OrderingUsed{Method: method, Key: optKey, Source: srcTag}
+		var og *orderedGraph
 		if method == "natural" {
-			st.og, st.used = &orderedGraph{g: g}, used
-			return st.og, used, nil
+			g, qerr := e.naturalGraph(req.Graph, digest, st)
+			if qerr != nil {
+				return nil, OrderingUsed{}, qerr
+			}
+			og = &orderedGraph{g: g}
+		} else {
+			if og, qerr = e.relabeled(ctx, req.Graph, digest, nodes, method, optKey, st); qerr != nil {
+				return nil, OrderingUsed{}, qerr
+			}
+			if og == nil {
+				// A repair job can replace the latest artifact between
+				// chooseOrdering listing it and the read; re-choose once
+				// against the current latest before giving up.
+				if req.Order == "" && !retried {
+					continue
+				}
+				return nil, OrderingUsed{}, errf(409, "order_not_ready",
+					"ordering artifact %s/%s for graph %s is gone; re-run the ordering job",
+					method, optKey, digest)
+			}
 		}
-		graphKey = digest + "|" + method + "|" + optKey
-		if v, cached := e.graphs.get(graphKey); cached {
-			st.og, st.used = v.(*orderedGraph), used
-			return st.og, used, nil
-		}
-		perm, ok = e.cfg.Store.GetOrder(digest, method, optKey, g.NumNodes())
+		used := OrderingUsed{Method: method, Key: optKey, Source: srcTag}
+		st.og, st.ogDigest, st.used = og, digest, used
+		return og, used, nil
 	}
+}
+
+// relabeled returns digest's graph relabeled into (method, optKey), or
+// nil when the ordering artifact is gone. A cached relabeling is served
+// without resolving the natural graph, which may be evicted or
+// superseded and cost a disk reload. Concurrent misses on one key share
+// a single build: the first relabels, the rest wait for it.
+func (e *Executor) relabeled(ctx context.Context, ref, digest string, nodes int, method, optKey string, st *groupState) (*orderedGraph, *Error) {
+	key := graphKey(digest, method, optKey)
+	for {
+		if v, ok := e.graphs.get(key); ok {
+			return v.(*orderedGraph), nil
+		}
+		e.flightMu.Lock()
+		f, building := e.flights[key]
+		if !building {
+			f = &flight{done: make(chan struct{})}
+			e.flights[key] = f
+		}
+		e.flightMu.Unlock()
+		if !building {
+			return e.buildRelabeled(f, key, ref, digest, nodes, method, optKey, st)
+		}
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, errf(504, "query_timeout", "query deadline exceeded waiting for the relabeled graph")
+		}
+		if f.og != nil {
+			return f.og, nil
+		}
+		// The build failed or found no artifact: retry, as the builder
+		// if no one else is.
+	}
+}
+
+// buildRelabeled runs flight f: read the artifact and the natural
+// graph, relabel, and cache the result while digest is still a tip (a
+// superseded version's relabeling would only crowd out live ones). The
+// flight ends, cached entry first, on every path — panics included.
+func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int, method, optKey string, st *groupState) (og *orderedGraph, qerr *Error) {
+	defer func() {
+		f.og = og
+		e.flightMu.Lock()
+		delete(e.flights, key)
+		e.flightMu.Unlock()
+		close(f.done)
+	}()
+	perm, ok := e.cfg.Store.GetOrder(digest, method, optKey, nodes)
 	if !ok {
-		return nil, OrderingUsed{}, errf(409, "order_not_ready",
-			"ordering artifact %s/%s for graph %s is gone; re-run the ordering job",
-			method, optKey, digest)
+		return nil, nil
 	}
-	og := &orderedGraph{g: g.Relabel(perm), perm: perm}
+	g, qerr := e.naturalGraph(ref, digest, st)
+	if qerr != nil {
+		return nil, qerr
+	}
+	og = &orderedGraph{g: g.Relabel(perm), perm: perm}
 	e.relabelBuilds.Add(1)
-	e.graphs.put(graphKey, og, og.memBytes())
-	st.og, st.used = og, used
-	return og, used, nil
+	if e.cfg.Store.IsTip(digest) {
+		e.graphs.put(key, og, og.memBytes())
+	}
+	return og, nil
 }
 
 // chooseOrdering implements the ordering-selection policy: explicit
@@ -669,7 +734,54 @@ func shapeValues(res *registry.KernelResult, targets []int, top int) ([]Value, *
 // result vectors live in natural vertex IDs, so they are correct under
 // any permutation of the same digest.
 func (e *Executor) InvalidateOrdering(digest, method, optKey string) {
-	e.graphs.remove(digest + "|" + method + "|" + optKey)
+	e.graphs.remove(graphKey(digest, method, optKey))
+}
+
+// CarryOrdering moves the cached relabeled graph of one ordering from
+// a lineage's old tip to the version an edit batch derived from it, so
+// the first query on the new version does not relabel. gNew is the
+// batch (add, del) applied to the old tip, and perm the ordering
+// carried forward to it. Carried-forward permutations keep every old
+// vertex where the base put it and place appended vertices in [n, n2),
+// so applying the batch, mapped through perm, to the relabeled old
+// graph yields exactly gNew.Relabel(perm). A perm that moves an old
+// vertex breaks that, and nothing is carried; the new version then
+// relabels lazily, as it does when the old tip's relabeling was not
+// cached. Either way the old tip's entry is dropped. Call it before
+// persisting perm under newDigest, so no query sees the new artifact
+// without its relabeling. Reports whether a relabeling was carried.
+func (e *Executor) CarryOrdering(oldDigest, newDigest, method, optKey string, gNew *graph.Graph, perm order.Permutation, add, del []graph.Edge) bool {
+	oldKey := graphKey(oldDigest, method, optKey)
+	v, ok := e.graphs.get(oldKey)
+	if !ok {
+		return false
+	}
+	e.graphs.remove(oldKey)
+	old := v.(*orderedGraph)
+	n := old.g.NumNodes()
+	if len(old.perm) != n || len(perm) != gNew.NumNodes() || len(perm) < n {
+		return false
+	}
+	for u, p := range old.perm {
+		if perm[u] != p {
+			return false
+		}
+	}
+	mapped := func(es []graph.Edge) []graph.Edge {
+		out := make([]graph.Edge, len(es))
+		for i, ed := range es {
+			out[i] = graph.Edge{From: perm[ed.From], To: perm[ed.To]}
+		}
+		return out
+	}
+	g, _, err := graph.ApplyEdits(old.g, len(perm)-n, mapped(add), mapped(del))
+	if err != nil || g.NumEdges() != gNew.NumEdges() {
+		return false
+	}
+	og := &orderedGraph{g: g, perm: perm}
+	e.graphs.put(graphKey(newDigest, method, optKey), og, og.memBytes())
+	e.relabelCarries.Add(1)
+	return true
 }
 
 // ---- metrics ------------------------------------------------------------
@@ -688,6 +800,10 @@ func (e *Executor) MaterializedHits() int64 { return e.materializedHits.Load() }
 
 // RelabelBuilds returns how many relabeled graphs were constructed.
 func (e *Executor) RelabelBuilds() int64 { return e.relabelBuilds.Load() }
+
+// RelabelCarries returns how many relabeled graphs an edit carried
+// forward instead of a query rebuilding them.
+func (e *Executor) RelabelCarries() int64 { return e.relabelCarries.Load() }
 
 // MaterializeFails returns failed result-artifact writes.
 func (e *Executor) MaterializeFails() int64 { return e.materializeFails.Load() }

@@ -88,6 +88,14 @@ func openTestStore(t *testing.T) *store.Store {
 func newTestExec(t *testing.T, cfg Config) (*Executor, *store.Store, *graph.Graph) {
 	t.Helper()
 	g := gen.BarabasiAlbert(300, 3, 5)
+	ex, st := execOver(t, cfg, g)
+	return ex, st, g
+}
+
+// execOver builds an executor over g, named "web" with digest "d1", and
+// a store holding a reverse-order "gorder" artifact for it.
+func execOver(t *testing.T, cfg Config, g *graph.Graph) (*Executor, *store.Store) {
+	t.Helper()
 	src := newFakeSource()
 	src.add("web", "d1", g)
 	st := openTestStore(t)
@@ -98,7 +106,7 @@ func newTestExec(t *testing.T, cfg Config) (*Executor, *store.Store, *graph.Grap
 		t.Fatal(err)
 	}
 	cfg.Source, cfg.Store = src, st
-	return New(cfg), st, g
+	return New(cfg), st
 }
 
 // directResult runs a kernel's Query straight on the natural graph —

@@ -227,7 +227,8 @@ func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, 
 // to the new one: each base permutation is extended in place
 // (positions of surviving vertices unchanged, new vertices placed
 // greedily at the suffix) and stored under the new digest with the
-// same method/options key. The lineage's tracked quality record, if
+// same method/options key, and the query tier's relabeled graph of the
+// old tip moves with it. The lineage's tracked quality record, if
 // any, rolls its F(pi) forward with ScoreDelta — time proportional to
 // the batch, never a full rescore — and accumulates the churn the
 // suffix repair cannot fix (edits between two old vertices).
@@ -252,7 +253,11 @@ func (s *Server) extendOrders(ctx context.Context, name, oldDigest, newDigest st
 				"method", k.Method, "err", err)
 			continue
 		}
+		// Carry the relabeled graph before the artifact becomes visible,
+		// so no query on the new tip relabels from scratch.
+		s.Query.CarryOrdering(oldDigest, newDigest, k.Method, k.OptKey, gNew, perm, add, del)
 		if err := st.PutOrder(newDigest, k.Method, k.OptKey, perm); err != nil {
+			s.Query.InvalidateOrdering(newDigest, k.Method, k.OptKey)
 			s.log.Warn("persisting extended ordering failed", "graph", name,
 				"method", k.Method, "err", err)
 			continue

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"gorder/internal/gen"
 	"gorder/internal/graph"
 	"gorder/internal/query"
+	"gorder/internal/registry"
 	"gorder/internal/store"
 )
 
@@ -190,6 +192,107 @@ func TestMutationEndToEnd(t *testing.T) {
 	old := postQuery(t, ts, query.Request{Graph: "soc@v1", Kernel: "NQ"}, http.StatusOK)
 	if old.Graph != v1.ID {
 		t.Fatalf("pinned query ran against %s, want v1 digest %s", old.Graph, v1.ID)
+	}
+}
+
+// randomEdit draws an edit batch against g: 0–3 appended vertices,
+// insertions among old and new vertices, and two deletions.
+func randomEdit(rng *gen.RNG, g *graph.Graph) editRequest {
+	n := g.NumNodes()
+	req := editRequest{AddNodes: rng.Intn(4)}
+	for i := 0; i < 4; i++ {
+		req.Add = append(req.Add, edgeSpec{From: rng.Intn(n + req.AddNodes), To: rng.Intn(n)})
+	}
+	for v := n; v < n+req.AddNodes; v++ {
+		req.Add = append(req.Add, edgeSpec{From: rng.Intn(n), To: v})
+	}
+	for len(req.Del) < 2 {
+		u := rng.Intn(n)
+		if nb := g.OutNeighbors(graph.NodeID(u)); len(nb) > 0 {
+			req.Del = append(req.Del, edgeSpec{From: u, To: int(nb[rng.Intn(len(nb))])})
+		}
+	}
+	return req
+}
+
+// TestEditStreamCarriesRelabeling: an edit replaces its lineage's tip
+// in memory instead of adding a version, and carries the relabeled
+// graph forward, so a read-after-edit stream relabels once — on the
+// first query — and holds one version resident, while every answer
+// matches a BFS oracle on the natural graph.
+func TestEditStreamCarriesRelabeling(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Pool:              PoolConfig{Workers: 1, QueueDepth: 8},
+		DisableAutoRepair: true, // a repair replaces the artifact, and so relabels
+	})
+	g := gen.BarabasiAlbert(2000, 4, 13)
+	postGraph(t, ts, "soc", edgeListBytes(t, g))
+	if st := waitJob(t, ts, postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "soc", Method: "gorder"}).ID); st.State != StateDone {
+		t.Fatalf("order job ended %s (%s)", st.State, st.Error)
+	}
+	bfs, _ := registry.LookupKernel("BFS")
+	rng := gen.NewRNG(5)
+	mirror, tipID := g, ""
+	check := func(step int) {
+		t.Helper()
+		n := mirror.NumNodes()
+		src := rng.Intn(n)
+		targets := []int{0, n - 1, rng.Intn(n), rng.Intn(n)}
+		resp := postQuery(t, ts, query.Request{Graph: "soc", Kernel: "BFS", Source: &src, Targets: targets}, http.StatusOK)
+		if resp.Ordering.Method != "gorder" || (tipID != "" && resp.Graph != tipID) {
+			t.Fatalf("step %d: served %s over %+v, want tip %s over gorder", step, resp.Graph, resp.Ordering, tipID)
+		}
+		want, err := bfs.Query(context.Background(), mirror, registry.KernelParams{SPSource: src}, new(registry.QueryScratch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range resp.Values {
+			if v.Value != want.Value(v.Node) {
+				t.Fatalf("step %d: BFS from %d to %d = %v, oracle %v", step, src, v.Node, v.Value, want.Value(v.Node))
+			}
+		}
+	}
+	check(0)
+	builds := metricsSnapshot(t, ts)["query_relabel_builds_total"]
+	for i := 1; i <= 30; i++ {
+		req := randomEdit(rng, mirror)
+		tipID = postEdges(t, ts, "soc", req, http.StatusOK).Graph.ID
+		mirror = applyMirror(t, mirror, req)
+		check(i)
+		snap := metricsSnapshot(t, ts)
+		if snap["query_relabel_builds_total"] != builds {
+			t.Fatalf("edit %d: relabel builds %d -> %d, want the carried relabeling reused",
+				i, builds, snap["query_relabel_builds_total"])
+		}
+		if snap["store_resident_bytes"] != mirror.MemoryBytes() {
+			t.Fatalf("edit %d: %d bytes resident, want one version's %d",
+				i, snap["store_resident_bytes"], mirror.MemoryBytes())
+		}
+	}
+	if c := metricsSnapshot(t, ts)["query_relabel_carries_total"]; c != 30 {
+		t.Fatalf("query_relabel_carries_total = %d, want 30", c)
+	}
+}
+
+// TestEditVersionIDMatchesUpload: an edit's version is named like an
+// upload of its binary encoding, so uploading those bytes deduplicates
+// to the same ID.
+func TestEditVersionIDMatchesUpload(t *testing.T) {
+	_, ts := newStoreServer(t, t.TempDir(), 0)
+	g := gen.BarabasiAlbert(300, 3, 2)
+	postGraph(t, ts, "soc", edgeListBytes(t, g))
+	req := growthBatch(g, 5, 3)
+	edited := postEdges(t, ts, "soc", req, http.StatusOK).Graph
+	var buf bytes.Buffer
+	if err := applyMirror(t, g, req).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	up := postGraph(t, ts, "copy", buf.Bytes())
+	if up.ID != edited.ID || up.ID != graphID(buf.Bytes()) {
+		t.Fatalf("upload of the edited bytes got ID %s, edit got %s", up.ID, edited.ID)
+	}
+	if edited.Bytes != int64(buf.Len()) {
+		t.Fatalf("edited version records %d bytes, encoding is %d", edited.Bytes, buf.Len())
 	}
 }
 

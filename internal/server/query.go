@@ -78,6 +78,7 @@ func (s *Server) initQuery(m *Metrics) {
 	m.Func("query_materialized_hits_total", s.Query.MaterializedHits)
 	m.Func("query_kernel_runs_total", s.Query.KernelRuns)
 	m.Func("query_relabel_builds_total", s.Query.RelabelBuilds)
+	m.Func("query_relabel_carries_total", s.Query.RelabelCarries)
 	m.Func("query_result_cache_bytes", s.Query.ResultCacheBytes)
 	m.Func("query_graph_cache_bytes", s.Query.GraphCacheBytes)
 	// Pre-register one counter per queryable kernel so /metrics shows

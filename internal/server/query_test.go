@@ -131,6 +131,29 @@ func TestQueryEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCachedRelabelingSkipsGraphReload: with a 1-byte budget nothing is
+// resident, yet a query whose relabeling is cached runs without
+// reloading the natural graph from disk.
+func TestCachedRelabelingSkipsGraphReload(t *testing.T) {
+	_, ts := newStoreServer(t, t.TempDir(), 1)
+	postGraph(t, ts, "ba", edgeListBytes(t, gen.BarabasiAlbert(500, 4, 3)))
+	if st := waitJob(t, ts, postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "ba", Method: "gorder"}).ID); st.State != StateDone {
+		t.Fatalf("order job ended %s (%s)", st.State, st.Error)
+	}
+	for src := 1; src <= 3; src++ {
+		before := metricsSnapshot(t, ts)
+		resp := postQuery(t, ts, query.Request{Graph: "ba", Kernel: "BFS", Source: &src}, http.StatusOK)
+		if resp.Ordering.Method != "gorder" || resp.CacheHit {
+			t.Fatalf("source %d: served over %+v (cache hit %v), want a gorder kernel run", src, resp.Ordering, resp.CacheHit)
+		}
+		after := metricsSnapshot(t, ts)
+		if src > 1 && after["store_graph_reloads_total"] != before["store_graph_reloads_total"] {
+			t.Fatalf("source %d: reloads %d -> %d with the relabeling cached", src,
+				before["store_graph_reloads_total"], after["store_graph_reloads_total"])
+		}
+	}
+}
+
 // TestReadsNotBlockedByCompute pins the read/compute separation: with
 // every worker busy on a long ordering job, queries and catalog reads
 // still answer immediately.

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -94,12 +91,12 @@ func NewRegistry(m *Metrics, st *store.Store) *Registry {
 	return r
 }
 
-// graphID derives the registry ID from the source bytes: the first 16
-// hex digits of the SHA-256 — short enough for URLs, long enough that
-// collisions are out of the question at any realistic fleet size.
+// graphID derives the registry ID from the source bytes: their store
+// content digest.
 func graphID(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8])
+	h := store.NewDigest()
+	h.Write(data)
+	return store.DigestSum(h)
 }
 
 // Add parses data (binary CSR or text edge list, sniffed) and
@@ -296,21 +293,14 @@ func (r *Registry) Get(ref string) (*graph.Graph, GraphInfo, bool) {
 }
 
 // Advance registers g as the next version of the named lineage — the
-// mutation path behind POST /graphs/{name}/edges. The graph is
-// serialized to derive its content digest (the same ID an upload of
-// those bytes would get), appended to the store lineage, and the name
-// repointed at the new tip.
+// mutation path behind POST /graphs/{name}/edges. The store encodes g
+// once into its blob and derives the content digest from those bytes
+// (the same ID an upload of them would get), appends it to the
+// lineage, and the name is repointed at the new tip.
 func (r *Registry) Advance(name string, g *graph.Graph) (GraphInfo, error) {
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		return GraphInfo{}, fmt.Errorf("serializing mutated graph: %w", err)
-	}
-	data := buf.Bytes()
-	id := graphID(data)
-
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ver, err := r.store.AppendVersion(name, id, g, int64(len(data)))
+	id, size, ver, err := r.store.AppendGraph(name, g)
 	if err != nil {
 		return GraphInfo{}, err
 	}
@@ -321,12 +311,12 @@ func (r *Registry) Advance(name string, g *graph.Graph) (GraphInfo, error) {
 			Name:  name,
 			Nodes: g.NumNodes(),
 			Edges: g.NumEdges(),
-			Bytes: int64(len(data)),
+			Bytes: size,
 			Added: time.Now().UTC(),
 		}
 		r.byID[id] = info
 		r.graphs.Inc()
-		r.bytes.Add(int64(len(data)))
+		r.bytes.Add(size)
 	}
 	r.byName[name] = id
 	info.Lineage, info.Version, info.Latest = name, ver, ver

@@ -338,11 +338,13 @@ func TestQueueDepthLimitRejects(t *testing.T) {
 
 	postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "slow", Method: "gorder"})
 	// Give the worker a moment to pick up the first job; then fill the
-	// queue slot and overflow it.
+	// queue slot and overflow it. Each job asks for a different window,
+	// so none is answered from the artifact cache in an instant — at
+	// GOMAXPROCS=1 the first job can finish before the loop runs.
 	deadline := time.Now().Add(5 * time.Second)
 	var gotFull bool
-	for time.Now().Before(deadline) && !gotFull {
-		body, _ := json.Marshal(JobRequest{Kind: KindOrder, Graph: "slow", Method: "gorder"})
+	for w := 2; time.Now().Before(deadline) && !gotFull; w++ {
+		body, _ := json.Marshal(JobRequest{Kind: KindOrder, Graph: "slow", Method: "gorder", Window: w})
 		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -2,8 +2,6 @@ package server
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"io"
 	"net/http"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	"gorder/internal/graph"
+	"gorder/internal/store"
 )
 
 // Streaming graph ingest: POST /graphs parses the body incrementally
@@ -52,7 +51,7 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 		s.writeUploadError(w, err)
 		return
 	}
-	h := sha256.New()
+	h := store.NewDigest()
 	cr := &countingReader{r: io.TeeReader(br, h)}
 	start := time.Now()
 	var g *graph.Graph
@@ -73,7 +72,7 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 		s.writeUploadError(w, err)
 		return
 	}
-	id := hex.EncodeToString(h.Sum(nil)[:8])
+	id := store.DigestSum(h)
 	info, created, err := s.Reg.AddParsed(name, id, g, cr.n, time.Since(start))
 	if err != nil {
 		// The body parsed, so this is a server-side failure (a full or

@@ -18,8 +18,16 @@ import (
 // blobs and manifests, gorderd's queued-job manifest, and cmd/gorder's
 // graph/permutation outputs.
 func WriteFileAtomic(path string, perm os.FileMode, write func(w io.Writer) error) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	return writeAtomicNamed(filepath.Dir(path), filepath.Base(path)+".tmp-*", perm, write,
+		func() string { return path })
+}
+
+// writeAtomicNamed is WriteFileAtomic for content that names itself:
+// write fills a temp file in dir (named by pattern), and once it is
+// synced pathFor returns the destination — or "" to discard the file,
+// when content-addressed bytes turn out to be stored already.
+func writeAtomicNamed(dir, pattern string, perm os.FileMode, write func(w io.Writer) error, pathFor func() string) error {
+	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
 		return err
 	}
@@ -43,6 +51,10 @@ func WriteFileAtomic(path string, perm os.FileMode, write func(w io.Writer) erro
 	}
 	if err := f.Close(); err != nil {
 		return err
+	}
+	path := pathFor()
+	if path == "" {
+		return nil // the deferred cleanup removes the temp file
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return err

@@ -3,8 +3,10 @@ package store
 import (
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
+	"path/filepath"
 	"slices"
 	"strings"
 	"time"
@@ -87,30 +89,73 @@ type OrderKey struct {
 // AppendVersion persists g as the next version of the named lineage:
 // the blob is stored content-addressed under digest exactly like
 // PutGraph, the lineage gains a version entry, and the name alias
-// moves to the new tip. Appending the digest already at the tip is a
-// no-op (idempotent replays). The lineage is created if the name is
-// new. Returns the 1-based version number now at the tip.
+// moves to the new tip, which replaces the old tip in memory. Appending
+// the digest already at the tip is a no-op (idempotent replays). The
+// lineage is created if the name is new. Returns the 1-based version
+// number now at the tip.
 func (s *Store) AppendVersion(name, digest string, g *graph.Graph, srcBytes int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if v, ok := s.tipVersionLocked(name, digest); ok {
+		return v, nil
+	}
+	if _, _, err := s.persistGraphLocked(digest, name, g, srcBytes); err != nil {
+		return 0, err
+	}
+	return s.advanceLocked(name, digest, g)
+}
+
+// AppendGraph is AppendVersion for a graph that has no digest yet — the
+// mutation path. g is encoded once, straight into its blob file, and
+// hashed on the way, so its digest is the one an upload of its binary
+// encoding gets. Returns the digest, the encoded size in bytes, and the
+// version number now at the tip.
+func (s *Store) AppendGraph(name string, g *graph.Graph) (digest string, size int64, version int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if digest, size, err = s.persistGraphLocked("", name, g, 0); err != nil {
+		return "", 0, 0, err
+	}
+	if v, ok := s.tipVersionLocked(name, digest); ok {
+		return digest, size, v, nil
+	}
+	version, err = s.advanceLocked(name, digest, g)
+	return digest, size, version, err
+}
+
+// tipVersionLocked reports the tip's version number when digest is
+// already name's tip.
+func (s *Store) tipVersionLocked(name, digest string) (int, bool) {
+	if lin := s.man.Lineages[name]; lin != nil {
+		if n := len(lin.Versions); n > 0 && lin.Versions[n-1] == digest {
+			return n, true
+		}
+	}
+	return 0, false
+}
+
+// advanceLocked appends the stored digest to name's lineage (creating
+// it), points the name at it, and swaps g into residency for the tip it
+// supersedes.
+func (s *Store) advanceLocked(name, digest string, g *graph.Graph) (int, error) {
 	lin := s.man.Lineages[name]
 	if lin == nil {
 		lin = &lineageRec{}
 		s.man.Lineages[name] = lin
 	}
-	if n := len(lin.Versions); n > 0 && lin.Versions[n-1] == digest {
-		return n, nil
+	var oldTip string
+	if n := len(lin.Versions); n > 0 {
+		oldTip = lin.Versions[n-1]
 	}
-	if _, ok := s.man.Graphs[digest]; !ok {
-		if err := s.writeGraphBlobLocked(digest, name, g, srcBytes); err != nil {
-			return 0, err
-		}
-	}
+	oldName := s.man.Names[name]
 	lin.Versions = append(lin.Versions, digest)
 	s.man.Names[name] = digest
 	if err := s.saveManifestLocked(); err != nil {
 		return 0, err
 	}
+	s.admitLocked(digest, g)
+	s.releaseLocked(oldTip)
+	s.releaseLocked(oldName)
 	return len(lin.Versions), nil
 }
 
@@ -245,21 +290,51 @@ func (s *Store) OrdersFor(digest string) []OrderKey {
 	return out
 }
 
-// writeGraphBlobLocked persists g's CSR blob and manifest record under
-// digest — the shared write path of PutGraph and AppendVersion.
-func (s *Store) writeGraphBlobLocked(digest, name string, g *graph.Graph, srcBytes int64) error {
+// persistGraphLocked writes g's CSR blob and manifest record unless
+// digest is already stored — the shared write path of PutGraph,
+// AppendVersion and AppendGraph. An empty digest is derived from the
+// encoding as it streams to disk (srcBytes then becomes the encoded
+// size), so g is encoded exactly once either way. Returns the digest
+// and the encoded size (0 when the blob was already stored).
+func (s *Store) persistGraphLocked(digest, name string, g *graph.Graph, srcBytes int64) (string, int64, error) {
+	if _, ok := s.man.Graphs[digest]; ok {
+		return digest, 0, nil
+	}
+	derive := digest == ""
 	var fileBytes int64
 	sum := crc32.NewIEEE()
-	err := WriteFileAtomic(s.graphPath(digest), 0o644, func(w io.Writer) error {
-		cw := &countWriter{w: io.MultiWriter(w, sum)}
-		if err := g.WriteBinary(cw); err != nil {
-			return err
-		}
-		fileBytes = cw.n
-		return nil
-	})
+	err := writeAtomicNamed(filepath.Join(s.dir, graphsDirName), "blob.tmp-*", 0o644,
+		func(w io.Writer) error {
+			var h hash.Hash
+			ws := []io.Writer{w, sum}
+			if derive {
+				h = NewDigest()
+				ws = append(ws, h)
+			}
+			cw := &countWriter{w: io.MultiWriter(ws...)}
+			if err := g.WriteBinary(cw); err != nil {
+				return err
+			}
+			fileBytes = cw.n
+			if derive {
+				digest = DigestSum(h)
+			}
+			return nil
+		},
+		func() string {
+			if _, ok := s.man.Graphs[digest]; ok {
+				return "" // derived a digest that is already stored
+			}
+			return s.graphPath(digest)
+		})
 	if err != nil {
-		return fmt.Errorf("store: persisting graph %s: %w", digest, err)
+		return "", 0, fmt.Errorf("store: persisting graph %s of %q: %w", digest, name, err)
+	}
+	if _, ok := s.man.Graphs[digest]; ok {
+		return digest, fileBytes, nil
+	}
+	if derive {
+		srcBytes = fileBytes
 	}
 	now := time.Now().UTC()
 	s.man.Graphs[digest] = &graphRec{
@@ -268,8 +343,7 @@ func (s *Store) writeGraphBlobLocked(digest, name string, g *graph.Graph, srcByt
 		CRC32: fmt.Sprintf("%08x", sum.Sum32()),
 		Added: now, LastAccess: now,
 	}
-	s.admitLocked(digest, g)
-	return nil
+	return digest, fileBytes, nil
 }
 
 // healAllLineagesLocked reconciles every lineage against the graphs

@@ -180,6 +180,11 @@ func TestLineageCorruptTipHealsToPrevious(t *testing.T) {
 	if got, err := s.GetGraph("d1"); err != nil || !g1.Equal(got) {
 		t.Fatalf("previous version unusable after heal: %v", err)
 	}
+	// v1 left residency when v2 superseded it; as the healed tip it is
+	// admitted again.
+	if !s.Resident("d1") || s.ResidentBytes() != g1.MemoryBytes() {
+		t.Fatalf("healed tip not re-admitted: resident=%v bytes=%d", s.Resident("d1"), s.ResidentBytes())
+	}
 	digest, resolved, latest, err := s.ResolveVersion("g", 0)
 	if err != nil || digest != "d1" || resolved != 1 || latest != 1 {
 		t.Fatalf("resolve after heal = %s v%d/%d err=%v", digest, resolved, latest, err)

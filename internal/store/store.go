@@ -13,12 +13,17 @@
 // restarted daemon serves its full catalog and answers repeat ordering
 // jobs without recomputing.
 //
-// Residency: loaded graphs are cached in memory up to a configurable
-// byte budget (graph.MemoryBytes accounting). Least-recently-used
-// graphs are evicted first; an evicted graph stays on disk and is
-// transparently reloaded on next use via the fast ReadBinaryBytes
-// path. A graph bigger than the whole budget is served without being
-// cached, so resident bytes never exceed the budget.
+// Residency: only tips are held in memory — the newest version of each
+// lineage, and any graph a name points at — up to a configurable byte
+// budget (graph.MemoryBytes accounting). Appending a version replaces
+// the old tip in memory rather than adding a second copy, so a lineage
+// under sustained edits costs one version, not its history.
+// Least-recently-used tips are evicted first; an evicted graph stays on
+// disk and is transparently reloaded on next use via the fast
+// ReadBinaryBytes path. Superseded versions (name@vK, a query pinned
+// just before an edit) reload on demand and are served without being
+// re-admitted. A graph bigger than the whole budget is served without
+// being cached, so resident bytes never exceed the budget.
 //
 // All file paths under the store directory are built in this package
 // only; CI enforces that no other package reaches into the data dir.
@@ -26,8 +31,11 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"os"
@@ -184,6 +192,17 @@ func (s *Store) saveManifestLocked() error {
 	return s.man.save(filepath.Join(s.dir, manifestName))
 }
 
+// NewDigest returns the running hash behind content digests. Uploads
+// hash their body as it streams and AppendGraph hashes a new version's
+// binary encoding as it is written, so the same bytes get the same
+// digest on either path.
+func NewDigest() hash.Hash { return sha256.New() }
+
+// DigestSum formats h's running hash as a content digest: the first 16
+// hex digits of the SHA-256 — short enough for URLs, long enough that
+// collisions are out of the question at any realistic fleet size.
+func DigestSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)[:8]) }
+
 // ---- graph blobs and residency ------------------------------------------
 
 // Catalog returns every stored graph's metadata, sorted by name then
@@ -235,14 +254,17 @@ func (s *Store) SetName(name, digest string) error {
 	if _, ok := s.man.Graphs[digest]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownGraph, digest)
 	}
+	old := s.man.Names[name]
 	s.man.Names[name] = digest
+	s.releaseLocked(old)
 	return s.saveManifestLocked()
 }
 
 // GetGraph returns the graph stored under digest: from residency when
-// warm, otherwise reloaded from its blob (and re-admitted under the
-// budget). A blob that fails integrity checks is dropped from the
-// store and reported as ErrCorrupt.
+// warm, otherwise reloaded from its blob — and re-admitted under the
+// budget if it is a tip; a superseded version is served without being
+// cached. A blob that fails integrity checks is dropped from the store
+// and reported as ErrCorrupt.
 func (s *Store) GetGraph(digest string) (*graph.Graph, error) {
 	s.mu.Lock()
 	if rg, ok := s.resident[digest]; ok {
@@ -279,9 +301,46 @@ func (s *Store) GetGraph(digest string) (*graph.Graph, error) {
 	}
 	s.reloads.Add(1)
 	s.mu.Lock()
-	s.admitLocked(digest, g)
+	if s.isTipLocked(digest) {
+		s.admitLocked(digest, g)
+	}
 	s.mu.Unlock()
 	return g, nil
+}
+
+// IsTip reports whether digest is a tip: the newest version of a
+// lineage, or a graph a name points at. Only tips stay resident, and
+// the query tier caches relabelings of tips only, for the same reason.
+func (s *Store) IsTip(digest string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.isTipLocked(digest)
+}
+
+func (s *Store) isTipLocked(digest string) bool {
+	for _, d := range s.man.Names {
+		if d == digest {
+			return true
+		}
+	}
+	for _, lin := range s.man.Lineages {
+		if n := len(lin.Versions); n > 0 && lin.Versions[n-1] == digest {
+			return true
+		}
+	}
+	return false
+}
+
+// releaseLocked drops digest from residency once it is no longer a
+// tip — an edit or a re-pointed name superseded it — so a lineage holds
+// one version in memory, not its history.
+func (s *Store) releaseLocked(digest string) {
+	rg, ok := s.resident[digest]
+	if !ok || s.isTipLocked(digest) {
+		return
+	}
+	s.residentBytes -= rg.bytes
+	delete(s.resident, digest)
 }
 
 // Resident reports whether digest's graph is currently in memory.

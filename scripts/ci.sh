@@ -106,10 +106,11 @@ GOMAXPROCS=1 go test -count=1 \
 echo "==> store cold/warm smoke (artifact persisted, then served across reopen)"
 go test -race ./internal/store/ -run 'TestStoreColdWarm' -count=1
 
-echo "==> evolving-graph smoke under race (upload, 3 edit batches with deletes, decay repair, query parity on @latest)"
+echo "==> evolving-graph smoke under race (upload, edit batches with deletes, decay repair, query parity on @latest,"
+echo "    tip-only residency, relabeled graph carried across edits, one relabel per concurrent miss)"
 go test -race -count=1 \
-    -run 'TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart' \
-    ./internal/server/
+    -run 'TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestAppendGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce' \
+    ./internal/server/ ./internal/store/ ./internal/query/
 
 echo "==> examples smoke (evolvinggraph runs the extend/monitor/repair loop end-to-end)"
 go build ./examples/...
