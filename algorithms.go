@@ -69,8 +69,13 @@ func LabelPropagation(g *Graph, maxIters int) (labels []int32, communities int) 
 
 // DOBFS runs a direction-optimising BFS (Beamer-style top-down /
 // bottom-up switching) from src, returning the same distances as BFS
-// with far fewer edge examinations on low-diameter graphs.
-func DOBFS(g *Graph, src NodeID) (dist []int32, reached int) { return algos.DOBFS(g, src) }
+// with far fewer edge examinations on low-diameter graphs. It is
+// DOBFSParallel at one worker: the kernel engine with no goroutines.
+func DOBFS(g *Graph, src NodeID) (dist []int32, reached int) {
+	// exec.DOBFS fails only on a cancelled context; Background never is.
+	dist, reached, _ = exec.DOBFS(context.Background(), g, src, 1, nil)
+	return dist, reached
+}
 
 // RandomWeights returns deterministic per-edge weights in
 // [1, maxWeight] aligned with g's CSR edge order, hashed from edge
@@ -128,8 +133,10 @@ func DOBFSParallel(ctx context.Context, g *Graph, src NodeID, workers int) (dist
 	return exec.DOBFS(ctx, g, src, workers, nil)
 }
 
-// ShortestPathsParallel is the multicore unit-weight SSSP
-// (delta-stepping with delta = 1); distances equal ShortestPaths's.
+// ShortestPathsParallel is the multicore unit-weight SSSP. With unit
+// weights shortest paths are BFS levels, so it runs the
+// direction-optimising BFS (DOBFSParallel); distances equal
+// ShortestPaths's.
 func ShortestPathsParallel(ctx context.Context, g *Graph, src NodeID, workers int) ([]int32, error) {
 	return exec.ShortestPaths(ctx, g, src, workers, nil)
 }

@@ -91,7 +91,7 @@ func main() {
 		queryConc = flag.Int("query-concurrency", 0, "concurrent kernel queries (0 = 8); independent of -workers")
 		queryTO   = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline")
 		queryCach = flag.Int64("query-cache", 0, "byte budget for the in-memory query result cache (0 = 64 MiB)")
-		kWorkers  = flag.Int("kernel-workers", 1, "goroutines per kernel query for parallel kernels (0 = GOMAXPROCS, <= 1 = serial); results are identical either way")
+		kWorkers  = flag.Int("kernel-workers", 1, "goroutines per BFS/SP/PR/Tri kernel query (0 = GOMAXPROCS, 1 = serial); results are identical either way")
 		decayThr  = flag.Float64("decay-threshold", 0, "enqueue a repair when an ordering's quality decays below this ratio (0 = 0.93)")
 		fullBelow = flag.Float64("repair-full-below", 0, "repair by full recompute when decay is below this ratio (0 = 0.85)")
 		maxRep    = flag.Int("max-repairs", 0, "suffix repairs between full recomputes (0 = 3)")

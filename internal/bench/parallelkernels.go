@@ -67,8 +67,8 @@ var parallelKernelWorkers = []int{1, 2, 4, 8}
 // serial oracles on the 1M-edge web workload (the same graph family as
 // ParallelOrder), relabeled by Gorder so the engine's contiguous
 // chunks are exactly the ordering's cache-friendly windows. For every
-// kernel with a parallel variant (PR, BFS, SP, Tri) it times the
-// serial kernel and the engine at 1/2/4/8 workers, verifies
+// engine kernel (PR, BFS, SP, Tri) it times the serial oracle and the
+// engine at 1/2/4/8 workers, verifies
 // bit-identical results per run, and computes the chunk-grid work
 // balance that bounds multicore speedup on any host.
 func (r *Runner) ParallelKernels() (Table, *ParallelKernelsReport) {
@@ -157,7 +157,7 @@ func (r *Runner) ParallelKernels() (Table, *ParallelKernelsReport) {
 		},
 		{
 			name:   "BFS",
-			serial: func() any { d, _ := algos.DOBFS(g, src); return d },
+			serial: func() any { d, _ := algos.BFSFrom(g, src); return d },
 			parallel: func(w int) (any, error) {
 				d, _, err := exec.DOBFS(ctx, g, src, w, nil)
 				return d, err

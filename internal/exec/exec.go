@@ -111,32 +111,18 @@ func forChunks(ctx context.Context, workers, chunks int, fn func(c int)) error {
 	return ctx.Err()
 }
 
-// Scratch holds the reusable per-chunk buffers the parallel kernels
-// borrow between calls: frontier segments, relaxation request lists,
-// and PageRank's contribution array. The zero value is ready; not safe
-// for concurrent use. Output vectors are never drawn from the scratch
-// — results handed to callers (and cached by the query tier) are
-// always freshly allocated.
+// Scratch holds the reusable buffers the kernels borrow between
+// calls: the frontier pair, relaxation request lists, and PageRank's
+// contribution and reciprocal-degree arrays. The zero value is ready;
+// not safe for concurrent use. Output vectors are never drawn from the
+// scratch — results handed to callers (and cached by the query tier)
+// are always freshly allocated.
 type Scratch struct {
-	locals   [][]graph.NodeID // per-chunk output segments
-	frontier []graph.NodeID   // current frontier (double-buffered
-	next     []graph.NodeID   // with next)
-	contrib  []float64        // PageRank rank/outdeg per vertex
-	invDeg   []float64        // PageRank reciprocal out-degrees
-	relax    []relaxList      // per-chunk bucket-insertion requests
-}
-
-// segments returns at least `chunks` per-chunk buffers, each truncated
-// to zero length with its capacity kept.
-func (s *Scratch) segments(chunks int) [][]graph.NodeID {
-	if cap(s.locals) < chunks {
-		s.locals = make([][]graph.NodeID, chunks)
-	}
-	s.locals = s.locals[:chunks]
-	for i := range s.locals {
-		s.locals[i] = s.locals[i][:0]
-	}
-	return s.locals
+	frontier []graph.NodeID // current frontier (double-buffered
+	next     []graph.NodeID // with next)
+	contrib  []float64      // PageRank rank/outdeg per vertex
+	invDeg   []float64      // PageRank reciprocal out-degrees
+	relax    []relaxList    // per-chunk bucket-insertion requests
 }
 
 // floats returns the two float64 work arrays sized for n vertices.
@@ -150,13 +136,14 @@ func (s *Scratch) floats(n int) (contrib, invDeg []float64) {
 	return s.contrib[:n], s.invDeg[:n]
 }
 
-// frontiers returns the two frontier buffers, truncated to zero length.
-func (s *Scratch) frontiers() (cur, next []graph.NodeID) {
-	return s.frontier[:0], s.next[:0]
-}
-
-// storeFrontiers hands the (possibly regrown) frontier buffers back so
-// their capacity survives to the next call.
-func (s *Scratch) storeFrontiers(cur, next []graph.NodeID) {
-	s.frontier, s.next = cur, next
+// frontiers returns the two frontier buffers with length n, grown when
+// their capacity falls short.
+func (s *Scratch) frontiers(n int) (cur, next []graph.NodeID) {
+	if cap(s.frontier) < n {
+		s.frontier = make([]graph.NodeID, n)
+	}
+	if cap(s.next) < n {
+		s.next = make([]graph.NodeID, n)
+	}
+	return s.frontier[:n], s.next[:n]
 }

@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"gorder/internal/algos"
@@ -12,8 +15,9 @@ import (
 	"gorder/internal/graph"
 )
 
-// The parity table: three generator shapes (random, skewed, local)
-// crossed with worker counts {1, 2, 4, 8}. Every parallel kernel must
+// The parity table: four generator shapes (random, skewed, local, and
+// dense enough that BFS switches bottom-up) crossed with worker counts
+// {1, 2, 4, 8}. Every parallel kernel must
 // reproduce its serial oracle exactly — bit-identical distances,
 // counts, and (because the dangling fold is serial) PageRank floats —
 // regardless of the worker count or GOMAXPROCS. ci.sh runs this file
@@ -26,6 +30,9 @@ var parityGraphs = []struct {
 	{"erdos-renyi", func() *graph.Graph { return gen.ErdosRenyi(600, 3000, 11) }},
 	{"barabasi-albert", func() *graph.Graph { return gen.BarabasiAlbert(600, 4, 12) }},
 	{"web", func() *graph.Graph { return gen.Web(600, gen.WebConfig{}, 13) }},
+	// Average degree ≈ 40: the frontier blows up within two levels,
+	// which drives DOBFS down its bottom-up branch.
+	{"dense", func() *graph.Graph { return gen.ErdosRenyi(300, 300*40, 7) }},
 }
 
 var parityWorkers = []int{1, 2, 4, 8}
@@ -61,7 +68,7 @@ func TestPageRankParity(t *testing.T) {
 func TestDOBFSParity(t *testing.T) {
 	forParityCases(t, func(t *testing.T, g *graph.Graph, workers int, sc *Scratch) {
 		for _, src := range []graph.NodeID{0, 7} {
-			wantDist, wantReached := algos.DOBFS(g, src)
+			wantDist, wantReached := algos.BFSFrom(g, src)
 			gotDist, gotReached, err := DOBFS(context.Background(), g, src, workers, sc)
 			if err != nil {
 				t.Fatal(err)
@@ -76,6 +83,27 @@ func TestDOBFSParity(t *testing.T) {
 			}
 		}
 	})
+}
+
+// DOBFS matches plain BFS on small random graphs, from random sources,
+// at random worker counts.
+func TestQuickDOBFSMatchesBFS(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(60)
+		edges := make([]graph.Edge, rng.Intn(6*n))
+		for i := range edges {
+			edges[i] = graph.Edge{From: graph.NodeID(rng.Intn(n)), To: graph.NodeID(rng.Intn(n))}
+		}
+		g := graph.FromEdges(n, edges)
+		src := graph.NodeID(rng.Intn(n))
+		want, wantReached := algos.BFSFrom(g, src)
+		got, reached, err := DOBFS(context.Background(), g, src, parityWorkers[rng.Intn(len(parityWorkers))], nil)
+		return err == nil && reached == wantReached && slices.Equal(got, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestShortestPathsParity(t *testing.T) {
@@ -124,12 +152,14 @@ func TestTriangleCountParity(t *testing.T) {
 	})
 }
 
-// Parity on degenerate shapes: singleton, no-edge graph, a ring whose
-// BFS runs many levels, and a star whose hub makes one chunk heavy.
+// Parity on degenerate shapes: singleton, no-edge graph, a graph where
+// most vertices are unreachable, a ring whose BFS runs many levels,
+// and a star whose hub makes one chunk heavy.
 func TestParityDegenerateShapes(t *testing.T) {
 	shapes := []*graph.Graph{
 		graph.FromEdges(1, nil),
 		graph.FromEdges(5, nil),
+		graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}}),
 		gen.Ring(50),
 		gen.Grid(8, 8),
 	}
@@ -146,7 +176,7 @@ func TestParityDegenerateShapes(t *testing.T) {
 				t.Fatalf("n=%d: rank[%d] = %v, serial %v", g.NumNodes(), i, gotPR[i], wantPR[i])
 			}
 		}
-		wantD, wantR := algos.DOBFS(g, 0)
+		wantD, wantR := algos.BFSFrom(g, 0)
 		gotD, gotR, err := DOBFS(ctx, g, 0, 4, &sc)
 		if err != nil {
 			t.Fatal(err)
@@ -198,7 +228,7 @@ func TestScratchReuseAcrossKernels(t *testing.T) {
 				t.Fatalf("PageRank diverged after scratch reuse at %d", i)
 			}
 		}
-		wd, _ := algos.DOBFS(g, 0)
+		wd, _ := algos.BFSFrom(g, 0)
 		gd, _, err := DOBFS(ctx, g, 0, 4, &sc)
 		if err != nil {
 			t.Fatal(err)

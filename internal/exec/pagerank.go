@@ -72,8 +72,8 @@ func PageRank(ctx context.Context, g *graph.Graph, iters int, damping float64, w
 			lo, hi := ChunkRange(n, chunks, c)
 			for v := lo; v < hi; v++ {
 				sum := 0.0
-				for p := inIdx[v]; p < inIdx[v+1]; p++ {
-					sum += contrib[inAdj[p]]
+				for _, u := range inAdj[inIdx[v]:inIdx[v+1]] {
+					sum += contrib[u]
 				}
 				next[v] = base + damping*sum
 			}

@@ -81,8 +81,8 @@ func DeltaStepping(ctx context.Context, g *graph.Graph, weights []int32, src gra
 		buckets[b] = append(buckets[b], v)
 	}
 
-	frontier, _ := sc.frontiers()
-	defer func() { sc.storeFrontiers(frontier, sc.next) }()
+	frontier := sc.frontier[:0]
+	defer func() { sc.frontier = frontier }() // keep regrown capacity
 
 	var negErr atomic.Bool
 	for i := 0; i < len(buckets); i++ {
@@ -178,23 +178,13 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// ShortestPaths is the parallel form of the paper's SP kernel:
-// unit-weight shortest paths from src, computed by delta-stepping with
-// delta = 1 (buckets degenerate to BFS levels). The int32 hop
+// ShortestPaths is the paper's SP kernel on the engine: unit-weight
+// shortest paths from src. With every weight 1 the shortest-path
+// distance is the BFS hop count, so it runs DOBFS rather than
+// delta-stepping; DeltaStepping stays the weighted kernel. The int32
 // distances are bit-identical to algos.BellmanFord at any worker
 // count; -1 marks unreachable vertices.
 func ShortestPaths(ctx context.Context, g *graph.Graph, src graph.NodeID, workers int, sc *Scratch) ([]int32, error) {
-	d64, err := DeltaStepping(ctx, g, nil, src, 1, workers, sc)
-	if err != nil {
-		return nil, err
-	}
-	dist := make([]int32, len(d64))
-	for i, d := range d64 {
-		if d == Infinity {
-			dist[i] = -1
-		} else {
-			dist[i] = int32(d)
-		}
-	}
-	return dist, nil
+	dist, _, err := DOBFS(ctx, g, src, workers, sc)
+	return dist, err
 }

@@ -11,6 +11,7 @@ import (
 	"gorder/internal/gen"
 	"gorder/internal/graph"
 	"gorder/internal/order"
+	"gorder/internal/registry"
 )
 
 // randomBatch draws an edit batch against g: 0–3 appended vertices,
@@ -167,5 +168,53 @@ func TestConcurrentMissesRelabelOnce(t *testing.T) {
 	}
 	if ex.RelabelBuilds() != 1 {
 		t.Fatalf("8 concurrent first queries built %d relabelings, want 1", ex.RelabelBuilds())
+	}
+}
+
+// TestHubMapOneEntryPerLineage: an edit that moves a lineage tip drops
+// the superseded digest's cached hub source, whether or not the
+// relabeled graph was carried. After K edits on two lineages, each
+// edit followed by a hub-source query on the tip, the executor holds
+// one hub entry per lineage, and each answer matches the tip's oracle.
+func TestHubMapOneEntryPerLineage(t *testing.T) {
+	const edits = 6
+	src := newFakeSource()
+	ex := New(Config{Source: src, Store: openTestStore(t)})
+	for li, name := range []string{"carried", "uncached"} {
+		rng := gen.NewRNG(uint64(li + 1))
+		g := gen.BarabasiAlbert(300, 3, uint64(li+1))
+		perm := order.Permutation(rng.Perm(g.NumNodes()))
+		digest := func(v int) string { return fmt.Sprintf("%s-v%d", name, v) }
+		src.add(name, digest(0), g)
+		if li == 0 {
+			ex.graphs.put(graphKey(digest(0), "gorder", "k"), &orderedGraph{g: g.Relabel(perm), perm: perm}, 0)
+		}
+		for v := 1; v <= edits; v++ {
+			addNodes, add, del := randomBatch(rng, g)
+			gNew, _, err := graph.ApplyEdits(g, addNodes, add, del)
+			if err != nil {
+				t.Fatal(err)
+			}
+			permNew := extendPerm(rng, perm, gNew.NumNodes())
+			src.add(name, digest(v), gNew)
+			if carried := ex.CarryOrdering(digest(v-1), digest(v), "gorder", "k", gNew, permNew, add, del); carried != (li == 0) {
+				t.Fatalf("%s v%d: carried = %v", name, v, carried)
+			}
+			resp, qerr := ex.Run(context.Background(), Request{Graph: name, Kernel: "BFS", Order: "natural"})
+			if qerr != nil {
+				t.Fatalf("%s v%d: %+v", name, v, qerr)
+			}
+			want := directResult(t, gNew, "BFS", registry.KernelParams{SPSource: int(registry.HubSource(gNew))})
+			if resp.Graph != digest(v) || resp.Summary["reached"] != want.Summary["reached"] {
+				t.Fatalf("%s v%d: served %s reached %v, want %s reached %v",
+					name, v, resp.Graph, resp.Summary["reached"], digest(v), want.Summary["reached"])
+			}
+			g, perm = gNew, permNew
+		}
+	}
+	ex.hubMu.Lock()
+	defer ex.hubMu.Unlock()
+	if len(ex.hubs) != 2 {
+		t.Fatalf("hub map holds %d entries after %d edits on 2 lineages, want 2", len(ex.hubs), edits)
 	}
 }

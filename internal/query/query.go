@@ -71,11 +71,11 @@ type Config struct {
 	// results and relabeled graphs; zero means the defaults.
 	ResultBudget int64
 	GraphBudget  int64
-	// Workers is the goroutine count handed to kernels with a parallel
-	// variant (> 1 engages the multicore engine; <= 1 keeps every
-	// kernel serial). Scheduling only: parallel results are
-	// parity-pinned to serial, so Workers is applied after cache
-	// keying and never splits the result caches.
+	// Workers is the goroutine count handed to the exec-backed kernels
+	// (BFS, SP, PR, Tri); <= 1 runs them on one goroutine. Scheduling
+	// only: their results are parity-pinned to the serial oracles, so
+	// Workers is applied after cache keying and never splits the
+	// result caches.
 	Workers int
 }
 
@@ -172,7 +172,6 @@ type Executor struct {
 	relabelBuilds    atomic.Int64
 	relabelCarries   atomic.Int64
 	materializeFails atomic.Int64
-	parallelRuns     map[string]*atomic.Int64 // kernel name -> multicore runs
 }
 
 // orderedGraph is a relabeled-graph cache entry: the graph in its
@@ -216,20 +215,13 @@ func New(cfg Config) *Executor {
 	if cfg.GraphBudget <= 0 {
 		cfg.GraphBudget = DefaultGraphBudget
 	}
-	par := make(map[string]*atomic.Int64)
-	for _, k := range registry.Kernels() {
-		if k.Query != nil && k.Parallel {
-			par[k.Name] = new(atomic.Int64)
-		}
-	}
 	return &Executor{
-		cfg:          cfg,
-		results:      newByteLRU(cfg.ResultBudget),
-		graphs:       newByteLRU(cfg.GraphBudget),
-		hubs:         make(map[string]int),
-		flights:      make(map[string]*flight),
-		scratch:      sync.Pool{New: func() any { return new(registry.QueryScratch) }},
-		parallelRuns: par,
+		cfg:     cfg,
+		results: newByteLRU(cfg.ResultBudget),
+		graphs:  newByteLRU(cfg.GraphBudget),
+		hubs:    make(map[string]int),
+		flights: make(map[string]*flight),
+		scratch: sync.Pool{New: func() any { return new(registry.QueryScratch) }},
 	}
 }
 
@@ -408,11 +400,10 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 	if consumesSource(k) && og.perm != nil {
 		runParams.SPSource = int(og.perm[params.SPSource])
 	}
-	// Workers rides outside the cache key (parallel output is
-	// parity-pinned to serial), so it is applied only now, after keying.
-	if k.Parallel {
-		runParams.Workers = e.cfg.Workers
-	}
+	// Workers rides outside the cache key (kernel output is
+	// parity-pinned at any worker count), so it is applied only now,
+	// after keying; kernels that do not consume it ignore it.
+	runParams.Workers = e.cfg.Workers
 	if st.scratch == nil {
 		st.scratch = e.scratch.Get().(*registry.QueryScratch)
 	}
@@ -424,11 +415,6 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 		return nil, errf(400, "invalid_params", "%v", kerr)
 	}
 	e.kernelRuns.Add(1)
-	if runParams.Workers > 1 {
-		if c := e.parallelRuns[k.Name]; c != nil {
-			c.Add(1)
-		}
-	}
 	mapResultBack(&res, og.perm)
 
 	c := &cachedResult{res: res}
@@ -747,10 +733,16 @@ func (e *Executor) InvalidateOrdering(digest, method, optKey string) {
 // graph yields exactly gNew.Relabel(perm). A perm that moves an old
 // vertex breaks that, and nothing is carried; the new version then
 // relabels lazily, as it does when the old tip's relabeling was not
-// cached. Either way the old tip's entry is dropped. Call it before
-// persisting perm under newDigest, so no query sees the new artifact
-// without its relabeling. Reports whether a relabeling was carried.
+// cached. Either way the old tip's entry is dropped, and so is its
+// cached hub source: a superseded version is no longer queried by
+// name, and a pinned query recomputes the hub on demand. Call it
+// before persisting perm under newDigest, so no query sees the new
+// artifact without its relabeling. Reports whether a relabeling was
+// carried.
 func (e *Executor) CarryOrdering(oldDigest, newDigest, method, optKey string, gNew *graph.Graph, perm order.Permutation, add, del []graph.Edge) bool {
+	e.hubMu.Lock()
+	delete(e.hubs, oldDigest)
+	e.hubMu.Unlock()
 	oldKey := graphKey(oldDigest, method, optKey)
 	v, ok := e.graphs.get(oldKey)
 	if !ok {
@@ -807,15 +799,6 @@ func (e *Executor) RelabelCarries() int64 { return e.relabelCarries.Load() }
 
 // MaterializeFails returns failed result-artifact writes.
 func (e *Executor) MaterializeFails() int64 { return e.materializeFails.Load() }
-
-// ParallelRuns returns how many times the named kernel ran on the
-// multicore engine (0 for kernels without a parallel variant).
-func (e *Executor) ParallelRuns(kernel string) int64 {
-	if c := e.parallelRuns[kernel]; c != nil {
-		return c.Load()
-	}
-	return 0
-}
 
 // Workers reports the executor's configured kernel worker count.
 func (e *Executor) Workers() int { return e.cfg.Workers }

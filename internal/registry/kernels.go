@@ -27,10 +27,10 @@ type KernelParams struct {
 	SPSource int
 	// LabelPropIters bounds the LP kernel's sweeps (<= 0 = default).
 	LabelPropIters int
-	// Workers sets the goroutine count for kernels with a parallel
-	// variant (Kernel.Parallel): > 1 dispatches to internal/exec, <= 1
-	// runs the serial kernel. Scheduling only — parallel results are
-	// parity-pinned to the serial oracles, so Workers never enters
+	// Workers sets the goroutine count of the kernels that consume
+	// KOptWorkers and run on internal/exec (<= 1 = one goroutine, the
+	// serial case). Scheduling only — results are parity-pinned to the
+	// serial oracles at any worker count, so Workers never enters
 	// kernel keys (mirroring the ordering Workers option).
 	Workers int
 }
@@ -66,12 +66,9 @@ type Kernel struct {
 	// invariant under relabeling (so results computed on any ordering
 	// map back to the caller's ID space exactly). Kernels whose
 	// natural output is order-dependent (visit sequences, component
-	// labels) leave it nil. ctx bounds the execution: the parallel
-	// variants poll it between chunks and return its error mid-run.
+	// labels) leave it nil. ctx bounds the execution: the exec-backed
+	// kernels poll it between chunks and return its error mid-run.
 	Query func(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error)
-	// Parallel marks kernels whose Query dispatches to the multicore
-	// engine (internal/exec) when KernelParams.Workers > 1.
-	Parallel bool
 	// WholeGraph marks source-independent queryable kernels whose
 	// full result the query tier may materialize as a store artifact.
 	WholeGraph bool
@@ -99,7 +96,7 @@ func spSource(g *graph.Graph, p KernelParams) graph.NodeID {
 // THIS IS THE ONLY KERNEL-DISPATCH SITE IN THE REPOSITORY.
 var kernels = []Kernel{
 	{
-		Name: "BFS", Paper: true, Parallel: true,
+		Name: "BFS", Paper: true,
 		Query: queryBFS, QueryConsumes: []KernelOptionField{KOptSource, KOptWorkers},
 		Run: func(g *graph.Graph, _ KernelParams) { algos.BFSAll(g) },
 		RunTraced: func(_ *graph.Graph, t *algos.TracedGraph, s *mem.Space, _ KernelParams) {
@@ -155,7 +152,7 @@ var kernels = []Kernel{
 		},
 	},
 	{
-		Name: "PR", Paper: true, Parallel: true,
+		Name: "PR", Paper: true,
 		Query: queryPR, WholeGraph: true, QueryConsumes: []KernelOptionField{KOptIters, KOptWorkers},
 		Run: func(g *graph.Graph, p KernelParams) {
 			algos.PageRank(g, p.PageRankIters, algos.DefaultDamping)
@@ -172,7 +169,7 @@ var kernels = []Kernel{
 		},
 	},
 	{
-		Name: "SP", Paper: true, Parallel: true,
+		Name: "SP", Paper: true,
 		Query: querySP, QueryConsumes: []KernelOptionField{KOptSource, KOptWorkers},
 		Run: func(g *graph.Graph, p KernelParams) {
 			algos.BellmanFord(g, spSource(g, p))
@@ -182,7 +179,7 @@ var kernels = []Kernel{
 		},
 	},
 	{
-		Name: "Tri", Parallel: true,
+		Name:  "Tri",
 		Query: queryTri, WholeGraph: true, QueryConsumes: []KernelOptionField{KOptWorkers},
 		Run: func(g *graph.Graph, _ KernelParams) { algos.TriangleCount(g) },
 		RunTraced: func(g *graph.Graph, _ *algos.TracedGraph, s *mem.Space, _ KernelParams) {

@@ -75,28 +75,12 @@ func (r *KernelResult) Value(v int) float64 {
 	return 0
 }
 
-// QueryScratch holds the reusable traversal buffers a queryable
-// kernel may borrow, so a batch of same-graph queries pays the
-// frontier-buffer setup once instead of per request. The zero value
-// is ready; not safe for concurrent use.
+// QueryScratch holds the reusable kernel buffers (frontiers,
+// PageRank contributions) a queryable kernel may borrow, so a batch of
+// same-graph queries pays the buffer setup once instead of per
+// request. The zero value is ready; not safe for concurrent use.
 type QueryScratch struct {
-	dist  []int32        // full length, all Unreached between calls
-	queue []graph.NodeID // visit-order buffer, reused for capacity
-	par   exec.Scratch   // parallel engine buffers (frontiers, contribs)
-}
-
-// buffers returns the distance and queue buffers sized for n
-// vertices. The distance buffer's entries are all Unreached; callers
-// must restore that invariant (reset exactly the entries they wrote)
-// before returning.
-func (s *QueryScratch) buffers(n int) ([]int32, []graph.NodeID) {
-	if cap(s.dist) < n {
-		s.dist = make([]int32, n)
-		for i := range s.dist {
-			s.dist[i] = algos.Unreached
-		}
-	}
-	return s.dist[:n], s.queue[:0]
+	par exec.Scratch
 }
 
 // KernelOptionField names one KernelParams field in a kernel's
@@ -196,8 +180,8 @@ func checkSource(g *graph.Graph, p KernelParams) (graph.NodeID, error) {
 
 // ---- per-kernel query entry points --------------------------------------
 
-// parScratch borrows the parallel-engine buffers from s, tolerating a
-// nil scratch (the exec kernels allocate their own then).
+// parScratch borrows the engine buffers from s, tolerating a nil
+// scratch (the exec kernels allocate their own then).
 func parScratch(s *QueryScratch) *exec.Scratch {
 	if s == nil {
 		return nil
@@ -205,66 +189,14 @@ func parScratch(s *QueryScratch) *exec.Scratch {
 	return &s.par
 }
 
-func queryBFS(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
-	src, err := checkSource(g, p)
-	if err != nil {
-		return KernelResult{}, err
-	}
-	if p.Workers > 1 {
-		dist, reached, err := exec.DOBFS(ctx, g, src, p.Workers, parScratch(s))
-		if err != nil {
-			return KernelResult{}, err
-		}
-		var ecc int32
-		for _, d := range dist {
-			if d > ecc {
-				ecc = d
-			}
-		}
-		return KernelResult{
-			Kernel:  "BFS",
-			Summary: map[string]float64{"reached": float64(reached), "ecc": float64(ecc)},
-			Int32s:  dist,
-		}, nil
-	}
-	n := g.NumNodes()
-	dist, queue := s.buffers(n)
-	queue = algos.BFSFromInto(g, src, dist, queue)
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = algos.Unreached
-	}
-	var ecc int32
-	for _, v := range queue {
-		out[v] = dist[v]
-		if dist[v] > ecc {
-			ecc = dist[v]
-		}
-		dist[v] = algos.Unreached // restore the scratch invariant
-	}
-	reached := len(queue)
-	s.queue = queue[:0]
-	return KernelResult{
-		Kernel:  "BFS",
-		Summary: map[string]float64{"reached": float64(reached), "ecc": float64(ecc)},
-		Int32s:  out,
-	}, nil
-}
+// workers maps KernelParams.Workers to the engine's goroutine count:
+// <= 1 means one goroutine (the serial case), never exec's
+// "0 = GOMAXPROCS".
+func workers(p KernelParams) int { return max(1, p.Workers) }
 
-func querySP(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
-	src, err := checkSource(g, p)
-	if err != nil {
-		return KernelResult{}, err
-	}
-	var dist []int32
-	if p.Workers > 1 {
-		dist, err = exec.ShortestPaths(ctx, g, src, p.Workers, parScratch(s))
-		if err != nil {
-			return KernelResult{}, err
-		}
-	} else {
-		dist = algos.BellmanFord(g, src)
-	}
+// distResult summarises a hop-distance vector: reached vertices and
+// the eccentricity of the source.
+func distResult(kernel string, dist []int32) KernelResult {
 	var ecc int32
 	reached := 0
 	for _, d := range dist {
@@ -277,10 +209,34 @@ func querySP(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratc
 		}
 	}
 	return KernelResult{
-		Kernel:  "SP",
+		Kernel:  kernel,
 		Summary: map[string]float64{"reached": float64(reached), "ecc": float64(ecc)},
 		Int32s:  dist,
-	}, nil
+	}
+}
+
+func queryBFS(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
+	src, err := checkSource(g, p)
+	if err != nil {
+		return KernelResult{}, err
+	}
+	dist, _, err := exec.DOBFS(ctx, g, src, workers(p), parScratch(s))
+	if err != nil {
+		return KernelResult{}, err
+	}
+	return distResult("BFS", dist), nil
+}
+
+func querySP(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
+	src, err := checkSource(g, p)
+	if err != nil {
+		return KernelResult{}, err
+	}
+	dist, err := exec.ShortestPaths(ctx, g, src, workers(p), parScratch(s))
+	if err != nil {
+		return KernelResult{}, err
+	}
+	return distResult("SP", dist), nil
 }
 
 func queryPR(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
@@ -288,15 +244,9 @@ func queryPR(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratc
 	if iters <= 0 {
 		iters = algos.DefaultPageRankIters
 	}
-	var rank []float64
-	if p.Workers > 1 {
-		var err error
-		rank, err = exec.PageRank(ctx, g, iters, algos.DefaultDamping, p.Workers, parScratch(s))
-		if err != nil {
-			return KernelResult{}, err
-		}
-	} else {
-		rank = algos.PageRank(g, iters, algos.DefaultDamping)
+	rank, err := exec.PageRank(ctx, g, iters, algos.DefaultDamping, workers(p), parScratch(s))
+	if err != nil {
+		return KernelResult{}, err
 	}
 	var sum, max float64
 	for _, r := range rank {
@@ -344,15 +294,9 @@ func queryNQ(_ context.Context, g *graph.Graph, _ KernelParams, _ *QueryScratch)
 }
 
 func queryTri(ctx context.Context, g *graph.Graph, p KernelParams, s *QueryScratch) (KernelResult, error) {
-	var tri int64
-	if p.Workers > 1 {
-		var err error
-		tri, err = exec.TriangleCount(ctx, g, p.Workers, parScratch(s))
-		if err != nil {
-			return KernelResult{}, err
-		}
-	} else {
-		tri = algos.TriangleCount(g)
+	tri, err := exec.TriangleCount(ctx, g, workers(p), parScratch(s))
+	if err != nil {
+		return KernelResult{}, err
 	}
 	return KernelResult{
 		Kernel:  "Tri",

@@ -120,14 +120,10 @@ func TestQueryBFSMatchesDirectTraversal(t *testing.T) {
 	}
 }
 
-// freshBFS is an independent reference traversal using only the public
-// BFS building block, with fresh buffers every time.
+// freshBFS is an independent reference traversal: the serial oracle,
+// with fresh buffers every time.
 func freshBFS(g *graph.Graph, src graph.NodeID) []int32 {
-	dist := make([]int32, g.NumNodes())
-	for i := range dist {
-		dist[i] = algos.Unreached
-	}
-	algos.BFSFromInto(g, src, dist, nil)
+	dist, _ := algos.BFSFrom(g, src)
 	return dist
 }
 

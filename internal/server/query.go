@@ -82,22 +82,13 @@ func (s *Server) initQuery(m *Metrics) {
 	m.Func("query_result_cache_bytes", s.Query.ResultCacheBytes)
 	m.Func("query_graph_cache_bytes", s.Query.GraphCacheBytes)
 	// Pre-register one counter per queryable kernel so /metrics shows
-	// the full query surface from startup, zeros included; kernels with
-	// a parallel variant also expose their multicore-run counts.
+	// the full query surface from startup, zeros included.
 	s.queryKernel = make(map[string]*Counter)
 	for _, name := range registry.QueryableKernelNames() {
 		key := strings.ToLower(name)
 		s.queryKernel[key] = m.Counter("query_total_" + key)
 	}
 	m.Func("query_kernel_workers", func() int64 { return int64(s.Query.Workers()) })
-	for _, k := range registry.Kernels() {
-		if k.Query == nil || !k.Parallel {
-			continue
-		}
-		name := k.Name
-		m.Func("query_parallel_runs_total_"+strings.ToLower(name),
-			func() int64 { return s.Query.ParallelRuns(name) })
-	}
 }
 
 // queryContext applies the per-request deadline: the request's

@@ -44,7 +44,7 @@ type Config struct {
 	QueryTimeout      time.Duration // default per-query deadline; <= 0 means 30s
 	QueryResultBudget int64         // result-cache LRU bytes; <= 0 means 64 MiB
 	QueryGraphBudget  int64         // relabeled-graph LRU bytes; <= 0 means 256 MiB
-	KernelWorkers     int           // goroutines per parallel kernel; <= 1 means serial
+	KernelWorkers     int           // goroutines per BFS/SP/PR/Tri kernel run; <= 1 means serial
 
 	// Traffic-tier knobs. TenantRate is the per-tenant request rate in
 	// requests/second (<= 0 disables rate limiting entirely);

@@ -38,6 +38,21 @@ if grep -rln --include='*.go' '"gorder/internal/algos"' \
     exit 1
 fi
 
+echo "==> one serving kernel path gate (BFS/SP/PR/Tri queries run internal/exec at every worker count)"
+# Workers = 1 is the engine's serial case, so the query entry points
+# never fall back to the internal/algos bodies (those stay the parity
+# oracles and the traced-kernel mirrors) and nothing in the registry or
+# the query tier branches on the worker count.
+if grep -nE 'algos\.(BFSFrom|BellmanFord|PageRank|TriangleCount)\(' internal/registry/query.go; then
+    echo "FAIL: internal/registry/query.go serves a kernel from internal/algos" >&2
+    exit 1
+fi
+if grep -rn --include='*.go' --exclude='*_test.go' 'Workers > 1' \
+    internal/registry internal/query; then
+    echo "FAIL: worker-count branch in the registry or the query tier" >&2
+    exit 1
+fi
+
 echo "==> map-free unit-heap gate (dense class indices only)"
 # The unit heap's per-key-class head/tail indices are plain slices; a
 # map reintroduces hashing on the greedy's hottest path.
@@ -107,9 +122,10 @@ echo "==> store cold/warm smoke (artifact persisted, then served across reopen)"
 go test -race ./internal/store/ -run 'TestStoreColdWarm' -count=1
 
 echo "==> evolving-graph smoke under race (upload, edit batches with deletes, decay repair, query parity on @latest,"
-echo "    tip-only residency, relabeled graph carried across edits, one relabel per concurrent miss)"
+echo "    tip-only residency, relabeled graph carried across edits, one relabel per concurrent miss,"
+echo "    one hub entry per lineage)"
 go test -race -count=1 \
-    -run 'TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestAppendGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce' \
+    -run 'TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestAppendGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce|TestHubMapOneEntryPerLineage' \
     ./internal/server/ ./internal/store/ ./internal/query/
 
 echo "==> examples smoke (evolvinggraph runs the extend/monitor/repair loop end-to-end)"
