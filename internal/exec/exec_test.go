@@ -106,6 +106,34 @@ func TestQuickDOBFSMatchesBFS(t *testing.T) {
 	}
 }
 
+// Vertices with no path from the source stay at Unreached and are not
+// counted, at every worker count.
+func TestDOBFSUnreachable(t *testing.T) {
+	g := graph.FromEdges(4, []graph.Edge{{From: 0, To: 1}})
+	for _, w := range parityWorkers {
+		dist, reached, err := DOBFS(context.Background(), g, 0, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reached != 2 || dist[0] != 0 || dist[1] != 1 || dist[2] != algos.Unreached || dist[3] != algos.Unreached {
+			t.Fatalf("workers=%d: dist = %v reached = %d", w, dist, reached)
+		}
+	}
+}
+
+func TestDOBFSSingleton(t *testing.T) {
+	g := graph.FromEdges(1, nil)
+	for _, w := range parityWorkers {
+		dist, reached, err := DOBFS(context.Background(), g, 0, w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reached != 1 || len(dist) != 1 || dist[0] != 0 {
+			t.Fatalf("workers=%d: singleton: %v %d", w, dist, reached)
+		}
+	}
+}
+
 func TestShortestPathsParity(t *testing.T) {
 	forParityCases(t, func(t *testing.T, g *graph.Graph, workers int, sc *Scratch) {
 		want := algos.BellmanFord(g, 0)
