@@ -6,7 +6,7 @@
 // API (JSON everywhere; errors use {"error":{"code","message"}}):
 //
 //	POST /graphs?name=web          upload a graph (binary CSR or edge list)
-//	GET  /graphs                   list registered graphs
+//	GET  /graphs                   list stored graphs
 //	GET  /graphs/{id}              one graph's stats (also name, name@vN, name@latest)
 //	POST /graphs/{name}/edges      apply an edit batch {"add_nodes","add","del"}; builds the next version
 //	GET  /graphs/{name}/lineage    list a graph's versions and ordering-quality record
@@ -34,24 +34,29 @@
 // Every graph and ordering lives in a store: uploaded graphs and
 // computed ordering permutations are written there, queries run over
 // the stored orderings, and repeat order jobs are answered from the
-// artifact cache without recomputation. With -data-dir the store is
-// durable and served again after a restart; without it the store sits
-// in a temporary directory that is removed on a clean shutdown.
+// artifact cache without recomputation. The store is also the only
+// graph catalog: every graph reference in a request resolves there.
+// With -data-dir the store is durable and served again after a
+// restart; without it the store sits in a temporary directory that is
+// removed on a clean shutdown.
 // Only lineage tips stay resident in memory, so an edit replaces the
 // old version instead of adding a copy; superseded versions (name@vN)
 // are read from disk on demand without being cached. -mem-budget caps
 // the resident tip bytes; least-recently-used tips are evicted and
 // transparently reloaded from disk when next needed.
 //
-// Uploaded graphs become version 1 of a lineage and each
-// edit batch appends the next version; a bare name (or name@latest)
-// always resolves to the tip, so queries never see a stale graph, and
-// name@vN pins an old version. Ordering artifacts are carried forward
-// across versions incrementally and their quality F(pi) is tracked
-// against the baseline; when the decay ratio falls below
-// -decay-threshold a repair job is enqueued automatically (suffix
-// re-placement, or a full recompute below -repair-full-below or after
-// -max-repairs consecutive repairs).
+// Every upload name is a lineage: the first upload is version 1, and
+// each edit batch — or upload of different content under the name —
+// appends the next version. Content already stored under any name
+// keeps its one blob. A bare name (or name@latest) always resolves to
+// the tip, so queries never see a stale graph, and name@vN pins an old
+// version. -data preloads a dataset directory through the same ingest
+// path as uploads, one lineage per file stem. Ordering artifacts are
+// carried forward across versions incrementally and their quality
+// F(pi) is tracked against the baseline; when the decay ratio falls
+// below -decay-threshold a repair job is enqueued automatically
+// (suffix re-placement, or a full recompute below -repair-full-below
+// or after -max-repairs consecutive repairs).
 package main
 
 import (
@@ -165,7 +170,7 @@ func main() {
 	})
 
 	if *dataDir != "" {
-		n, err := srv.Reg.LoadDir(*dataDir)
+		n, err := srv.LoadDir(*dataDir)
 		if err != nil {
 			fatal("loading dataset directory", "dir", *dataDir, "err", err)
 		}

@@ -32,9 +32,8 @@ func ReadGraph(path string) (*graph.Graph, error) {
 }
 
 // ReadGraphBytes sniffs the format of an in-memory graph file: binary
-// first (by magic), then text edge list. Upload handlers and the file
-// loader share this path so both get the parallel ingest pipeline
-// without an io.Reader round trip.
+// first (by magic), then text edge list, so the file loaders get the
+// parallel ingest pipeline without an io.Reader round trip.
 func ReadGraphBytes(data []byte) (*graph.Graph, error) {
 	if g, err := graph.ReadBinaryBytes(data); err == nil {
 		return g, nil

@@ -163,7 +163,7 @@ func TestGorderdSmoke(t *testing.T) {
 
 	// Metrics counted the work.
 	if code, snap := httpJSON[map[string]int64](t, http.MethodGet, base+"/metrics", "", nil); code != 200 ||
-		snap["jobs_completed"] < 1 || snap["graphs_loaded"] < 1 {
+		snap["jobs_completed"] < 1 || snap["store_graphs"] < 1 {
 		t.Fatalf("metrics: status %d snapshot %v", code, snap)
 	}
 

@@ -172,8 +172,9 @@ func TestConcurrentMissesRelabelOnce(t *testing.T) {
 }
 
 // TestHubMapOneEntryPerLineage: an edit that moves a lineage tip drops
-// the superseded digest's cached hub source, whether or not the
-// relabeled graph was carried. After K edits on two lineages, each
+// the superseded digest's cached hub source (DropHub, as the daemon
+// calls it on every tip move), whether or not the relabeled graph was
+// carried. After K edits on two lineages, each
 // edit followed by a hub-source query on the tip, the executor holds
 // one hub entry per lineage, and each answer matches the tip's oracle.
 func TestHubMapOneEntryPerLineage(t *testing.T) {
@@ -200,6 +201,7 @@ func TestHubMapOneEntryPerLineage(t *testing.T) {
 			if carried := ex.CarryOrdering(digest(v-1), digest(v), "gorder", "k", gNew, permNew, add, del); carried != (li == 0) {
 				t.Fatalf("%s v%d: carried = %v", name, v, carried)
 			}
+			ex.DropHub(digest(v - 1))
 			resp, qerr := ex.Run(context.Background(), Request{Graph: name, Kernel: "BFS", Order: "natural"})
 			if qerr != nil {
 				t.Fatalf("%s v%d: %+v", name, v, qerr)
@@ -212,9 +214,7 @@ func TestHubMapOneEntryPerLineage(t *testing.T) {
 			g, perm = gNew, permNew
 		}
 	}
-	ex.hubMu.Lock()
-	defer ex.hubMu.Unlock()
-	if len(ex.hubs) != 2 {
-		t.Fatalf("hub map holds %d entries after %d edits on 2 lineages, want 2", len(ex.hubs), edits)
+	if n := ex.HubCacheEntries(); n != 2 {
+		t.Fatalf("hub map holds %d entries after %d edits on 2 lineages, want 2", n, edits)
 	}
 }

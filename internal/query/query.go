@@ -48,10 +48,10 @@ const (
 	DefaultGraphBudget  = 256 << 20
 )
 
-// Source is the graph-resolution surface the executor needs from the
-// server's registry: cheap metadata lookup for validation and keying,
-// and full resolution (possibly reloading an evicted graph) for
-// compute. Both accept an ID or name reference.
+// Source is the graph-resolution surface the executor needs — in the
+// daemon, the store's catalog: cheap metadata lookup for validation
+// and keying, and full resolution (possibly reloading an evicted
+// graph) for compute. Both accept an ID or name reference.
 type Source interface {
 	// Stat resolves ref to its digest and vertex count without forcing
 	// the graph resident.
@@ -723,6 +723,18 @@ func (e *Executor) InvalidateOrdering(digest, method, optKey string) {
 	e.graphs.remove(graphKey(digest, method, optKey))
 }
 
+// DropHub forgets digest's cached default traversal source. Call it
+// whenever a lineage's tip moves off digest — an edit, or an upload of
+// new content under the name — so the hub cache holds one entry per
+// lineage whether or not any ordering was carried forward: a
+// superseded version is no longer queried by name, and a pinned query
+// recomputes the hub on demand.
+func (e *Executor) DropHub(digest string) {
+	e.hubMu.Lock()
+	delete(e.hubs, digest)
+	e.hubMu.Unlock()
+}
+
 // CarryOrdering moves the cached relabeled graph of one ordering from
 // a lineage's old tip to the version an edit batch derived from it, so
 // the first query on the new version does not relabel. gNew is the
@@ -733,16 +745,10 @@ func (e *Executor) InvalidateOrdering(digest, method, optKey string) {
 // graph yields exactly gNew.Relabel(perm). A perm that moves an old
 // vertex breaks that, and nothing is carried; the new version then
 // relabels lazily, as it does when the old tip's relabeling was not
-// cached. Either way the old tip's entry is dropped, and so is its
-// cached hub source: a superseded version is no longer queried by
-// name, and a pinned query recomputes the hub on demand. Call it
-// before persisting perm under newDigest, so no query sees the new
-// artifact without its relabeling. Reports whether a relabeling was
-// carried.
+// cached. Either way the old tip's entry is dropped. Call it before
+// persisting perm under newDigest, so no query sees the new artifact
+// without its relabeling. Reports whether a relabeling was carried.
 func (e *Executor) CarryOrdering(oldDigest, newDigest, method, optKey string, gNew *graph.Graph, perm order.Permutation, add, del []graph.Edge) bool {
-	e.hubMu.Lock()
-	delete(e.hubs, oldDigest)
-	e.hubMu.Unlock()
 	oldKey := graphKey(oldDigest, method, optKey)
 	v, ok := e.graphs.get(oldKey)
 	if !ok {
@@ -796,6 +802,14 @@ func (e *Executor) RelabelBuilds() int64 { return e.relabelBuilds.Load() }
 // RelabelCarries returns how many relabeled graphs an edit carried
 // forward instead of a query rebuilding them.
 func (e *Executor) RelabelCarries() int64 { return e.relabelCarries.Load() }
+
+// HubCacheEntries returns how many default traversal sources are
+// cached (one per queried lineage tip).
+func (e *Executor) HubCacheEntries() int64 {
+	e.hubMu.Lock()
+	defer e.hubMu.Unlock()
+	return int64(len(e.hubs))
+}
 
 // MaterializeFails returns failed result-artifact writes.
 func (e *Executor) MaterializeFails() int64 { return e.materializeFails.Load() }

@@ -31,23 +31,26 @@ func TestRegistryLoadDir(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewRegistry(NewMetrics(), openTestStore(t))
-	n, err := r.LoadDir(dir)
+	st := openTestStore(t)
+	n, err := New(Config{Store: st}).LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 {
 		t.Fatalf("loaded %d graphs, want 2", n)
 	}
-	g, info, ok := r.Get("ring16")
-	if !ok || g.NumNodes() != 16 || info.Name != "ring16" {
-		t.Fatalf("ring16 lookup: ok=%v nodes=%d", ok, g.NumNodes())
+	g, _, ok := st.Resolve("ring16")
+	if !ok || g.NumNodes() != 16 {
+		t.Fatalf("ring16 lookup: ok=%v", ok)
 	}
-	if _, _, ok := r.Get("notes"); ok {
+	if meta, _ := st.Lookup("ring16"); meta.Name != "ring16" || meta.Version != 1 {
+		t.Fatalf("ring16 is %+v, want v1 of its own lineage", meta)
+	}
+	if _, ok := st.Lookup("notes"); ok {
 		t.Fatal("non-graph file was registered")
 	}
-	if got := len(r.List()); got != 2 {
-		t.Fatalf("List has %d entries, want 2", got)
+	if got := len(st.Catalog()); got != 2 {
+		t.Fatalf("catalog has %d entries, want 2", got)
 	}
 }
 
@@ -56,25 +59,24 @@ func TestRegistryLoadDirCorruptFileFails(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "bad.el"), []byte("zap pow"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRegistry(NewMetrics(), openTestStore(t)).LoadDir(dir); err == nil {
+	if _, err := New(Config{Store: openTestStore(t)}).LoadDir(dir); err == nil {
 		t.Fatal("corrupt dataset dir loaded without error")
 	}
 }
 
-// Every successful parse is timed into the ingest metrics; a dedup
-// hit (same bytes again) skips the parse and must not count.
+// Every graph parsed into the store is timed into the ingest metrics;
+// a dedup hit (same bytes again) stores nothing new and must not count.
 func TestRegistryRecordsIngestMetrics(t *testing.T) {
-	m := NewMetrics()
-	r := NewRegistry(m, openTestStore(t))
-	if _, _, err := r.Add("tiny", []byte("0 1\n1 2\n")); err != nil {
+	s := New(Config{Store: openTestStore(t)})
+	if _, _, err := s.ingest("tiny", strings.NewReader("0 1\n1 2\n")); err != nil {
 		t.Fatal(err)
 	}
-	if _, created, err := r.Add("alias", []byte("0 1\n1 2\n")); err != nil || created {
+	if _, created, err := s.ingest("alias", strings.NewReader("0 1\n1 2\n")); err != nil || created {
 		t.Fatalf("dedup upload: created=%v err=%v", created, err)
 	}
-	snap := m.Snapshot()
+	snap := s.Metrics.Snapshot()
 	if snap["ingest_total"] != 1 {
-		t.Errorf("ingest_total = %d, want 1 (dedup hits must not re-parse)", snap["ingest_total"])
+		t.Errorf("ingest_total = %d, want 1 (dedup hits must not count)", snap["ingest_total"])
 	}
 	if snap["ingest_edges_total"] != 2 {
 		t.Errorf("ingest_edges_total = %d, want 2", snap["ingest_edges_total"])
@@ -85,8 +87,8 @@ func TestRegistryRecordsIngestMetrics(t *testing.T) {
 }
 
 func TestRegistryRejectsEmptyName(t *testing.T) {
-	r := NewRegistry(NewMetrics(), openTestStore(t))
-	if _, _, err := r.Add("   ", []byte("0 1\n")); err == nil {
+	s := New(Config{Store: openTestStore(t)})
+	if _, _, err := s.ingest("   ", strings.NewReader("0 1\n")); err == nil {
 		t.Fatal("blank name accepted")
 	}
 }

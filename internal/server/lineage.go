@@ -119,11 +119,6 @@ func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request, name s
 		s.methodNotAllowed(w, r, http.MethodPost)
 		return
 	}
-	if _, _, versioned := parseRef(name); versioned {
-		s.writeError(w, http.StatusBadRequest, "bad_ref",
-			"mutations apply to a lineage's tip; use the bare name, not %q", name)
-		return
-	}
 	var req editRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxUpload))
 	dec.DisallowUnknownFields()
@@ -173,13 +168,21 @@ func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, 
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
 
-	if _, _, _, err := s.cfg.Store.ResolveVersion(name, 0); err != nil {
+	st := s.cfg.Store
+	tip, ok := st.Lookup(name)
+	switch {
+	case !ok:
 		s.writeError(w, http.StatusNotFound, "graph_not_found",
 			"no graph lineage %q; upload it first (POST /graphs?name=%s)", name, name)
 		return
+	case tip.Lineage != name:
+		// name@vN, name@latest, or a digest: not a lineage's name.
+		s.writeError(w, http.StatusBadRequest, "bad_ref",
+			"mutations apply to a lineage's tip; use the bare name, not %q", name)
+		return
 	}
-	gOld, infoOld, ok := s.Reg.Get(name)
-	if !ok {
+	gOld, err := st.GetGraph(tip.Digest)
+	if err != nil {
 		s.writeError(w, http.StatusNotFound, "graph_not_found",
 			"lineage %q's tip is no longer loadable", name)
 		return
@@ -189,13 +192,17 @@ func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, 
 		s.writeError(w, http.StatusBadRequest, "bad_edit", "%v", err)
 		return
 	}
-	info, err := s.Reg.Advance(name, gNew)
+	digest, _, v, err := st.AppendGraph(name, gNew)
 	if err != nil {
 		s.writeError(w, http.StatusInternalServerError, "advance_failed",
 			"persisting version %s@v? failed: %v", name, err)
 		return
 	}
-	extended, qual := s.extendOrders(r.Context(), name, infoOld.ID, info.ID, gOld, gNew, add, del)
+	if digest != tip.Digest {
+		s.Query.DropHub(tip.Digest)
+	}
+	info := s.tipInfo(name, digest, v)
+	extended, qual := s.extendOrders(r.Context(), name, tip.Digest, digest, gOld, gNew, add, del)
 
 	resp := editResponse{
 		Graph:        info,
@@ -217,7 +224,7 @@ func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, 
 				"decay", fmt.Sprintf("%.3f", resp.Quality.Decay))
 		}
 	}
-	s.log.Info("graph mutated", "name", name, "version", info.Version, "id", info.ID,
+	s.log.Info("graph mutated", "name", name, "version", info.Version, "id", digest,
 		"nodes", info.Nodes, "edges", info.Edges,
 		"added", stats.Added, "deleted", stats.Deleted, "orders_extended", extended)
 	s.writeJSON(w, http.StatusOK, resp)
@@ -380,13 +387,10 @@ func (s *Server) recordOrderingQuality(digest string, g *graph.Graph, method, op
 // (CleanNodes..n), keeping the baseline so repeated repairs cannot
 // mask real decay; deep decay, overflowed churn tracking, or too many
 // repairs since the last full ordering → full recompute, which is the
-// only step that re-baselines.
-func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, info GraphInfo, found func(order.Permutation)) (map[string]float64, error) {
+// only step that re-baselines. name is the lineage the job names
+// (validateJob checks that it is one), and g and digest its tip.
+func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, name, digest string, found func(order.Permutation)) (map[string]float64, error) {
 	st := s.cfg.Store
-	name := info.Lineage
-	if name == "" {
-		return nil, fmt.Errorf("graph %q is not a lineage tip; repair targets a lineage by name", info.ID)
-	}
 	q, ok := st.GetQuality(name)
 	if !ok || q.Method == "" {
 		return nil, fmt.Errorf("lineage %q has no tracked ordering; run an order job on it first", name)
@@ -400,7 +404,7 @@ func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, info GraphIn
 	ropts, w := qualityOptions(q)
 	full := q.DirtyOverflow || q.Repairs >= s.maxRepairs() || decayBefore < s.repairFullBelow()
 	n := g.NumNodes()
-	base, haveBase := st.GetOrder(info.ID, q.Method, q.OptKey, n)
+	base, haveBase := st.GetOrder(digest, q.Method, q.OptKey, n)
 	if !haveBase {
 		full = true // nothing to extend: the tip's artifact vanished
 	}
@@ -423,10 +427,10 @@ func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, info GraphIn
 		return nil, err
 	}
 	found(perm)
-	if err := st.PutOrder(info.ID, q.Method, q.OptKey, perm); err != nil {
+	if err := st.PutOrder(digest, q.Method, q.OptKey, perm); err != nil {
 		return nil, fmt.Errorf("persisting repaired ordering: %w", err)
 	}
-	s.Query.InvalidateOrdering(info.ID, q.Method, q.OptKey)
+	s.Query.InvalidateOrdering(digest, q.Method, q.OptKey)
 
 	f := order.Score(g, perm, w)
 	q.CurF, q.CurEdges, q.CurPacking = f, g.NumEdges(), order.PackingFactor(g, perm)

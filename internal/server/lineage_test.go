@@ -288,7 +288,9 @@ func TestEditVersionIDMatchesUpload(t *testing.T) {
 		t.Fatal(err)
 	}
 	up := postGraph(t, ts, "copy", buf.Bytes())
-	if up.ID != edited.ID || up.ID != graphID(buf.Bytes()) {
+	h := store.NewDigest()
+	h.Write(buf.Bytes())
+	if up.ID != edited.ID || up.ID != store.DigestSum(h) {
 		t.Fatalf("upload of the edited bytes got ID %s, edit got %s", up.ID, edited.ID)
 	}
 	if edited.Bytes != int64(buf.Len()) {
@@ -395,7 +397,7 @@ func TestLineageSurvivesDaemonRestart(t *testing.T) {
 }
 
 // TestCorruptTipServesPreviousVersion corrupts the tip's blob on disk:
-// the first resolve fails and deregisters it, after which the name
+// the first resolve fails and the store drops it, after which the name
 // serves the healed previous version instead of a 404.
 func TestCorruptTipServesPreviousVersion(t *testing.T) {
 	dir := t.TempDir()
@@ -417,14 +419,14 @@ func TestCorruptTipServesPreviousVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, _, ok := s.Reg.Get("soc"); ok {
+	if _, _, ok := s.cfg.Store.Resolve("soc"); ok {
 		t.Fatal("corrupt tip resolved successfully")
 	}
-	g2, info, ok := s.Reg.Get("soc")
+	g2, _, ok := s.cfg.Store.Resolve("soc")
 	if !ok {
 		t.Fatal("name did not heal to the previous version")
 	}
-	if info.Nodes != 300 || g2.NumNodes() != 300 {
+	if g2.NumNodes() != 300 {
 		t.Fatalf("healed graph has %d nodes, want the original 300", g2.NumNodes())
 	}
 	if ti := getGraphInfo(t, ts, "soc", http.StatusOK); ti.Version != 1 || ti.Latest != 1 {
@@ -455,29 +457,74 @@ func TestMutationValidation(t *testing.T) {
 	}
 }
 
-// TestParseRef pins the version-reference grammar.
-func TestParseRef(t *testing.T) {
-	cases := []struct {
-		ref       string
-		name      string
-		version   int
-		versioned bool
-	}{
-		{"web", "web", 0, false},
-		{"web@latest", "web", 0, true},
-		{"web@v1", "web", 1, true},
-		{"web@v12", "web", 12, true},
-		{"web@v0", "web@v0", 0, false},
-		{"web@", "web@", 0, false},
-		{"@v1", "@v1", 0, false},
-		{"web@vx", "web@vx", 0, false},
-		{"a@b@v2", "a@b", 2, true},
+// TestAliasUploadIsLineage: uploading bytes already stored under
+// another name makes that name a lineage of its own, right away and not
+// only after a restart: name@latest resolves, the name accepts an edit,
+// and its version history lists.
+func TestAliasUploadIsLineage(t *testing.T) {
+	_, ts := newStoreServer(t, t.TempDir(), 0)
+	g := gen.BarabasiAlbert(200, 3, 4)
+	a := postGraph(t, ts, "a", edgeListBytes(t, g))
+	b := postGraph(t, ts, "b", edgeListBytes(t, g))
+	if latest := getGraphInfo(t, ts, "b@latest", http.StatusOK); latest.ID != a.ID || latest.Version != 1 {
+		t.Fatalf("b@latest = %s v%d, want %s v1", latest.ID, latest.Version, a.ID)
 	}
-	for _, c := range cases {
-		name, ver, versioned := parseRef(c.ref)
-		if name != c.name || ver != c.version || versioned != c.versioned {
-			t.Errorf("parseRef(%q) = (%q, %d, %v), want (%q, %d, %v)",
-				c.ref, name, ver, versioned, c.name, c.version, c.versioned)
-		}
+	if b.ID != a.ID || b.Lineage != "b" || b.Version != 1 {
+		t.Fatalf("alias upload = %+v, want %s as b@v1", b, a.ID)
+	}
+	edited := postEdges(t, ts, "b", growthBatch(g, 5, 2), http.StatusOK)
+	if edited.Graph.Lineage != "b" || edited.Graph.Version != 2 {
+		t.Fatalf("edit on the alias = %+v, want b@v2", edited.Graph)
+	}
+	if vs, _ := getLineage(t, ts, "b"); len(vs) != 2 || vs[0].Digest != a.ID || vs[1].Digest != edited.Graph.ID {
+		t.Fatalf("b's lineage = %+v, want [%s %s]", vs, a.ID, edited.Graph.ID)
+	}
+	if vs, _ := getLineage(t, ts, "a"); len(vs) != 1 || vs[0].Digest != a.ID {
+		t.Fatalf("editing b moved a: %+v", vs)
+	}
+}
+
+// TestReuploadOldContentKeepsNameConsistent: re-uploading v1's bytes
+// under a name an edit has moved past appends them as the next version,
+// so the bare name and name@latest agree on both digest and version.
+func TestReuploadOldContentKeepsNameConsistent(t *testing.T) {
+	_, ts := newStoreServer(t, t.TempDir(), 0)
+	g := gen.BarabasiAlbert(200, 3, 6)
+	v1 := postGraph(t, ts, "web", edgeListBytes(t, g))
+	postEdges(t, ts, "web", growthBatch(g, 5, 2), http.StatusOK)
+	again := postGraph(t, ts, "web", edgeListBytes(t, g))
+	bare := getGraphInfo(t, ts, "web", http.StatusOK)
+	latest := getGraphInfo(t, ts, "web@latest", http.StatusOK)
+	if bare.ID != latest.ID || bare.Version != latest.Version || bare.ID != v1.ID || bare.Version != 3 {
+		t.Fatalf("web = %s v%d, web@latest = %s v%d, want both %s v3",
+			bare.ID, bare.Version, latest.ID, latest.Version, v1.ID)
+	}
+	if again.ID != v1.ID || again.Version != 3 {
+		t.Fatalf("re-upload = %s v%d, want %s v3", again.ID, again.Version, v1.ID)
+	}
+}
+
+// TestHubCacheBoundedOnUnorderedLineage: with no ordering artifact to
+// carry forward, every tip move — an edit or an upload of new content
+// under the name — still drops the superseded version's cached hub
+// source, so K edits each followed by a hub-sourced BFS leave one
+// entry.
+func TestHubCacheBoundedOnUnorderedLineage(t *testing.T) {
+	const edits = 5
+	_, ts := newStoreServer(t, t.TempDir(), 0)
+	g := gen.BarabasiAlbert(300, 3, 8)
+	postGraph(t, ts, "soc", edgeListBytes(t, g))
+	bfs := query.Request{Graph: "soc", Kernel: "BFS"}
+	postQuery(t, ts, bfs, http.StatusOK)
+	for i := 0; i < edits; i++ {
+		req := growthBatch(g, 3, 1)
+		postEdges(t, ts, "soc", req, http.StatusOK)
+		g = applyMirror(t, g, req)
+		postQuery(t, ts, bfs, http.StatusOK)
+	}
+	postGraph(t, ts, "soc", edgeListBytes(t, gen.BarabasiAlbert(250, 3, 9)))
+	postQuery(t, ts, bfs, http.StatusOK)
+	if n := metricsSnapshot(t, ts)["query_hub_cache_entries"]; n != 1 {
+		t.Fatalf("query_hub_cache_entries = %d after %d edits and an upload on one lineage, want 1", n, edits)
 	}
 }

@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"gorder/internal/fair"
-	"gorder/internal/graph"
 	"gorder/internal/query"
 	"gorder/internal/registry"
 )
 
 // The query endpoints: POST /query and POST /query/batch execute
-// registry kernels against registered graphs through the
+// registry kernels against stored graphs through the
 // internal/query executor. Queries are reads — they run on the HTTP
 // goroutine behind their own concurrency gate and never enter the
 // compute worker pool, so a long ordering job can saturate every
@@ -28,20 +27,6 @@ const (
 	defaultQueryTimeout     = 30 * time.Second
 )
 
-// regSource adapts the server's graph registry to the executor's
-// Source interface.
-type regSource struct{ r *Registry }
-
-func (s regSource) Stat(ref string) (string, int, bool) {
-	info, ok := s.r.Stat(ref)
-	return info.ID, info.Nodes, ok
-}
-
-func (s regSource) Resolve(ref string) (*graph.Graph, string, bool) {
-	g, info, ok := s.r.Get(ref)
-	return g, info.ID, ok
-}
-
 // initQuery builds the executor, the weighted-fair read gate, and the
 // metrics; called from New. The gate admits queries in per-tenant
 // stride order (internal/fair.Gate), so a tenant flooding the read
@@ -50,10 +35,9 @@ func (s regSource) Resolve(ref string) (*graph.Graph, string, bool) {
 // overload degrades into fast rejections instead of a convoy.
 func (s *Server) initQuery(m *Metrics) {
 	s.Query = query.New(query.Config{
-		Source:       regSource{s.Reg},
+		Source:       s.cfg.Store,
 		Store:        s.cfg.Store,
 		ResultBudget: s.cfg.QueryResultBudget,
-		GraphBudget:  s.cfg.QueryGraphBudget,
 		Workers:      s.cfg.KernelWorkers,
 	})
 	conc := s.cfg.QueryConcurrency
@@ -81,6 +65,7 @@ func (s *Server) initQuery(m *Metrics) {
 	m.Func("query_relabel_carries_total", s.Query.RelabelCarries)
 	m.Func("query_result_cache_bytes", s.Query.ResultCacheBytes)
 	m.Func("query_graph_cache_bytes", s.Query.GraphCacheBytes)
+	m.Func("query_hub_cache_entries", s.Query.HubCacheEntries)
 	// Pre-register one counter per queryable kernel so /metrics shows
 	// the full query surface from startup, zeros included.
 	s.queryKernel = make(map[string]*Counter)

@@ -28,12 +28,12 @@ type Config struct {
 	Pool      PoolConfig
 	MaxUpload int64 // bytes accepted on POST /graphs; <= 0 means 32 MiB
 	Logger    *slog.Logger
-	// Store persists graphs and ordering artifacts: the registry is
-	// backed by it (catalog restored on construction, LRU residency
-	// under its byte budget), ordering jobs consult the artifact cache
-	// before computing and persist results after, and the store_*
-	// metrics are exported. A daemon without a durable data directory
-	// runs over a store in a temporary one.
+	// Store persists graphs and ordering artifacts and is the daemon's
+	// only graph catalog: every graph reference resolves through it
+	// (LRU residency under its byte budget), ordering jobs consult the
+	// artifact cache before computing and persist results after, and
+	// the store_* metrics are exported. A daemon without a durable data
+	// directory runs over a store in a temporary one.
 	Store *store.Store
 
 	// Query-tier knobs. Queries run on the HTTP goroutines behind
@@ -43,7 +43,6 @@ type Config struct {
 	QueryWaitCap      int           // queued waiters per tenant before 429; <= 0 means 64
 	QueryTimeout      time.Duration // default per-query deadline; <= 0 means 30s
 	QueryResultBudget int64         // result-cache LRU bytes; <= 0 means 64 MiB
-	QueryGraphBudget  int64         // relabeled-graph LRU bytes; <= 0 means 256 MiB
 	KernelWorkers     int           // goroutines per BFS/SP/PR/Tri kernel run; <= 1 means serial
 
 	// Traffic-tier knobs. TenantRate is the per-tenant request rate in
@@ -71,14 +70,13 @@ type Config struct {
 	DisableAutoRepair bool
 }
 
-// Server glues the registry, the pool, and the metrics into the HTTP
+// Server glues the store, the pool, and the metrics into the HTTP
 // JSON API gorderd serves. Construct with New, then Start the workers
 // and mount Handler on an http.Server.
 type Server struct {
 	cfg     Config
 	log     *slog.Logger
 	Metrics *Metrics
-	Reg     *Registry
 	Pool    *Pool
 	Query   *query.Executor
 	mux     *http.ServeMux
@@ -89,6 +87,14 @@ type Server struct {
 
 	httpRequests *Counter
 	httpErrors   *Counter
+
+	// Ingest counters: graphs parsed into the store (dedup hits
+	// excluded), their cumulative parse wall time and edges, and the
+	// upload bytes they arrived in.
+	ingests       *Counter
+	ingestMillis  *Counter
+	ingestEdges   *Counter
+	bytesAccepted *Counter
 
 	// Traffic-tier plumbing: the per-tenant rate limiter (nil when
 	// disabled) and the admission counters.
@@ -144,9 +150,13 @@ func New(cfg Config) *Server {
 		cfg:          cfg,
 		log:          cfg.Logger,
 		Metrics:      m,
-		Reg:          NewRegistry(m, cfg.Store),
 		httpRequests: m.Counter("http_requests_total"),
 		httpErrors:   m.Counter("http_errors_total"),
+
+		ingests:       m.Counter("ingest_total"),
+		ingestMillis:  m.Counter("ingest_ms_total"),
+		ingestEdges:   m.Counter("ingest_edges_total"),
+		bytesAccepted: m.Counter("graphs_bytes_accepted"),
 
 		orderingRuns:     make(map[string]*Counter),
 		orderingMS:       make(map[string]*Counter),
@@ -307,7 +317,12 @@ func (s *Server) handleMethods(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		s.writeJSON(w, http.StatusOK, map[string]any{"graphs": s.Reg.List()})
+		catalog := s.cfg.Store.Catalog()
+		infos := make([]GraphInfo, len(catalog))
+		for i, meta := range catalog {
+			infos[i] = s.graphInfo(meta)
+		}
+		s.writeJSON(w, http.StatusOK, map[string]any{"graphs": infos})
 	case http.MethodPost:
 		s.handleGraphUpload(w, r)
 	default:
@@ -333,12 +348,12 @@ func (s *Server) handleGraphByID(w http.ResponseWriter, r *http.Request) {
 			s.methodNotAllowed(w, r, http.MethodGet)
 			return
 		}
-		info, ok := s.Reg.Stat(ref)
+		meta, ok := s.cfg.Store.Lookup(ref)
 		if !ok {
 			s.writeError(w, http.StatusNotFound, "graph_not_found", "no graph %q", ref)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, info)
+		s.writeJSON(w, http.StatusOK, s.graphInfo(meta))
 	}
 }
 
@@ -430,9 +445,9 @@ func (s *Server) validateJob(req *JobRequest) (code, msg string) {
 	if req.Graph == "" {
 		return "missing_graph", "job requires a graph ID or name"
 	}
-	// Stat, not Get: validation must not pull an evicted graph back
-	// into memory just to check it exists.
-	if _, ok := s.Reg.Stat(req.Graph); !ok {
+	// Lookup, not Resolve: validation must not pull an evicted graph
+	// back into memory just to check it exists.
+	if _, ok := s.cfg.Store.Lookup(req.Graph); !ok {
 		return "graph_not_found", fmt.Sprintf("no graph %q registered", req.Graph)
 	}
 	if req.TimeoutMs < 0 {
@@ -503,11 +518,11 @@ func (s *Server) observeOrdering(obs registry.Observation) {
 // ordering or evaluation with the job's context, and returns the
 // metrics that end up in the job status.
 func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.Permutation)) (map[string]float64, error) {
-	g, info, ok := s.Reg.Get(req.Graph)
+	g, digest, ok := s.cfg.Store.Resolve(req.Graph)
 	if !ok {
 		// The graph was known at submit time but may since have been
-		// deregistered (its stored blob went corrupt).
-		return nil, fmt.Errorf("graph %q is no longer registered", req.Graph)
+		// dropped (its stored blob went corrupt).
+		return nil, fmt.Errorf("graph %q is no longer stored", req.Graph)
 	}
 	w := req.Window
 	if w <= 0 {
@@ -531,10 +546,10 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 			}
 		}
 		if optKey != "" {
-			if perm, ok := s.cfg.Store.GetOrder(info.ID, method, optKey, g.NumNodes()); ok {
+			if perm, ok := s.cfg.Store.GetOrder(digest, method, optKey, g.NumNodes()); ok {
 				found(perm)
 				f := order.Score(g, perm, w)
-				s.recordOrderingQuality(info.ID, g, method, optKey, copts, perm, w, f, false)
+				s.recordOrderingQuality(digest, g, method, optKey, copts, perm, w, f, false)
 				return map[string]float64{
 					"score_F":   float64(f),
 					"bandwidth": float64(order.Bandwidth(g, perm)),
@@ -550,13 +565,13 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 		found(perm)
 		f := order.Score(g, perm, w)
 		if optKey != "" {
-			if err := s.cfg.Store.PutOrder(info.ID, method, optKey, perm); err != nil {
-				s.log.Warn("persisting ordering artifact failed", "graph", info.ID,
+			if err := s.cfg.Store.PutOrder(digest, method, optKey, perm); err != nil {
+				s.log.Warn("persisting ordering artifact failed", "graph", digest,
 					"method", method, "err", err)
 			} else {
 				// A fresh full computation is the quality monitor's ground
 				// truth: (re-)baseline any lineage this graph tips.
-				s.recordOrderingQuality(info.ID, g, method, optKey, copts, perm, w, f, true)
+				s.recordOrderingQuality(digest, g, method, optKey, copts, perm, w, f, true)
 			}
 		}
 		return map[string]float64{
@@ -600,7 +615,7 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 		}
 		return metrics, nil
 	case KindRepair:
-		return s.executeRepair(ctx, g, info, found)
+		return s.executeRepair(ctx, g, req.Graph, digest, found)
 	default:
 		return nil, fmt.Errorf("unknown job kind %q", req.Kind)
 	}

@@ -251,8 +251,8 @@ func TestUploadDeduplicatesByContent(t *testing.T) {
 	if a.ID != b.ID {
 		t.Fatalf("same bytes got two IDs: %s vs %s", a.ID, b.ID)
 	}
-	if n := s.Metrics.Snapshot()["graphs_loaded"]; n != 1 {
-		t.Fatalf("graphs_loaded = %d, want 1 (dedup)", n)
+	if n := s.Metrics.Snapshot()["store_graphs"]; n != 1 {
+		t.Fatalf("store_graphs = %d, want 1 (dedup)", n)
 	}
 	// Both names resolve.
 	for _, ref := range []string{"first", "second", a.ID} {
@@ -428,8 +428,8 @@ func TestMetricsEndpointCounts(t *testing.T) {
 	if snap["jobs_submitted"] < 1 || snap["jobs_completed"] < 1 {
 		t.Fatalf("metrics did not count the job: %v", snap)
 	}
-	if snap["graphs_loaded"] != 1 {
-		t.Fatalf("graphs_loaded = %d", snap["graphs_loaded"])
+	if snap["store_graphs"] != 1 {
+		t.Fatalf("store_graphs = %d", snap["store_graphs"])
 	}
 	if _, ok := snap["uptime_seconds"]; !ok {
 		t.Fatal("metrics missing uptime_seconds")
@@ -446,7 +446,7 @@ func TestShutdownPersistsQueuedJobs(t *testing.T) {
 	s := New(Config{Pool: PoolConfig{Workers: 1, QueueDepth: 16, DefaultTimeout: 30 * time.Second}, Store: openTestStore(t)})
 	s.Start()
 	data := edgeListBytes(t, gen.BarabasiAlbert(20000, 8, 2))
-	if _, _, err := s.Reg.Add("big", data); err != nil {
+	if _, _, err := s.ingest("big", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	// First job occupies the worker; the rest stay queued.
@@ -501,7 +501,7 @@ func TestShutdownPersistsQueuedJobs(t *testing.T) {
 	s2 := New(Config{Pool: PoolConfig{Workers: 2, QueueDepth: 16}, Store: openTestStore(t)})
 	s2.Start()
 	defer s2.DrainAndPersist(5*time.Second, "")
-	if _, _, err := s2.Reg.Add("big", data); err != nil {
+	if _, _, err := s2.ingest("big", bytes.NewReader(data)); err != nil {
 		t.Fatal(err)
 	}
 	if n := s2.Replay(reqs); n != 3 {

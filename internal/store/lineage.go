@@ -8,6 +8,7 @@ import (
 	"io"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -41,19 +42,19 @@ type VersionInfo struct {
 // Quality is the exported view of a lineage's ordering-quality state.
 // The zero Method means no ordering has been recorded yet.
 type Quality struct {
-	Method      string
-	OptKey      string
-	OptionsJSON string
-	Window      int
-	BaseF       int64
-	BaseEdges   int64
-	BasePacking float64
-	CurF        int64
-	CurEdges    int64
-	CurPacking  float64
-	CleanNodes  int
-	Repairs     int
-	Dirty       []graph.NodeID
+	Method        string
+	OptKey        string
+	OptionsJSON   string
+	Window        int
+	BaseF         int64
+	BaseEdges     int64
+	BasePacking   float64
+	CurF          int64
+	CurEdges      int64
+	CurPacking    float64
+	CleanNodes    int
+	Repairs       int
+	Dirty         []graph.NodeID
 	DirtyOverflow bool
 }
 
@@ -87,12 +88,12 @@ type OrderKey struct {
 }
 
 // AppendVersion persists g as the next version of the named lineage:
-// the blob is stored content-addressed under digest exactly like
-// PutGraph, the lineage gains a version entry, and the name alias
-// moves to the new tip, which replaces the old tip in memory. Appending
-// the digest already at the tip is a no-op (idempotent replays). The
-// lineage is created if the name is new. Returns the 1-based version
-// number now at the tip.
+// the blob is stored content-addressed under digest (once — a digest
+// already stored, under any name, keeps its blob), the lineage gains a
+// version entry, and the new tip replaces the old one in memory.
+// Appending the digest already at the tip is a no-op (idempotent
+// replays). The lineage is created if the name is new. Returns the
+// 1-based version number now at the tip.
 func (s *Store) AppendVersion(name, digest string, g *graph.Graph, srcBytes int64) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -126,36 +127,27 @@ func (s *Store) AppendGraph(name string, g *graph.Graph) (digest string, size in
 // tipVersionLocked reports the tip's version number when digest is
 // already name's tip.
 func (s *Store) tipVersionLocked(name, digest string) (int, bool) {
-	if lin := s.man.Lineages[name]; lin != nil {
-		if n := len(lin.Versions); n > 0 && lin.Versions[n-1] == digest {
-			return n, true
-		}
+	if lin := s.man.Lineages[name]; lin != nil && lin.tip() == digest {
+		return len(lin.Versions), true
 	}
 	return 0, false
 }
 
 // advanceLocked appends the stored digest to name's lineage (creating
-// it), points the name at it, and swaps g into residency for the tip it
-// supersedes.
+// it) and swaps g into residency for the tip it supersedes.
 func (s *Store) advanceLocked(name, digest string, g *graph.Graph) (int, error) {
 	lin := s.man.Lineages[name]
 	if lin == nil {
 		lin = &lineageRec{}
 		s.man.Lineages[name] = lin
 	}
-	var oldTip string
-	if n := len(lin.Versions); n > 0 {
-		oldTip = lin.Versions[n-1]
-	}
-	oldName := s.man.Names[name]
+	oldTip := lin.tip()
 	lin.Versions = append(lin.Versions, digest)
-	s.man.Names[name] = digest
 	if err := s.saveManifestLocked(); err != nil {
 		return 0, err
 	}
 	s.admitLocked(digest, g)
 	s.releaseLocked(oldTip)
-	s.releaseLocked(oldName)
 	return len(lin.Versions), nil
 }
 
@@ -165,6 +157,10 @@ func (s *Store) advanceLocked(name, digest string, g *graph.Graph) (int, error) 
 func (s *Store) ResolveVersion(name string, version int) (digest string, resolved, latest int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.resolveVersionLocked(name, version)
+}
+
+func (s *Store) resolveVersionLocked(name string, version int) (digest string, resolved, latest int, err error) {
 	lin := s.man.Lineages[name]
 	if lin == nil || len(lin.Versions) == 0 {
 		return "", 0, 0, fmt.Errorf("%w: %s", ErrUnknownLineage, name)
@@ -177,6 +173,72 @@ func (s *Store) ResolveVersion(name string, version int) (digest string, resolve
 		return "", 0, latest, fmt.Errorf("%w: %s@v%d (have v1..v%d)", ErrUnknownVersion, name, version, latest)
 	}
 	return lin.Versions[version-1], version, latest, nil
+}
+
+// Lookup resolves a graph reference to its catalog entry without
+// loading the graph: a stored digest, else a lineage version —
+// name@vN pins version N, and a bare name or name@latest follows the
+// tip. Lineage-resolved entries report the lineage, the version the
+// reference landed on, and the tip's version.
+func (s *Store) Lookup(ref string) (GraphMeta, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rec, ok := s.man.Graphs[ref]; ok {
+		return metaOf(ref, rec), true
+	}
+	name, version := parseRef(ref)
+	digest, resolved, latest, err := s.resolveVersionLocked(name, version)
+	if err != nil {
+		return GraphMeta{}, false
+	}
+	rec, ok := s.man.Graphs[digest]
+	if !ok {
+		return GraphMeta{}, false
+	}
+	meta := metaOf(digest, rec)
+	meta.Lineage, meta.Version, meta.Latest = name, resolved, latest
+	return meta, true
+}
+
+// parseRef splits a version-qualified graph reference: "name@vN" pins
+// version N, "name@latest" follows the tip (version 0, like the bare
+// name). Anything without a well-formed qualifier is a plain name, so
+// names containing '@' that never meant a version keep working.
+func parseRef(ref string) (name string, version int) {
+	i := strings.LastIndexByte(ref, '@')
+	if i <= 0 || i == len(ref)-1 {
+		return ref, 0
+	}
+	name, tag := ref[:i], ref[i+1:]
+	if tag == "latest" {
+		return name, 0
+	}
+	if strings.HasPrefix(tag, "v") {
+		if n, err := strconv.Atoi(tag[1:]); err == nil && n >= 1 {
+			return name, n
+		}
+	}
+	return ref, 0
+}
+
+// Stat resolves ref to its digest and vertex count without loading
+// the graph — half of the query tier's query.Source.
+func (s *Store) Stat(ref string) (digest string, nodes int, ok bool) {
+	meta, ok := s.Lookup(ref)
+	return meta.Digest, meta.Nodes, ok
+}
+
+// Resolve looks ref up and loads the graph it names — the other half
+// of query.Source. A blob that turns out corrupt reports absent: the
+// store has already dropped it and healed any lineage it tipped, so
+// the same ref then names the previous version.
+func (s *Store) Resolve(ref string) (*graph.Graph, string, bool) {
+	meta, ok := s.Lookup(ref)
+	if !ok {
+		return nil, "", false
+	}
+	g, err := s.GetGraph(meta.Digest)
+	return g, meta.Digest, err == nil
 }
 
 // Lineage returns the version history of a named graph.
@@ -348,59 +410,43 @@ func (s *Store) persistGraphLocked(digest, name string, g *graph.Graph, srcBytes
 
 // healAllLineagesLocked reconciles every lineage against the graphs
 // actually present (the Open path): versions whose blob records are
-// gone close over, names follow surviving tips, and emptied lineages
-// disappear. Reports whether anything changed.
+// gone close over, and emptied lineages disappear. Reports whether
+// anything changed.
 func (s *Store) healAllLineagesLocked() bool {
 	changed := false
 	for name, lin := range s.man.Lineages {
-		var tip0 string
-		if n := len(lin.Versions); n > 0 {
-			tip0 = lin.Versions[n-1]
-		}
+		tip0 := lin.tip()
 		before := len(lin.Versions)
 		lin.Versions = slices.DeleteFunc(lin.Versions, func(d string) bool {
 			_, ok := s.man.Graphs[d]
 			return !ok
 		})
-		if len(lin.Versions) != before {
-			changed = true
-		}
-		if len(lin.Versions) == 0 {
-			delete(s.man.Lineages, name)
-			delete(s.man.Names, name)
-			changed = true
+		if len(lin.Versions) == before {
 			continue
 		}
-		tip := lin.Versions[len(lin.Versions)-1]
-		if tip != tip0 {
+		changed = true
+		if len(lin.Versions) == 0 {
+			delete(s.man.Lineages, name)
+		} else if lin.tip() != tip0 {
 			lin.Quality = nil
-		}
-		if s.man.Names[name] != tip {
-			s.man.Names[name] = tip
-			changed = true
 		}
 	}
 	return changed
 }
 
 // healLineagesLocked removes a vanished digest from every lineage: a
-// corrupt tip heals to the previous version (name repointed), a hole
-// in the middle closes over, and a lineage losing its last version
-// disappears with its name. A quality record tracking the dropped tip
-// is cleared so the monitor re-baselines instead of trusting totals
-// for a graph that no longer exists.
+// corrupt tip heals to the previous version, a hole in the middle
+// closes over, and a lineage losing its last version disappears. A
+// quality record tracking the dropped tip is cleared so the monitor
+// re-baselines instead of trusting totals for a graph that no longer
+// exists.
 func (s *Store) healLineagesLocked(digest string) {
 	for name, lin := range s.man.Lineages {
-		n := len(lin.Versions)
-		wasTip := n > 0 && lin.Versions[n-1] == digest
+		wasTip := lin.tip() == digest
 		lin.Versions = slices.DeleteFunc(lin.Versions, func(d string) bool { return d == digest })
 		if len(lin.Versions) == 0 {
 			delete(s.man.Lineages, name)
-			delete(s.man.Names, name)
-			continue
-		}
-		if wasTip {
-			s.man.Names[name] = lin.Versions[len(lin.Versions)-1]
+		} else if wasTip {
 			lin.Quality = nil
 		}
 	}

@@ -52,9 +52,9 @@ func TestLineageAppendAndResolve(t *testing.T) {
 		info.Versions[1].Nodes != 12 {
 		t.Fatalf("version metadata %+v", info.Versions)
 	}
-	// The name alias follows the tip (upload/registry paths read it).
-	if s.Names()["social"] != "d2" {
-		t.Fatalf("name alias = %q, want d2", s.Names()["social"])
+	// A bare name follows the tip.
+	if meta, ok := s.Lookup("social"); !ok || meta.Digest != "d2" || meta.Version != 2 || meta.Latest != 2 {
+		t.Fatalf("Lookup(social) = %+v ok=%v, want d2 v2/2", meta, ok)
 	}
 }
 
@@ -171,8 +171,8 @@ func TestLineageCorruptTipHealsToPrevious(t *testing.T) {
 	if !ok || len(info.Versions) != 1 || info.Versions[0].Digest != "d1" {
 		t.Fatalf("lineage after corrupt tip: %+v ok=%v", info, ok)
 	}
-	if s.Names()["g"] != "d1" {
-		t.Fatalf("name points at %q, want healed tip d1", s.Names()["g"])
+	if meta, ok := s.Lookup("g"); !ok || meta.Digest != "d1" {
+		t.Fatalf("name points at %q, want healed tip d1", meta.Digest)
 	}
 	if _, ok := s.GetQuality("g"); ok {
 		t.Fatal("stale quality record survived the healed tip")
@@ -217,8 +217,8 @@ func TestLineageOpenHealsMissingTip(t *testing.T) {
 	if !ok || len(info.Versions) != 2 || info.Versions[1].Digest != "d2" {
 		t.Fatalf("lineage after missing tip: %+v ok=%v", info, ok)
 	}
-	if s2.Names()["g"] != "d2" {
-		t.Fatalf("name points at %q, want d2", s2.Names()["g"])
+	if meta, ok := s2.Lookup("g"); !ok || meta.Digest != "d2" {
+		t.Fatalf("name points at %q, want d2", meta.Digest)
 	}
 	// A middle version vanishing closes the hole but keeps the tip.
 	if err := s2.Close(); err != nil {
@@ -232,8 +232,8 @@ func TestLineageOpenHealsMissingTip(t *testing.T) {
 	if !ok || len(info.Versions) != 1 || info.Versions[0].Digest != "d2" {
 		t.Fatalf("lineage after missing middle: %+v ok=%v", info, ok)
 	}
-	if s3.Names()["g"] != "d2" {
-		t.Fatalf("name points at %q, want d2", s3.Names()["g"])
+	if meta, ok := s3.Lookup("g"); !ok || meta.Digest != "d2" {
+		t.Fatalf("name points at %q, want d2", meta.Digest)
 	}
 }
 
@@ -306,5 +306,70 @@ func TestLatestOrderTieBreaking(t *testing.T) {
 	s.mu.Unlock()
 	if m, _, ok := s.LatestOrder("d1", ""); !ok || m != "amethod" {
 		t.Fatalf("last-access chose %q, want amethod", m)
+	}
+}
+
+// TestParseRef pins the version-reference grammar.
+func TestParseRef(t *testing.T) {
+	cases := []struct {
+		ref     string
+		name    string
+		version int
+	}{
+		{"web", "web", 0},
+		{"web@latest", "web", 0},
+		{"web@v1", "web", 1},
+		{"web@v12", "web", 12},
+		{"web@v0", "web@v0", 0},
+		{"web@", "web@", 0},
+		{"@v1", "@v1", 0},
+		{"web@vx", "web@vx", 0},
+		{"a@b@v2", "a@b", 2},
+	}
+	for _, c := range cases {
+		name, ver := parseRef(c.ref)
+		if name != c.name || ver != c.version {
+			t.Errorf("parseRef(%q) = (%q, %d), want (%q, %d)", c.ref, name, ver, c.name, c.version)
+		}
+	}
+}
+
+// Lookup resolves a digest first, then a lineage version, and reports
+// where a lineage reference landed.
+func TestLookupResolvesRefs(t *testing.T) {
+	s := open(t, t.TempDir(), 0)
+	for i, d := range []string{"d1", "d2"} {
+		if _, err := s.AppendVersion("web", d, gen.Ring(8+i), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		ref, digest, lineage string
+		version              int
+	}{
+		{"d1", "d1", "", 0},
+		{"web", "d2", "web", 2},
+		{"web@latest", "d2", "web", 2},
+		{"web@v1", "d1", "web", 1},
+	}
+	for _, c := range cases {
+		meta, ok := s.Lookup(c.ref)
+		if !ok || meta.Digest != c.digest || meta.Lineage != c.lineage || meta.Version != c.version {
+			t.Errorf("Lookup(%q) = %+v ok=%v, want %s %q v%d", c.ref, meta, ok, c.digest, c.lineage, c.version)
+		}
+		if c.lineage != "" && meta.Latest != 2 {
+			t.Errorf("Lookup(%q).Latest = %d, want 2", c.ref, meta.Latest)
+		}
+	}
+	for _, ref := range []string{"web@v3", "nope", "nope@latest"} {
+		if meta, ok := s.Lookup(ref); ok {
+			t.Errorf("Lookup(%q) = %+v, want absent", ref, meta)
+		}
+	}
+	if digest, nodes, ok := s.Stat("web@v1"); !ok || digest != "d1" || nodes != 8 {
+		t.Errorf("Stat(web@v1) = %s %d %v", digest, nodes, ok)
+	}
+	if g, digest, ok := s.Resolve("web"); !ok || digest != "d2" || g.NumNodes() != 9 {
+		t.Errorf("Resolve(web) = %s ok=%v", digest, ok)
 	}
 }

@@ -84,10 +84,18 @@ type qualityRec struct {
 }
 
 // lineageRec is one named graph's version history, oldest first. The
-// Names alias always points at the last (tip) entry.
+// manifest's names field records each lineage's last (tip) entry.
 type lineageRec struct {
 	Versions []string    `json:"versions"`
 	Quality  *qualityRec `json:"quality,omitempty"`
+}
+
+// tip returns the newest version's digest ("" for an empty history).
+func (l *lineageRec) tip() string {
+	if n := len(l.Versions); n > 0 {
+		return l.Versions[n-1]
+	}
+	return ""
 }
 
 // manifest is the JSON index of everything in the store, written
@@ -95,7 +103,7 @@ type lineageRec struct {
 type manifest struct {
 	Version int                  `json:"version"`
 	Graphs  map[string]*graphRec `json:"graphs"` // digest -> record
-	Names   map[string]string    `json:"names"`  // graph name -> tip digest
+	Names   map[string]string    `json:"names"`  // graph name -> tip digest; derived from Lineages on save
 	Orders  map[string]*orderRec `json:"orders"` // artifact file name -> record
 	// Results maps result-artifact file names to records. Omitted
 	// (nil) in manifests written before the query tier existed.
@@ -110,7 +118,6 @@ func newManifest() *manifest {
 	return &manifest{
 		Version:  manifestVersion,
 		Graphs:   make(map[string]*graphRec),
-		Names:    make(map[string]string),
 		Orders:   make(map[string]*orderRec),
 		Results:  make(map[string]*resultRec),
 		Lineages: make(map[string]*lineageRec),
@@ -139,9 +146,6 @@ func loadManifest(path string) (*manifest, error) {
 	if m.Graphs == nil {
 		m.Graphs = make(map[string]*graphRec)
 	}
-	if m.Names == nil {
-		m.Names = make(map[string]string)
-	}
 	if m.Orders == nil {
 		m.Orders = make(map[string]*orderRec)
 	}
@@ -161,8 +165,15 @@ func loadManifest(path string) (*manifest, error) {
 	return &m, nil
 }
 
-// save writes the manifest atomically.
+// save writes the manifest atomically, with the names field rebuilt
+// from the lineage tips so the two can never disagree.
 func (m *manifest) save(path string) error {
+	m.Names = make(map[string]string, len(m.Lineages))
+	for name, lin := range m.Lineages {
+		if tip := lin.tip(); tip != "" {
+			m.Names[name] = tip
+		}
+	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err

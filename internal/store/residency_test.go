@@ -43,9 +43,10 @@ func TestResidencyHoldsOnlyTips(t *testing.T) {
 	}
 }
 
-// Content dedup lets one digest tip two lineages, or back a plain name
-// alias: advancing one lineage keeps the digest resident for the
-// others, and only the last reference moving away releases it.
+// Content dedup lets one digest tip several lineages (an upload of
+// the same bytes under another name is a lineage of its own): advancing
+// one lineage keeps the digest resident for the others, and only the
+// last lineage moving away releases it.
 func TestResidencySharedTipStaysResident(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	shared, ga, gb := gen.Ring(16), gen.Ring(20), gen.Ring(24)
@@ -54,7 +55,7 @@ func TestResidencySharedTipStaysResident(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.SetName("alias", "d1"); err != nil {
+	if _, err := s.AppendVersion("alias", "d1", shared, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AppendVersion("a", "d2", ga, 0); err != nil {
@@ -67,13 +68,13 @@ func TestResidencySharedTipStaysResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !s.Resident("d1") {
-		t.Fatal("digest still named by an alias was released")
+		t.Fatal("digest still tipping lineage alias was released")
 	}
-	if err := s.SetName("alias", "d3"); err != nil {
+	if _, err := s.AppendVersion("alias", "d3", gb, 0); err != nil {
 		t.Fatal(err)
 	}
 	if s.Resident("d1") {
-		t.Fatal("digest no name or lineage points at is still resident")
+		t.Fatal("digest no lineage tips is still resident")
 	}
 	if got, want := s.ResidentBytes(), ga.MemoryBytes()+gb.MemoryBytes(); got != want {
 		t.Fatalf("resident bytes = %d, want the two tips' %d", got, want)

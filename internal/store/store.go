@@ -13,11 +13,14 @@
 // restarted daemon serves its full catalog and answers repeat ordering
 // jobs without recomputing.
 //
-// Residency: only tips are held in memory — the newest version of each
-// lineage, and any graph a name points at — up to a configurable byte
-// budget (graph.MemoryBytes accounting). Appending a version replaces
-// the old tip in memory rather than adding a second copy, so a lineage
-// under sustained edits costs one version, not its history.
+// Every graph name is a lineage (v1..vN), and Lookup is the one place
+// a graph reference — digest, name, name@vN, name@latest — resolves.
+//
+// Residency: only tips — the newest version of each lineage — are held
+// in memory, up to a configurable byte budget (graph.MemoryBytes
+// accounting). Appending a version replaces the old tip in memory
+// rather than adding a second copy, so a lineage under sustained edits
+// costs one version, not its history.
 // Least-recently-used tips are evicted first; an evicted graph stays on
 // disk and is transparently reloaded on next use via the fast
 // ReadBinaryBytes path. Superseded versions (name@vK, a query pinned
@@ -79,6 +82,20 @@ type GraphMeta struct {
 	SrcBytes  int64 // size of the original upload
 	FileBytes int64 // size of the CSR blob on disk
 	Added     time.Time
+	// Lineage, Version and Latest are set when Lookup resolved the
+	// graph through a lineage (a bare name, name@latest, or name@vN):
+	// which lineage, which version the meta describes, and the
+	// lineage's tip version.
+	Lineage string
+	Version int
+	Latest  int
+}
+
+func metaOf(digest string, rec *graphRec) GraphMeta {
+	return GraphMeta{
+		Digest: digest, Name: rec.Name, Nodes: rec.Nodes, Edges: rec.Edges,
+		SrcBytes: rec.SrcBytes, FileBytes: rec.FileBytes, Added: rec.Added,
+	}
 }
 
 // residentGraph is one in-memory graph plus its LRU bookkeeping.
@@ -139,16 +156,10 @@ func Open(cfg Config) (*Store, error) {
 			dropped = true
 		}
 	}
-	// Lineages heal before the name sweep: a vanished tip repoints its
-	// name to the previous surviving version rather than losing it.
+	// A vanished tip heals its lineage to the previous surviving
+	// version rather than losing the name.
 	if s.healAllLineagesLocked() {
 		dropped = true
-	}
-	for name, digest := range man.Names {
-		if _, ok := man.Graphs[digest]; !ok {
-			delete(man.Names, name)
-			dropped = true
-		}
 	}
 	for file, rec := range man.Orders {
 		_, statErr := os.Stat(filepath.Join(s.dir, ordersDirName, file))
@@ -206,16 +217,13 @@ func DigestSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil)[:8]) }
 // ---- graph blobs and residency ------------------------------------------
 
 // Catalog returns every stored graph's metadata, sorted by name then
-// digest — the restart path the daemon rebuilds its registry from.
+// digest.
 func (s *Store) Catalog() []GraphMeta {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]GraphMeta, 0, len(s.man.Graphs))
 	for digest, rec := range s.man.Graphs {
-		out = append(out, GraphMeta{
-			Digest: digest, Name: rec.Name, Nodes: rec.Nodes, Edges: rec.Edges,
-			SrcBytes: rec.SrcBytes, FileBytes: rec.FileBytes, Added: rec.Added,
-		})
+		out = append(out, metaOf(digest, rec))
 	}
 	slices.SortFunc(out, func(a, b GraphMeta) int {
 		if c := strings.Compare(a.Name, b.Name); c != 0 {
@@ -226,38 +234,12 @@ func (s *Store) Catalog() []GraphMeta {
 	return out
 }
 
-// Names returns the name -> digest aliases recorded in the manifest.
-func (s *Store) Names() map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]string, len(s.man.Names))
-	for name, digest := range s.man.Names {
-		out[name] = digest
-	}
-	return out
-}
-
 // PutGraph persists g under digest (the content hash of the source
-// bytes), records name as an alias, and makes the graph resident.
-// Blobs stay immutable and content-addressed; the name, however, is a
-// lineage — uploading different content under an existing name appends
-// a new version to it, exactly like AppendVersion.
+// bytes) as the next version of the named lineage: AppendVersion
+// without the version number.
 func (s *Store) PutGraph(digest, name string, g *graph.Graph, srcBytes int64) error {
 	_, err := s.AppendVersion(name, digest, g, srcBytes)
 	return err
-}
-
-// SetName records (or re-points) a name alias for an existing digest.
-func (s *Store) SetName(name, digest string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.man.Graphs[digest]; !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownGraph, digest)
-	}
-	old := s.man.Names[name]
-	s.man.Names[name] = digest
-	s.releaseLocked(old)
-	return s.saveManifestLocked()
 }
 
 // GetGraph returns the graph stored under digest: from residency when
@@ -308,9 +290,9 @@ func (s *Store) GetGraph(digest string) (*graph.Graph, error) {
 	return g, nil
 }
 
-// IsTip reports whether digest is a tip: the newest version of a
-// lineage, or a graph a name points at. Only tips stay resident, and
-// the query tier caches relabelings of tips only, for the same reason.
+// IsTip reports whether digest is the newest version of some lineage.
+// Only tips stay resident, and the query tier caches relabelings of
+// tips only, for the same reason.
 func (s *Store) IsTip(digest string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -318,13 +300,8 @@ func (s *Store) IsTip(digest string) bool {
 }
 
 func (s *Store) isTipLocked(digest string) bool {
-	for _, d := range s.man.Names {
-		if d == digest {
-			return true
-		}
-	}
 	for _, lin := range s.man.Lineages {
-		if n := len(lin.Versions); n > 0 && lin.Versions[n-1] == digest {
+		if lin.tip() == digest {
 			return true
 		}
 	}
@@ -332,8 +309,8 @@ func (s *Store) isTipLocked(digest string) bool {
 }
 
 // releaseLocked drops digest from residency once it is no longer a
-// tip — an edit or a re-pointed name superseded it — so a lineage holds
-// one version in memory, not its history.
+// tip — an append superseded it — so a lineage holds one version in
+// memory, not its history.
 func (s *Store) releaseLocked(digest string) {
 	rg, ok := s.resident[digest]
 	if !ok || s.isTipLocked(digest) {
@@ -399,10 +376,10 @@ func (s *Store) admitLocked(digest string, g *graph.Graph) {
 	}
 }
 
-// dropGraph removes a damaged graph: blob, residency, aliases, its
-// ordering artifacts, and the manifest records. Lineages containing
-// the digest heal first, so a corrupt tip repoints its name to the
-// previous version instead of erasing the whole history.
+// dropGraph removes a damaged graph: blob, residency, its ordering
+// artifacts, and the manifest records. Lineages containing the digest
+// heal, so a corrupt tip repoints its name to the previous version
+// instead of erasing the whole history.
 func (s *Store) dropGraph(digest string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,11 +389,6 @@ func (s *Store) dropGraph(digest string) {
 	}
 	delete(s.man.Graphs, digest)
 	s.healLineagesLocked(digest)
-	for name, d := range s.man.Names {
-		if d == digest {
-			delete(s.man.Names, name)
-		}
-	}
 	for file, rec := range s.man.Orders {
 		if rec.Graph == digest {
 			os.Remove(filepath.Join(s.dir, ordersDirName, file))

@@ -53,7 +53,7 @@ func TestStoreRestartRestoresCatalog(t *testing.T) {
 	if err := s.PutGraph("d1", "ring16", g, 42); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetName("alias", "d1"); err != nil {
+	if err := s.PutGraph("d1", "alias", g, 42); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -66,8 +66,8 @@ func TestStoreRestartRestoresCatalog(t *testing.T) {
 		cat[0].Nodes != 16 || cat[0].SrcBytes != 42 {
 		t.Fatalf("restored catalog = %+v", cat)
 	}
-	if s2.Names()["alias"] != "d1" {
-		t.Errorf("alias not restored: %v", s2.Names())
+	if meta, ok := s2.Lookup("alias"); !ok || meta.Digest != "d1" || meta.Version != 1 {
+		t.Errorf("alias not restored: %+v ok=%v", meta, ok)
 	}
 	if s2.Resident("d1") {
 		t.Error("graph resident before first use after restart")

@@ -85,6 +85,17 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> one graph catalog gate (graph refs resolve only through internal/store)"
+# The store's lineages are the only name -> digest catalog. A mirrored
+# GraphInfo map, a second ref parser, or a name alias outside a lineage
+# lets the copies disagree about which version a ref names.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    -e 'map\[string\]GraphInfo' -e 'func parseRef\(' -e 'SetName\(' \
+    internal/server cmd 2>/dev/null; then
+    echo "FAIL: graph catalog state outside internal/store" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -123,9 +134,9 @@ go test -race ./internal/store/ -run 'TestStoreColdWarm' -count=1
 
 echo "==> evolving-graph smoke under race (upload, edit batches with deletes, decay repair, query parity on @latest,"
 echo "    tip-only residency, relabeled graph carried across edits, one relabel per concurrent miss,"
-echo "    one hub entry per lineage)"
+echo "    one hub entry per lineage, every upload name a lineage)"
 go test -race -count=1 \
-    -run 'TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestAppendGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce|TestHubMapOneEntryPerLineage' \
+    -run 'TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestAppendGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce|TestHubMapOneEntryPerLineage|TestHubCacheBoundedOnUnorderedLineage|TestAliasUploadIsLineage|TestReuploadOldContentKeepsNameConsistent' \
     ./internal/server/ ./internal/store/ ./internal/query/
 
 echo "==> examples smoke (evolvinggraph runs the extend/monitor/repair loop end-to-end)"
