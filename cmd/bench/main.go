@@ -21,7 +21,7 @@ import (
 
 var experimentIDs = []string{
 	"table1", "table2", "table3", "fig1", "fig3", "fig4", "fig5", "fig6", "figs1",
-	"compress", "dial", "tlb", "cachegrid", "parallel", "evolving", "kernels", // extension experiments (see DESIGN.md)
+	"compress", "dial", "tlb", "cachegrid", "parallel", "evolving", // extension experiments (see DESIGN.md)
 }
 
 func main() {
@@ -35,9 +35,6 @@ func main() {
 		mdPath   = flag.String("md", "", "also write results as markdown to this file")
 		chart    = flag.Bool("chart", false, "render each table's last column as a bar chart")
 		jsonPath = flag.String("json", "", "also dump the raw runtime matrix as JSON to this file (matrix experiments only)")
-		parJSON  = flag.String("parallel-json", "", "write the parallel-ordering scaling report as JSON to this file (implies -exp includes parallel)")
-		evoJSON  = flag.String("evolving-json", "", "write the evolving-graph report as JSON to this file (implies -exp includes evolving)")
-		kerJSON  = flag.String("kernels-json", "", "write the parallel-kernel scaling report as JSON to this file (implies -exp includes kernels)")
 		list     = flag.Bool("list", false, "list experiments and datasets, then exit")
 		prIters  = flag.Int("pr-iters", 100, "PageRank iterations (paper: 100)")
 		diamSamp = flag.Int("diam-samples", 50, "Diameter SP samples (paper: 5000)")
@@ -131,50 +128,11 @@ func main() {
 	if want["cachegrid"] {
 		add(r.CacheGridTable())
 	}
-	if want["parallel"] || *parJSON != "" {
-		t, report := r.ParallelOrder()
-		add(t)
-		if *parJSON != "" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*parJSON, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-		}
+	if want["parallel"] {
+		add(r.ParallelOrder())
 	}
-	if want["evolving"] || *evoJSON != "" {
-		t, report := r.Evolving()
-		add(t)
-		if *evoJSON != "" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*evoJSON, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-		}
-	}
-	if want["kernels"] || *kerJSON != "" {
-		t, report := r.ParallelKernels()
-		add(t)
-		if *kerJSON != "" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*kerJSON, append(data, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "bench:", err)
-				os.Exit(1)
-			}
-		}
+	if want["evolving"] {
+		add(r.Evolving())
 	}
 	if want["fig1"] {
 		add(r.Fig1Table())

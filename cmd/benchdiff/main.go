@@ -1,10 +1,13 @@
-// Command benchdiff gates benchmark regressions in CI: it parses
-// `go test -bench -benchmem` output (stdin or a file argument), diffs
-// it against a committed BENCH_*.json baseline, and exits nonzero when
-// any benchmark blows past the thresholds.
+// Command benchdiff records and gates the benchmark row files. It
+// parses `go test -bench -benchmem` output (stdin or a file argument)
+// and either writes it as a BENCH_<suite>.json row file or diffs it
+// against a committed one, exiting nonzero when any benchmark blows
+// past the bounds:
 //
 //	go test ./internal/core/ -run '^$' -bench . -benchmem | \
 //	    benchdiff -baseline BENCH_gorder.json
+//	go test ./internal/core/ -run '^$' -bench . -benchmem | \
+//	    benchdiff -write BENCH_gorder.json
 //
 // The time gate is loose by design (baselines are recorded on a
 // different machine than CI); the allocs gate is tight because alloc
@@ -22,15 +25,13 @@ import (
 
 func main() {
 	var (
-		baseline    = flag.String("baseline", "", "BENCH_*.json baseline to diff against (required)")
-		timeFactor  = flag.Float64("time-factor", 8, "fail when ns/op exceeds baseline x this (0 disables the time gate)")
-		allocFactor = flag.Float64("alloc-factor", 1.3, "fail when allocs/op exceeds baseline x this + alloc-slack (0 disables)")
-		allocSlack  = flag.Float64("alloc-slack", 4, "absolute allocs/op slack on top of alloc-factor")
-		minMatch    = flag.Int("min-match", 1, "fail unless at least this many benchmarks matched the baseline")
+		baseline = flag.String("baseline", "", "BENCH_*.json baseline to diff against")
+		write    = flag.String("write", "", "record the parsed rows as this BENCH_<suite>.json instead of diffing")
+		minMatch = flag.Int("min-match", 1, "fail unless at least this many benchmarks matched the baseline")
 	)
 	flag.Parse()
-	if *baseline == "" {
-		fmt.Fprintln(os.Stderr, "benchdiff: -baseline is required")
+	if (*baseline == "") == (*write == "") {
+		fmt.Fprintln(os.Stderr, "benchdiff: exactly one of -baseline and -write is required")
 		os.Exit(2)
 	}
 
@@ -38,33 +39,35 @@ func main() {
 	if flag.NArg() > 0 {
 		f, err := os.Open(flag.Arg(0))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchdiff:", err)
-			os.Exit(2)
+			fatal(err)
 		}
 		defer f.Close()
 		in = f
 	}
-
-	ms, err := benchdiff.Parse(in)
+	rows, err := benchdiff.Parse(in)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
-	}
-	base, err := benchdiff.LoadBaseline(*baseline)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fatal(err)
 	}
 
-	th := benchdiff.Thresholds{
-		TimeFactor:  *timeFactor,
-		AllocFactor: *allocFactor,
-		AllocSlack:  *allocSlack,
+	if *write != "" {
+		if len(rows) == 0 {
+			fatal(fmt.Errorf("no benchmark results to record in %s", *write))
+		}
+		if err := benchdiff.NewFile(benchdiff.SuiteOf(*write), rows).Write(*write); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("benchdiff: wrote %d rows to %s\n", len(rows), *write)
+		return
 	}
-	findings, matched := benchdiff.Compare(ms, base, th)
+
+	base, err := benchdiff.Load(*baseline)
+	if err != nil {
+		fatal(err)
+	}
+	findings, matched := benchdiff.Compare(rows, base.Rows)
 	regressed := benchdiff.Report(os.Stdout, findings)
-	fmt.Printf("benchdiff: %d parsed, %d matched %s, %d regressed\n",
-		len(ms), matched, *baseline, regressed)
+	fmt.Printf("benchdiff: %d rows parsed, %d benchmarks matched %s, %d regressed\n",
+		len(rows), matched, *baseline, regressed)
 	if matched < *minMatch {
 		fmt.Fprintf(os.Stderr, "benchdiff: only %d benchmark(s) matched the baseline (want >= %d) — name drift?\n",
 			matched, *minMatch)
@@ -73,4 +76,9 @@ func main() {
 	if regressed > 0 {
 		os.Exit(1)
 	}
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "benchdiff:", err)
+	os.Exit(2)
 }

@@ -9,15 +9,14 @@
 // Closed loop by default (each worker keeps one request in flight);
 // -rate switches to open loop with latency measured from the arrival
 // schedule, so server queueing is charged to the percentiles.
-// -ingest-compare additionally (or, without -url, only) measures the
-// streaming-vs-buffered ingest peak-memory ratio locally.
+// The report is BENCH_serve.json's row file: one row per run total and
+// per route metric (e.g. mixed-c16/query · p99_us).
 //
 // -assert-zero-errors and -assert-p99-ms turn the run into a gate for
 // CI smokes: exit 1 when the SLO is missed.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -25,16 +24,9 @@ import (
 	"strings"
 	"time"
 
+	"gorder/internal/benchdiff"
 	"gorder/internal/loadgen"
 )
-
-// report is the BENCH_serve.json shape.
-type report struct {
-	Generated     string                `json:"generated"`
-	Target        string                `json:"target,omitempty"`
-	Benchmarks    []loadgen.Result      `json:"benchmarks,omitempty"`
-	IngestCompare *loadgen.IngestReport `json:"ingest_compare,omitempty"`
-}
 
 func main() {
 	var (
@@ -48,17 +40,15 @@ func main() {
 		graphName  = flag.String("graph", "bench", "name of the target graph (uploaded if absent)")
 		nodes      = flag.Int("nodes", 2000, "node count of the generated target graph")
 		seed       = flag.Uint64("seed", 1, "RNG seed for the mix, sources, and generated graphs")
-		jsonOut    = flag.String("json", "", "write the report JSON to this file ('' = stdout)")
+		jsonOut    = flag.String("json", "", "write the serve rows as JSON to this file ('' = stdout)")
 		benchName  = flag.String("name", "mixed", "benchmark name prefix in the report")
 		zeroErrors = flag.Bool("assert-zero-errors", false, "exit 1 if any run saw a server or network error")
 		p99Bound   = flag.Float64("assert-p99-ms", 0, "exit 1 if any run's query p99 exceeds this many ms (0 = no bound)")
-		ingestCmp  = flag.Bool("ingest-compare", false, "measure streaming vs buffered ingest peak memory locally")
-		ingestN    = flag.Int("ingest-nodes", 100_000, "node count for -ingest-compare (~12x edges)")
 	)
 	flag.Parse()
 
-	if *url == "" && !*ingestCmp {
-		fmt.Fprintln(os.Stderr, "gorderbench: -url is required (or -ingest-compare for the local measurement)")
+	if *url == "" {
+		fmt.Fprintln(os.Stderr, "gorderbench: -url is required")
 		os.Exit(2)
 	}
 	mix, err := loadgen.ParseMix(*mixFlag)
@@ -79,70 +69,57 @@ func main() {
 		tenantList = strings.Split(*tenants, ",")
 	}
 
-	rep := report{Generated: time.Now().UTC().Format(time.RFC3339), Target: *url}
+	var rows []benchdiff.Row
 	failed := false
 
-	if *url != "" {
-		if err := loadgen.EnsureGraph(nil, *url, *graphName, *nodes, *seed); err != nil {
+	if err := loadgen.EnsureGraph(nil, *url, *graphName, *nodes, *seed); err != nil {
+		fatal(err)
+	}
+	for _, c := range parseLevels(*concs) {
+		res, err := loadgen.Run(loadgen.Config{
+			URL:         *url,
+			Duration:    *duration,
+			Concurrency: c,
+			Rate:        *rate,
+			Mix:         mix,
+			Tenants:     tenantList,
+			Graph:       *graphName,
+			Nodes:       *nodes,
+			Kernels:     kernelList,
+			Seed:        *seed,
+		})
+		if err != nil {
 			fatal(err)
 		}
-		for _, c := range parseLevels(*concs) {
-			res, err := loadgen.Run(loadgen.Config{
-				URL:         *url,
-				Duration:    *duration,
-				Concurrency: c,
-				Rate:        *rate,
-				Mix:         mix,
-				Tenants:     tenantList,
-				Graph:       *graphName,
-				Nodes:       *nodes,
-				Kernels:     kernelList,
-				Seed:        *seed,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			res.Name = fmt.Sprintf("%s-c%d", *benchName, c)
-			if *rate > 0 {
-				res.Name = fmt.Sprintf("%s-open-r%g-c%d", *benchName, *rate, c)
-			}
-			rep.Benchmarks = append(rep.Benchmarks, res)
-			fmt.Fprintf(os.Stderr, "%s: %d requests, %.0f ok/s, %d shed, %d errors\n",
-				res.Name, res.Requests, res.ThroughputRPS, res.Shed, res.Errors)
-			if *zeroErrors && res.Errors > 0 {
-				fmt.Fprintf(os.Stderr, "gorderbench: %s saw %d errors with -assert-zero-errors\n", res.Name, res.Errors)
-				failed = true
-			}
-			if *p99Bound > 0 {
-				for _, rt := range res.Routes {
-					if rt.Route == loadgen.RouteQuery && float64(rt.P99Us)/1000 > *p99Bound {
-						fmt.Fprintf(os.Stderr, "gorderbench: %s query p99 %.1fms exceeds the %.1fms bound\n",
-							res.Name, float64(rt.P99Us)/1000, *p99Bound)
-						failed = true
-					}
+		res.Name = fmt.Sprintf("%s-c%d", *benchName, c)
+		if *rate > 0 {
+			res.Name = fmt.Sprintf("%s-open-r%g-c%d", *benchName, *rate, c)
+		}
+		rows = append(rows, res.Rows()...)
+		fmt.Fprintf(os.Stderr, "%s: %d requests, %.0f ok/s, %d shed, %d errors\n",
+			res.Name, res.Requests, res.ThroughputRPS, res.Shed, res.Errors)
+		if *zeroErrors && res.Errors > 0 {
+			fmt.Fprintf(os.Stderr, "gorderbench: %s saw %d errors with -assert-zero-errors\n", res.Name, res.Errors)
+			failed = true
+		}
+		if *p99Bound > 0 {
+			for _, rt := range res.Routes {
+				if rt.Route == loadgen.RouteQuery && float64(rt.P99Us)/1000 > *p99Bound {
+					fmt.Fprintf(os.Stderr, "gorderbench: %s query p99 %.1fms exceeds the %.1fms bound\n",
+						res.Name, float64(rt.P99Us)/1000, *p99Bound)
+					failed = true
 				}
 			}
 		}
 	}
 
-	if *ingestCmp {
-		ir, err := loadgen.IngestCompare(*ingestN, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		rep.IngestCompare = &ir
-		fmt.Fprintf(os.Stderr, "ingest: %d edges, buffered peak %.1f MiB vs streamed %.1f MiB (%.2fx)\n",
-			ir.Edges, float64(ir.BufferedPeakB)/(1<<20), float64(ir.StreamingPeakB)/(1<<20), ir.Reduction)
-	}
-
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	out = append(out, '\n')
+	rep := benchdiff.NewFile("serve", rows)
 	if *jsonOut == "" {
-		os.Stdout.Write(out)
-	} else if err := os.WriteFile(*jsonOut, out, 0o644); err != nil {
+		err = rep.Encode(os.Stdout)
+	} else {
+		err = rep.Write(*jsonOut)
+	}
+	if err != nil {
 		fatal(err)
 	}
 	if failed {

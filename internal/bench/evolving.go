@@ -10,43 +10,6 @@ import (
 	"gorder/internal/order"
 )
 
-// EvolvingBatch is one edit batch of the evolving-graph experiment:
-// the graph after the batch, the cost of extending the ordering to it,
-// and the quality decay as the incremental monitor tracks it (via
-// ScoreDelta) next to the ground truth (a full Score pass).
-type EvolvingBatch struct {
-	Batch        int     `json:"batch"`
-	Nodes        int     `json:"nodes"`
-	Edges        int64   `json:"edges"`
-	EdgesAdded   int     `json:"edges_added"`
-	EdgesDeleted int     `json:"edges_deleted"`
-	ExtendSecs   float64 `json:"extend_seconds"`
-	TrackedDecay float64 `json:"tracked_decay"`
-	TrueDecay    float64 `json:"true_decay"`
-}
-
-// EvolvingReport is the JSON shape bench_evolving.sh persists as
-// BENCH_evolving.json: the per-batch extension trace plus the
-// repair-vs-recompute comparison on the final graph.
-type EvolvingReport struct {
-	GeneratedBy string          `json:"generated_by"`
-	Dataset     string          `json:"dataset"`
-	BaseNodes   int             `json:"base_nodes"`
-	BaseEdges   int64           `json:"base_edges"`
-	Window      int             `json:"window"`
-	BaseOrder   float64         `json:"base_order_seconds"`
-	BaseF       int64           `json:"base_score_F"`
-	Batches     []EvolvingBatch `json:"batches"`
-	// Final-graph comparison: suffix repair (re-place everything added
-	// since the baseline jointly) against a from-scratch recompute.
-	RepairSecs    float64 `json:"repair_seconds"`
-	RepairF       int64   `json:"repair_score_F"`
-	FullSecs      float64 `json:"full_recompute_seconds"`
-	FullF         int64   `json:"full_recompute_score_F"`
-	FRetention    float64 `json:"repair_F_of_full"`
-	RepairSpeedup float64 `json:"repair_speedup_vs_full"`
-}
-
 // evolvingBatchEdits builds one deterministic growth batch against g:
 // `grow` new vertices, each following fanout spread-out existing
 // vertices, plus `dels` deletions of existing edges (an arithmetic
@@ -83,7 +46,7 @@ func evolvingBatchEdits(g *graph.Graph, grow, fanout, dels int, salt uint64) (ad
 // a suffix repair vs a full recompute on the grown graph. The repair
 // is the daemon's policy verbatim: re-place every vertex added since
 // the baseline jointly, leave the clean prefix alone.
-func (r *Runner) Evolving() (Table, *EvolvingReport) {
+func (r *Runner) Evolving() Table {
 	n := int(50000 * r.Scale)
 	if n < 2000 {
 		n = 2000
@@ -97,26 +60,22 @@ func (r *Runner) Evolving() (Table, *EvolvingReport) {
 	}
 	dels := grow / 4
 
-	rep := &EvolvingReport{
-		GeneratedBy: "scripts/bench_evolving.sh",
-		Dataset:     fmt.Sprintf("gen.BarabasiAlbert(%d, 8, seed)", n),
-		BaseNodes:   g0.NumNodes(),
-		BaseEdges:   g0.NumEdges(),
-		Window:      w,
+	t := Table{
+		ID:     "evolving",
+		Header: []string{"batch", "nodes", "edges", "extend", "tracked decay", "true decay"},
 	}
-	rep.BaseOrder, _ = timeIt(func() order.Permutation { return core.OrderWith(g0, core.Options{Window: w}) })
-	perm := core.OrderWith(g0, core.Options{Window: w})
-	rep.BaseF = order.Score(g0, perm, w)
-	r.logf("evolving baseline done (%.2fs, F=%d)", rep.BaseOrder, rep.BaseF)
+	baseSecs, perm := timeIt(func() order.Permutation { return core.OrderWith(g0, core.Options{Window: w}) })
+	baseF := order.Score(g0, perm, w)
+	r.logf("evolving baseline done (%.2fs, F=%d)", baseSecs, baseF)
 
 	// Decay is tracked exactly as the server does: F deltas from
 	// ScoreDelta, normalised per edge against the baseline density.
-	baseDensity := float64(rep.BaseF) / float64(rep.BaseEdges)
-	curF := rep.BaseF
+	baseDensity := float64(baseF) / float64(g0.NumEdges())
+	curF := baseF
 	g := g0
 	for b := 1; b <= batches; b++ {
 		add, del := evolvingBatchEdits(g, grow, 4, dels, uint64(b)*7919)
-		g2, st, err := graph.ApplyEdits(g, grow, add, del)
+		g2, _, err := graph.ApplyEdits(g, grow, add, del)
 		if err != nil {
 			panic(fmt.Sprintf("bench: evolving batch %d: %v", b, err))
 		}
@@ -131,16 +90,14 @@ func (r *Runner) Evolving() (Table, *EvolvingReport) {
 		})
 		curF += order.ScoreDelta(g, g2, p2, w, add, del)
 		g, perm = g2, p2
-		row := EvolvingBatch{
-			Batch: b, Nodes: g.NumNodes(), Edges: g.NumEdges(),
-			EdgesAdded: st.Added, EdgesDeleted: st.Deleted,
-			ExtendSecs:   secs,
-			TrackedDecay: (float64(curF) / float64(g.NumEdges())) / baseDensity,
-			TrueDecay:    (float64(order.Score(g, perm, w)) / float64(g.NumEdges())) / baseDensity,
-		}
-		rep.Batches = append(rep.Batches, row)
+		tracked := (float64(curF) / float64(g.NumEdges())) / baseDensity
+		actual := (float64(order.Score(g, perm, w)) / float64(g.NumEdges())) / baseDensity
+		t.Rows = append(t.Rows, []string{
+			fmt.Sprintf("%d", b), fmt.Sprintf("%d", g.NumNodes()), fmt.Sprintf("%d", g.NumEdges()),
+			fmtSecs(secs), fmt.Sprintf("%.3f", tracked), fmt.Sprintf("%.3f", actual),
+		})
 		r.logf("evolving batch %d: n=%d decay=%.3f (true %.3f, extend %.3fs)",
-			b, row.Nodes, row.TrackedDecay, row.TrueDecay, secs)
+			b, g.NumNodes(), tracked, actual, secs)
 	}
 
 	// Repair: re-place the whole grown suffix jointly against the clean
@@ -149,45 +106,26 @@ func (r *Runner) Evolving() (Table, *EvolvingReport) {
 	for v := n; v < g.NumNodes(); v++ {
 		dirty = append(dirty, graph.NodeID(v))
 	}
-	var repaired order.Permutation
-	rep.RepairSecs, _ = timeIt(func() order.Permutation {
+	repairSecs, repaired := timeIt(func() order.Permutation {
 		q, err := core.OrderIncrementalCtx(context.Background(), g, perm[:n], dirty, core.Options{Window: w})
 		if err != nil {
 			panic(fmt.Sprintf("bench: evolving repair: %v", err))
 		}
-		repaired = q
 		return q
 	})
-	rep.RepairF = order.Score(g, repaired, w)
-
-	var full order.Permutation
-	rep.FullSecs, _ = timeIt(func() order.Permutation {
-		full = core.OrderWith(g, core.Options{Window: w})
-		return full
-	})
-	rep.FullF = order.Score(g, full, w)
-	rep.FRetention = float64(rep.RepairF) / float64(rep.FullF)
-	rep.RepairSpeedup = rep.FullSecs / rep.RepairSecs
+	repairF := order.Score(g, repaired, w)
+	fullSecs, full := timeIt(func() order.Permutation { return core.OrderWith(g, core.Options{Window: w}) })
+	fullF := order.Score(g, full, w)
+	retention := float64(repairF) / float64(fullF)
 	r.logf("evolving repair %.3fs F=%d vs full %.2fs F=%d (retention %.3f, %.1fx)",
-		rep.RepairSecs, rep.RepairF, rep.FullSecs, rep.FullF, rep.FRetention, rep.RepairSpeedup)
+		repairSecs, repairF, fullSecs, fullF, retention, fullSecs/repairSecs)
 
-	t := Table{
-		ID: "evolving",
-		Title: fmt.Sprintf("Evolving graph: incremental ordering on BA n=%d..%d (window %d)",
-			rep.BaseNodes, g.NumNodes(), w),
-		Header: []string{"batch", "nodes", "edges", "extend", "tracked decay", "true decay"},
-		Notes: []string{
-			fmt.Sprintf("suffix repair: %.3fs F=%d; full recompute: %.2fs F=%d — retention %.3f at %.1fx",
-				rep.RepairSecs, rep.RepairF, rep.FullSecs, rep.FullF, rep.FRetention, rep.RepairSpeedup),
-			"tracked decay is the daemon's ScoreDelta monitor; true decay recomputes F from scratch",
-		},
+	t.Title = fmt.Sprintf("Evolving graph: incremental ordering on BA n=%d..%d (window %d)",
+		g0.NumNodes(), g.NumNodes(), w)
+	t.Notes = []string{
+		fmt.Sprintf("suffix repair: %.3fs F=%d; full recompute: %.2fs F=%d — retention %.3f at %.1fx",
+			repairSecs, repairF, fullSecs, fullF, retention, fullSecs/repairSecs),
+		"tracked decay is the daemon's ScoreDelta monitor; true decay recomputes F from scratch",
 	}
-	for _, b := range rep.Batches {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", b.Batch), fmt.Sprintf("%d", b.Nodes), fmt.Sprintf("%d", b.Edges),
-			fmtSecs(b.ExtendSecs),
-			fmt.Sprintf("%.3f", b.TrackedDecay), fmt.Sprintf("%.3f", b.TrueDecay),
-		})
-	}
-	return t, rep
+	return t
 }

@@ -9,32 +9,15 @@ import (
 	"gorder/internal/order"
 )
 
-// ParallelOrderRow is one configuration of the parallel-ordering
-// scaling experiment: a method at a worker bound, with its wall-clock,
-// quality (F and packing factor) and ratios against the exact Gorder
-// reference row.
-type ParallelOrderRow struct {
-	Method     string  `json:"method"`
-	Workers    int     `json:"workers"`
-	Partitions int     `json:"partitions,omitempty"`
-	Seconds    float64 `json:"seconds"`
-	ScoreF     int64   `json:"score_F"`
-	FOfExact   float64 `json:"F_of_exact"`
-	Packing    float64 `json:"packing_factor"`
-	Speedup    float64 `json:"speedup_vs_exact"`
-}
-
-// ParallelOrderReport is the JSON shape bench_parallel_order.sh
-// persists as BENCH_parallel_order.json.
-type ParallelOrderReport struct {
-	GeneratedBy string             `json:"generated_by"`
-	Dataset     string             `json:"dataset"`
-	Nodes       int                `json:"nodes"`
-	Edges       int64              `json:"edges"`
-	Window      int                `json:"window"`
-	Cores       int                `json:"cores"`
-	Reps        int                `json:"reps"`
-	Rows        []ParallelOrderRow `json:"rows"`
+// parallelOrderRow is one configuration of the parallel-ordering
+// scaling experiment: a method at a worker bound, with its wall-clock
+// and quality (F and packing factor).
+type parallelOrderRow struct {
+	method  string
+	workers int
+	seconds float64
+	scoreF  int64
+	packing float64
 }
 
 // parallelOrderWorkers is the scaling grid of the experiment.
@@ -49,7 +32,7 @@ var parallelOrderWorkers = []int{1, 2, 4, 8}
 // wall-clock moves), and BOBA. On a single-core host the partitioned
 // speedup is pure work reduction: ordering k small ghost-extended
 // subgraphs is cheaper than one large exact greedy.
-func (r *Runner) ParallelOrder() (Table, *ParallelOrderReport) {
+func (r *Runner) ParallelOrder() Table {
 	n := int(100000 * r.Scale)
 	if n < 1000 {
 		n = 1000
@@ -74,30 +57,21 @@ func (r *Runner) ParallelOrder() (Table, *ParallelOrderReport) {
 		return best, p
 	}
 
-	rep := &ParallelOrderReport{
-		GeneratedBy: "scripts/bench_parallel_order.sh",
-		Dataset:     fmt.Sprintf("gen.Web(%d, DefaultWeb, 0x90DE)", n),
-		Nodes:       g.NumNodes(),
-		Edges:       g.NumEdges(),
-		Window:      w,
-		Cores:       runtime.NumCPU(),
-		Reps:        reps,
-	}
-	addRow := func(method string, workers, partitions int, secs float64, p order.Permutation) ParallelOrderRow {
-		row := ParallelOrderRow{
-			Method: method, Workers: workers, Partitions: partitions,
-			Seconds: secs,
-			ScoreF:  order.Score(g, p, w),
-			Packing: order.PackingFactor(g, p),
+	var rows []parallelOrderRow
+	addRow := func(method string, workers int, secs float64, p order.Permutation) parallelOrderRow {
+		row := parallelOrderRow{
+			method: method, workers: workers, seconds: secs,
+			scoreF:  order.Score(g, p, w),
+			packing: order.PackingFactor(g, p),
 		}
-		rep.Rows = append(rep.Rows, row)
+		rows = append(rows, row)
 		return row
 	}
 
 	exactSecs, exactPerm := timeBest(func() order.Permutation {
 		return core.OrderWith(g, core.Options{Window: w})
 	})
-	exact := addRow("gorder", 1, 0, exactSecs, exactPerm)
+	exact := addRow("gorder", 1, exactSecs, exactPerm)
 	r.logf("parallel gorder exact done (%.2fs)", exactSecs)
 
 	for _, workers := range parallelOrderWorkers {
@@ -106,12 +80,12 @@ func (r *Runner) ParallelOrder() (Table, *ParallelOrderReport) {
 			return core.OrderPartitioned(g, core.Options{Window: w},
 				core.PartitionedOptions{Workers: wk})
 		})
-		addRow("gorder-partitioned", wk, core.DefaultPartitions, secs, perm)
+		addRow("gorder-partitioned", wk, secs, perm)
 		r.logf("parallel gorder-partitioned workers=%d done (%.2fs)", wk, secs)
 	}
 
 	bobaSecs, bobaPerm := timeBest(func() order.Permutation { return order.BOBA(g) })
-	addRow("boba", runtime.GOMAXPROCS(0), 0, bobaSecs, bobaPerm)
+	addRow("boba", runtime.GOMAXPROCS(0), bobaSecs, bobaPerm)
 	r.logf("parallel boba done (%.4fs)", bobaSecs)
 
 	t := Table{
@@ -124,15 +98,12 @@ func (r *Runner) ParallelOrder() (Table, *ParallelOrderReport) {
 			fmt.Sprintf("host has %d core(s); single-core speedup is work reduction, multi-core adds concurrency on top", runtime.NumCPU()),
 		},
 	}
-	for i := range rep.Rows {
-		row := &rep.Rows[i]
-		row.FOfExact = float64(row.ScoreF) / float64(exact.ScoreF)
-		row.Speedup = exact.Seconds / row.Seconds
+	for _, row := range rows {
 		t.Rows = append(t.Rows, []string{
-			row.Method, fmt.Sprintf("%d", row.Workers), fmtSecs(row.Seconds),
-			fmt.Sprintf("%d", row.ScoreF), fmt.Sprintf("%.3f", row.FOfExact),
-			fmt.Sprintf("%.2f", row.Packing), fmt.Sprintf("%.2fx", row.Speedup),
+			row.method, fmt.Sprintf("%d", row.workers), fmtSecs(row.seconds),
+			fmt.Sprintf("%d", row.scoreF), fmt.Sprintf("%.3f", float64(row.scoreF)/float64(exact.scoreF)),
+			fmt.Sprintf("%.2f", row.packing), fmt.Sprintf("%.2fx", exact.seconds/row.seconds),
 		})
 	}
-	return t, rep
+	return t
 }

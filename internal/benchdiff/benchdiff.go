@@ -1,8 +1,13 @@
-// Package benchdiff compares `go test -bench -benchmem` output against
-// the committed BENCH_*.json baselines, so CI can catch performance
-// regressions the functional tests cannot see.
+// Package benchdiff records and compares the committed BENCH_*.json
+// row files, so CI can catch performance regressions the functional
+// tests cannot see.
 //
-// Two thresholds with very different trust levels:
+// Every suite file has one shape: {suite, commit, cores, go, rows},
+// where each row is one (name, metric, unit, value) measurement.
+// Parse turns `go test -bench -benchmem` output into rows; the serve
+// suite's rows come from the load generator.
+//
+// Three gates, with very different trust levels:
 //
 //   - ns/op is machine-dependent (the baselines were recorded on one
 //     host, CI runs on another), so the time gate is deliberately
@@ -11,175 +16,208 @@
 //   - allocs/op is machine-independent: the same binary performs the
 //     same allocations everywhere, so the alloc gate is tight. A small
 //     absolute slack absorbs runtime-version noise on tiny counts.
+//   - F/exact (a partitioned ordering's score over exact Gorder's) is
+//     an exact count: the permutation is deterministic and
+//     worker-independent, so any drop below the baseline fails.
 package benchdiff
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"regexp"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 )
 
-// Measurement is one parsed benchmark result line.
-type Measurement struct {
-	// Name is the benchmark name with the trailing -GOMAXPROCS suffix
-	// stripped, so it matches baseline names recorded at any -cpu.
-	Name        string
-	Iters       int64
-	NsPerOp     float64
-	BytesPerOp  float64
-	AllocsPerOp float64
-	// HasMem reports whether the line carried -benchmem columns.
-	HasMem bool
+// The regression bounds.
+const (
+	// TimeFactor fails a benchmark whose ns/op exceeds baseline × this.
+	TimeFactor = 8
+	// AllocFactor and AllocSlack fail a benchmark whose allocs/op
+	// exceed baseline × AllocFactor + AllocSlack, so a 15 → 17 move on
+	// a tiny count is noise but a 15 → 40 move is a regression.
+	AllocFactor = 1.3
+	AllocSlack  = 4
+)
+
+// Row is one measurement: the benchmark or route it belongs to, what
+// was measured, its unit, and the value.
+type Row struct {
+	Name   string  `json:"name"`
+	Metric string  `json:"metric"`
+	Unit   string  `json:"unit"`
+	Value  float64 `json:"value"`
+}
+
+// File is one suite's BENCH_<suite>.json.
+type File struct {
+	Suite  string `json:"suite"`
+	Commit string `json:"commit"`
+	Cores  int    `json:"cores"`
+	Go     string `json:"go"`
+	Rows   []Row  `json:"rows"`
+}
+
+// NewFile stamps rows with the host and the commit the running binary
+// was built from (its VCS build info; "unknown" under go run).
+func NewFile(suite string, rows []Row) File {
+	commit := "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		var rev, dirty string
+		for _, s := range bi.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				rev = s.Value
+			case s.Key == "vcs.modified" && s.Value == "true":
+				dirty = "-dirty"
+			}
+		}
+		if rev != "" {
+			commit = rev + dirty
+		}
+	}
+	return File{Suite: suite, Commit: commit, Cores: runtime.NumCPU(), Go: runtime.Version(), Rows: rows}
+}
+
+// SuiteOf names the suite a BENCH_<suite>.json path records.
+func SuiteOf(path string) string {
+	return strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "BENCH_"), ".json")
+}
+
+// Encode writes f to w as indented JSON.
+func (f File) Encode(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(f)
+}
+
+// Write stores f as indented JSON at path.
+func (f File) Write(path string) error {
+	var b bytes.Buffer
+	if err := f.Encode(&b); err != nil {
+		return err
+	}
+	return os.WriteFile(path, b.Bytes(), 0o644)
+}
+
+// Load reads a BENCH_*.json row file.
+func Load(path string) (File, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return File{}, err
+	}
+	var f File
+	if err := json.Unmarshal(data, &f); err != nil {
+		return File{}, fmt.Errorf("%s: %w", path, err)
+	}
+	if len(f.Rows) == 0 {
+		return File{}, fmt.Errorf("%s: no \"rows\" array", path)
+	}
+	return f, nil
 }
 
 // gomaxprocsSuffix matches the "-8" style suffix go test appends to
 // benchmark names.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-// Parse reads `go test -bench` output and returns the benchmark
-// measurements, ignoring all non-benchmark lines (ok/PASS/log noise).
-func Parse(r io.Reader) ([]Measurement, error) {
-	var out []Measurement
+// Parse reads `go test -bench` output and returns one row per (value,
+// unit) pair of every result line — ns/op, B/op, allocs/op and any
+// b.ReportMetric unit — ignoring all other lines (ok/PASS/log noise).
+// The -GOMAXPROCS suffix is stripped from names, so rows match
+// baselines recorded at any -cpu. A metric's unit is its per-op
+// quantity: "ns/op" is measured in "ns".
+func Parse(r io.Reader) ([]Row, error) {
+	var out []Row
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "Benchmark") {
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			continue
-		}
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
 			continue // "Benchmark..." prose, not a result line
 		}
-		m := Measurement{
-			Name:  gomaxprocsSuffix.ReplaceAllString(fields[0], ""),
-			Iters: iters,
-		}
-		// The rest of the line is (value, unit) pairs.
+		name := gomaxprocsSuffix.ReplaceAllString(fields[0], "")
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				continue
 			}
-			switch fields[i+1] {
-			case "ns/op":
-				m.NsPerOp = v
-			case "B/op":
-				m.BytesPerOp = v
-				m.HasMem = true
-			case "allocs/op":
-				m.AllocsPerOp = v
-				m.HasMem = true
-			}
-		}
-		if m.NsPerOp > 0 {
-			out = append(out, m)
+			metric := fields[i+1]
+			out = append(out, Row{Name: name, Metric: metric, Unit: strings.TrimSuffix(metric, "/op"), Value: v})
 		}
 	}
 	return out, sc.Err()
-}
-
-// BaselineEntry is one benchmark of a committed BENCH_*.json file.
-// Extra keys (speedup, placements_per_s, ...) are ignored, so every
-// baseline file whose "benchmarks" entries carry name/ns_per_op/
-// allocs_per_op diffs with the same code path.
-type BaselineEntry struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-type baselineFile struct {
-	Benchmarks []BaselineEntry `json:"benchmarks"`
-}
-
-// LoadBaseline reads a BENCH_*.json file and indexes its benchmarks by
-// name.
-func LoadBaseline(path string) (map[string]BaselineEntry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f baselineFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if len(f.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no \"benchmarks\" array", path)
-	}
-	idx := make(map[string]BaselineEntry, len(f.Benchmarks))
-	for _, b := range f.Benchmarks {
-		idx[b.Name] = b
-	}
-	return idx, nil
-}
-
-// Thresholds configures the regression gates.
-type Thresholds struct {
-	// TimeFactor fails a benchmark whose ns/op exceeds baseline ×
-	// this factor. Machine-dependent — keep it loose (CI uses 8).
-	TimeFactor float64
-	// AllocFactor fails a benchmark whose allocs/op exceed baseline ×
-	// this factor plus AllocSlack. Machine-independent — keep it tight.
-	AllocFactor float64
-	// AllocSlack is the absolute allocs/op slack added on top of
-	// AllocFactor, so a 15 → 17 move on a tiny count is noise but a
-	// 15 → 40 move is a regression.
-	AllocSlack float64
-}
-
-// DefaultThresholds are the CI gate settings.
-func DefaultThresholds() Thresholds {
-	return Thresholds{TimeFactor: 8, AllocFactor: 1.3, AllocSlack: 4}
 }
 
 // Finding is one benchmark's comparison against its baseline.
 type Finding struct {
 	Name        string
 	Regressed   bool
-	Reasons     []string // empty when within thresholds
+	Reasons     []string // empty when within bounds
 	NsPerOp     float64
 	BaseNs      float64
 	AllocsPerOp float64
 	BaseAllocs  float64
 }
 
-// Compare diffs measurements against the baseline index. Benchmarks
-// without a baseline entry are skipped (they are new); matched is how
-// many were compared.
-func Compare(ms []Measurement, base map[string]BaselineEntry, th Thresholds) (findings []Finding, matched int) {
-	for _, m := range ms {
-		b, ok := base[m.Name]
+// metrics indexes rows by benchmark name, then metric, keeping the
+// names in first-seen order.
+func metrics(rows []Row) (names []string, idx map[string]map[string]float64) {
+	idx = map[string]map[string]float64{}
+	for _, r := range rows {
+		m, ok := idx[r.Name]
+		if !ok {
+			m = map[string]float64{}
+			idx[r.Name] = m
+			names = append(names, r.Name)
+		}
+		m[r.Metric] = r.Value
+	}
+	return names, idx
+}
+
+// Compare diffs measured rows against baseline rows, benchmark by
+// benchmark. Benchmarks without baseline rows are skipped (they are
+// new); matched is how many were compared.
+func Compare(cur, base []Row) (findings []Finding, matched int) {
+	names, got := metrics(cur)
+	_, want := metrics(base)
+	for _, name := range names {
+		b, ok := want[name]
 		if !ok {
 			continue
 		}
 		matched++
+		m := got[name]
 		f := Finding{
-			Name: m.Name, NsPerOp: m.NsPerOp, BaseNs: b.NsPerOp,
-			AllocsPerOp: m.AllocsPerOp, BaseAllocs: b.AllocsPerOp,
+			Name: name, NsPerOp: m["ns/op"], BaseNs: b["ns/op"],
+			AllocsPerOp: m["allocs/op"], BaseAllocs: b["allocs/op"],
 		}
-		if th.TimeFactor > 0 && b.NsPerOp > 0 && m.NsPerOp > b.NsPerOp*th.TimeFactor {
-			f.Regressed = true
+		if f.BaseNs > 0 && f.NsPerOp > f.BaseNs*TimeFactor {
 			f.Reasons = append(f.Reasons, fmt.Sprintf(
-				"time %.0f ns/op > %.1f× baseline %.0f", m.NsPerOp, th.TimeFactor, b.NsPerOp))
+				"time %.0f ns/op > %d× baseline %.0f", f.NsPerOp, TimeFactor, f.BaseNs))
 		}
-		if th.AllocFactor > 0 && m.HasMem && b.AllocsPerOp > 0 &&
-			m.AllocsPerOp > b.AllocsPerOp*th.AllocFactor+th.AllocSlack {
-			f.Regressed = true
+		if _, has := m["allocs/op"]; has && f.BaseAllocs > 0 &&
+			f.AllocsPerOp > f.BaseAllocs*AllocFactor+AllocSlack {
 			f.Reasons = append(f.Reasons, fmt.Sprintf(
-				"allocs %.0f/op > %.2f× baseline %.0f + %.0f", m.AllocsPerOp,
-				th.AllocFactor, b.AllocsPerOp, th.AllocSlack))
+				"allocs %.0f/op > %.2f× baseline %.0f + %d", f.AllocsPerOp,
+				AllocFactor, f.BaseAllocs, AllocSlack))
 		}
+		if q, has := m["F/exact"]; has {
+			if bq, bhas := b["F/exact"]; bhas && q < bq {
+				f.Reasons = append(f.Reasons, fmt.Sprintf("F/exact %g < baseline %g", q, bq))
+			}
+		}
+		f.Regressed = len(f.Reasons) > 0
 		findings = append(findings, f)
 	}
 	return findings, matched

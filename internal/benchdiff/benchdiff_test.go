@@ -11,7 +11,7 @@ const sampleOutput = `goos: linux
 goarch: amd64
 pkg: gorder/internal/core
 cpu: some CPU
-BenchmarkOrderWith/web120k/w=1/hub=0-8         	       1	73771375 ns/op	  472752 B/op	      15 allocs/op
+BenchmarkOrderWith/web120k/w=1/hub=0-8         	       1	73771375 ns/op	    121574 edges	    162661 placements/s	  472752 B/op	      15 allocs/op
 BenchmarkOrderWith/web120k/w=5/hub=0-8         	       2	91384687 ns/op	  472800 B/op	      16 allocs/op
 BenchmarkNoMemColumns                          	     100	    123456 ns/op
 --- BENCH: something
@@ -21,54 +21,54 @@ ok  	gorder/internal/core	2.345s
 `
 
 func TestParse(t *testing.T) {
-	ms, err := Parse(strings.NewReader(sampleOutput))
+	rows, err := Parse(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ms) != 3 {
-		t.Fatalf("parsed %d measurements, want 3: %+v", len(ms), ms)
+	if len(rows) != 9 {
+		t.Fatalf("parsed %d rows, want 9 (5 + 3 + 1): %+v", len(rows), rows)
 	}
-	m := ms[0]
-	if m.Name != "BenchmarkOrderWith/web120k/w=1/hub=0" {
-		t.Fatalf("name %q: GOMAXPROCS suffix not stripped", m.Name)
+	want := []Row{
+		{"BenchmarkOrderWith/web120k/w=1/hub=0", "ns/op", "ns", 73771375},
+		{"BenchmarkOrderWith/web120k/w=1/hub=0", "edges", "edges", 121574},
+		{"BenchmarkOrderWith/web120k/w=1/hub=0", "placements/s", "placements/s", 162661},
+		{"BenchmarkOrderWith/web120k/w=1/hub=0", "B/op", "B", 472752},
+		{"BenchmarkOrderWith/web120k/w=1/hub=0", "allocs/op", "allocs", 15},
 	}
-	if m.Iters != 1 || m.NsPerOp != 73771375 || m.BytesPerOp != 472752 || m.AllocsPerOp != 15 {
-		t.Fatalf("bad fields: %+v", m)
+	for i, w := range want {
+		if rows[i] != w {
+			t.Errorf("row %d = %+v, want %+v", i, rows[i], w)
+		}
 	}
-	if !m.HasMem {
-		t.Fatal("benchmem columns not detected")
-	}
-	if ms[2].HasMem {
-		t.Fatal("no-mem line wrongly marked HasMem")
+	if last := rows[len(rows)-1]; last.Name != "BenchmarkNoMemColumns" || last.Metric != "ns/op" {
+		t.Errorf("last row %+v, want the no-mem line's ns/op", last)
 	}
 }
 
 func TestLoadBaselineAndCompare(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_test.json")
-	baseline := `{
-  "generated_by": "test",
-  "benchmarks": [
-    {"name": "BenchmarkOrderWith/web120k/w=1/hub=0", "iters": 1, "ns_per_op": 70000000, "bytes_per_op": 470000, "allocs_per_op": 15, "extra_key": null},
-    {"name": "BenchmarkOrderWith/web120k/w=5/hub=0", "iters": 2, "ns_per_op": 1000, "bytes_per_op": 470000, "allocs_per_op": 3}
-  ]
-}`
-	if err := os.WriteFile(path, []byte(baseline), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "BENCH_test.json")
+	base := NewFile(SuiteOf(path), []Row{
+		{"BenchmarkOrderWith/web120k/w=1/hub=0", "ns/op", "ns", 70000000},
+		{"BenchmarkOrderWith/web120k/w=1/hub=0", "allocs/op", "allocs", 15},
+		{"BenchmarkOrderWith/web120k/w=5/hub=0", "ns/op", "ns", 1000},
+		{"BenchmarkOrderWith/web120k/w=5/hub=0", "allocs/op", "allocs", 3},
+	})
+	if err := base.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	base, err := LoadBaseline(path)
+	loaded, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base) != 2 {
-		t.Fatalf("loaded %d entries, want 2", len(base))
+	if loaded.Suite != "test" || loaded.Go == "" || loaded.Cores < 1 || loaded.Commit == "" || len(loaded.Rows) != 4 {
+		t.Fatalf("loaded %+v", loaded)
 	}
 
-	ms, err := Parse(strings.NewReader(sampleOutput))
+	rows, err := Parse(strings.NewReader(sampleOutput))
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, matched := Compare(ms, base, DefaultThresholds())
+	findings, matched := Compare(rows, loaded.Rows)
 	if matched != 2 {
 		t.Fatalf("matched %d, want 2 (the no-baseline bench is skipped)", matched)
 	}
@@ -92,29 +92,49 @@ func TestLoadBaselineAndCompare(t *testing.T) {
 }
 
 func TestCompareAllocSlackAbsorbsSmallMoves(t *testing.T) {
-	base := map[string]BaselineEntry{
-		"BenchmarkX": {Name: "BenchmarkX", NsPerOp: 1000, AllocsPerOp: 15},
+	base := []Row{
+		{"BenchmarkX", "ns/op", "ns", 1000},
+		{"BenchmarkX", "allocs/op", "allocs", 15},
 	}
-	th := DefaultThresholds()
-	ms := []Measurement{{Name: "BenchmarkX", Iters: 1, NsPerOp: 1200, AllocsPerOp: 17, HasMem: true}}
-	findings, _ := Compare(ms, base, th)
-	if findings[0].Regressed {
+	cur := []Row{
+		{"BenchmarkX", "ns/op", "ns", 1200},
+		{"BenchmarkX", "allocs/op", "allocs", 17},
+	}
+	if findings, _ := Compare(cur, base); findings[0].Regressed {
 		t.Fatalf("15 -> 17 allocs within slack, wrongly regressed: %+v", findings[0])
 	}
-	ms[0].AllocsPerOp = 40
-	findings, _ = Compare(ms, base, th)
-	if !findings[0].Regressed {
+	cur[1].Value = 40
+	if findings, _ := Compare(cur, base); !findings[0].Regressed {
 		t.Fatal("15 -> 40 allocs must regress")
 	}
 }
 
+// TestCompareFExactGate: a partitioned ordering's F/exact is an exact
+// count, so holding the baseline passes and any drop fails.
+func TestCompareFExactGate(t *testing.T) {
+	base := []Row{{"BenchmarkOrderPartitioned/web120k", "F/exact", "F/exact", 0.9121}}
+	cur := []Row{{"BenchmarkOrderPartitioned/web120k", "F/exact", "F/exact", 0.9121}}
+	if findings, _ := Compare(cur, base); findings[0].Regressed {
+		t.Fatalf("unchanged F/exact regressed: %+v", findings[0])
+	}
+	cur[0].Value = 0.912
+	if findings, _ := Compare(cur, base); !findings[0].Regressed {
+		t.Fatal("F/exact 0.9121 -> 0.912 must regress")
+	}
+}
+
 func TestLoadBaselineRejectsWrongShape(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(path, []byte(`{"rows": []}`), 0o644); err != nil {
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, []byte(`{"benchmarks": [{"name": "BenchmarkX", "ns_per_op": 1}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadBaseline(path); err == nil {
-		t.Fatal("baseline without benchmarks array must error")
+	if _, err := Load(path); err == nil {
+		t.Fatal("baseline without a rows array must error")
+	}
+}
+
+func TestSuiteOf(t *testing.T) {
+	if got := SuiteOf("/some/dir/BENCH_gorder.json"); got != "gorder" {
+		t.Fatalf("SuiteOf = %q, want gorder", got)
 	}
 }

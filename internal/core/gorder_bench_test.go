@@ -6,10 +6,11 @@ import (
 
 	"gorder/internal/gen"
 	"gorder/internal/graph"
+	"gorder/internal/order"
 )
 
 // orderBenchGraphs are the synthetic ordering workloads
-// scripts/bench_gorder.sh records to BENCH_gorder.json: a small
+// scripts/bench.sh gorder records to BENCH_gorder.json: a small
 // web graph for fast iteration and the 1M-edge web graph that
 // dominates bench_results.txt's ordering times (Table 2's regime).
 var orderBenchGraphs = []struct {
@@ -47,6 +48,28 @@ func BenchmarkOrderWith(b *testing.B) {
 				b.ReportMetric(placements/b.Elapsed().Seconds(), "placements/s")
 			})
 		}
+	}
+}
+
+// BenchmarkOrderPartitioned measures the partition-parallel greedy at
+// the default window and partition grid, and reports its quality as
+// F/exact: its score over exact Gorder's, computed outside the timer.
+// The permutation is deterministic and worker-independent, so F/exact
+// is an exact count that benchdiff holds at its baseline.
+func BenchmarkOrderPartitioned(b *testing.B) {
+	opt := Options{Window: DefaultWindow}
+	for _, ds := range orderBenchGraphs {
+		b.Run(ds.name, func(b *testing.B) {
+			g := ds.gen()
+			exact := order.Score(g, OrderWith(g, opt), opt.Window)
+			b.ResetTimer()
+			var p order.Permutation
+			for i := 0; i < b.N; i++ {
+				p = OrderPartitioned(g, opt, PartitionedOptions{})
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(order.Score(g, p, opt.Window))/float64(exact), "F/exact")
+		})
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // partitions end up adjacent in the final ID space.
 //
 // Two design points carry the ordering quality; both were measured on
-// the 1M-edge web workload (see BENCH_parallel_order.json):
+// the 1M-edge web workload (see `bench -exp parallel`):
 //
 //   - Guide partitioning. Chunking a BFS visit sequence keeps only
 //     ~42% of the exact ordering's same-partition score on web graphs:

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -63,6 +64,39 @@ func FuzzReadEdgeList(f *testing.F) {
 			if !sameGraph(want, got) {
 				t.Fatalf("%d workers: parallel parse produced a different graph", workers)
 			}
+		}
+	})
+}
+
+// FuzzReadBinaryBytes feeds arbitrary bytes to the binary CSR decoder
+// (both format versions): it must return an error or a graph, never
+// panic or allocate past what the input can back, and an accepted
+// graph must survive a WriteBinary round trip unchanged.
+func FuzzReadBinaryBytes(f *testing.F) {
+	var v1 bytes.Buffer
+	if err := diamond().WriteBinary(&v1); err != nil {
+		f.Fatal(err)
+	}
+	v0 := append(append([]byte{}, binaryMagic[:]...), v1.Bytes()[8:v1.Len()-4]...)
+	f.Add(v1.Bytes())
+	f.Add(v0)
+	f.Add(hugeEdgeCountV0())
+	f.Add(binaryMagic[:])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadBinaryBytes(data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h, err := ReadBinaryBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("re-encoded graph rejected: %v", err)
+		}
+		if !sameGraph(g, h) {
+			t.Fatal("binary round trip changed the graph")
 		}
 	})
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Ingest benchmarks: edge-list parsing, CSR construction, and the
-// binary loader, serial vs parallel. scripts/bench_ingest.sh runs
+// binary loader, serial vs parallel. scripts/bench.sh ingest runs
 // these and records BENCH_ingest.json. The workload is a ~1M-edge
 // random graph — big enough that the parallel paths engage even in
 // automatic mode.

@@ -378,7 +378,8 @@ func readBinaryPayload(b []byte) (*Graph, error) {
 			return nil, errors.New("graph: non-monotone offset array")
 		}
 	}
-	if int64(len(b)) < m*4 {
+	// Divide instead of multiplying: m*4 overflows for m near 2^62.
+	if m > int64(len(b))/4 {
 		return nil, fmt.Errorf("graph: reading adjacency: %w", ErrTruncated)
 	}
 	outAdj := make([]NodeID, m)

@@ -146,6 +146,26 @@ func TestReadBinaryErrorSentinels(t *testing.T) {
 	check("v0 missing adjacency", v0.Bytes(), ErrTruncated)
 }
 
+// hugeEdgeCountV0 is a v0 file whose header claims m = 2^62 edges
+// (offsets [0, 2^62] agree) over 4 adjacency bytes: m*4 overflows to 0,
+// so a size check that multiplies passes it on to make([]NodeID, m).
+func hugeEdgeCountV0() []byte {
+	var b bytes.Buffer
+	b.Write(binaryMagic[:])
+	binary.Write(&b, binary.LittleEndian, [2]int64{1, 1 << 62})
+	binary.Write(&b, binary.LittleEndian, []int64{0, 1 << 62})
+	b.Write([]byte{0, 0, 0, 0})
+	return b.Bytes()
+}
+
+// TestReadBinaryHugeEdgeCountIsTruncated: an edge count whose byte
+// size overflows int64 is a truncated file, not a panic.
+func TestReadBinaryHugeEdgeCountIsTruncated(t *testing.T) {
+	if _, err := ReadBinaryBytes(hugeEdgeCountV0()); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("error %v, want %v", err, ErrTruncated)
+	}
+}
+
 // TestReadBinaryAcceptsV0 guards backward compatibility: files in the
 // original footer-less layout (version byte '1') still load and equal
 // their v1 round trip.

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"gorder/internal/benchdiff"
 	"gorder/internal/gen"
 )
 
@@ -29,10 +30,7 @@ const (
 
 // Mix weights the operation mix. Zero-valued fields never run.
 type Mix struct {
-	Query  int `json:"query"`
-	Order  int `json:"order"`
-	Upload int `json:"upload"`
-	Edit   int `json:"edit"`
+	Query, Order, Upload, Edit int
 }
 
 // DefaultMix is query-heavy with a trickle of writes — the shape of a
@@ -129,33 +127,53 @@ type Config struct {
 // Shed (429) is backpressure working as designed, counted apart from
 // errors.
 type RouteStats struct {
-	Route      string  `json:"route"`
-	Count      int64   `json:"count"`
-	OK         int64   `json:"ok"`
-	Shed       int64   `json:"shed"`
-	ClientErrs int64   `json:"client_errors"`
-	ServerErrs int64   `json:"server_errors"`
-	NetErrs    int64   `json:"net_errors"`
-	P50Us      int64   `json:"p50_us"`
-	P90Us      int64   `json:"p90_us"`
-	P99Us      int64   `json:"p99_us"`
-	P999Us     int64   `json:"p999_us"`
-	MeanUs     float64 `json:"mean_us"`
-	MaxUs      int64   `json:"max_us"`
+	Route                              string
+	Count, OK, Shed                    int64
+	ClientErrs, ServerErrs, NetErrs    int64
+	P50Us, P90Us, P99Us, P999Us, MaxUs int64
+	MeanUs                             float64
 }
 
 // Result is one run's report.
 type Result struct {
-	Name          string       `json:"name"`
-	Concurrency   int          `json:"concurrency"`
-	RateRPS       float64      `json:"rate_rps,omitempty"`
-	DurationS     float64      `json:"duration_s"`
-	Requests      int64        `json:"requests"`
-	OK            int64        `json:"ok"`
-	Shed          int64        `json:"shed"`
-	Errors        int64        `json:"errors"` // server + network
-	ThroughputRPS float64      `json:"throughput_rps"`
-	Routes        []RouteStats `json:"routes"`
+	Name               string
+	DurationS          float64
+	Requests, OK, Shed int64
+	Errors             int64 // server + network
+	ThroughputRPS      float64
+	Routes             []RouteStats
+}
+
+// Rows flattens the result into BENCH_serve.json rows: run totals
+// under the run's name, and each route's counts and latency
+// percentiles under name/route (e.g. mixed-c16/query · p99_us).
+func (res Result) Rows() []benchdiff.Row {
+	var rows []benchdiff.Row
+	add := func(name, metric, unit string, v float64) {
+		rows = append(rows, benchdiff.Row{Name: name, Metric: metric, Unit: unit, Value: v})
+	}
+	add(res.Name, "duration_s", "s", res.DurationS)
+	add(res.Name, "requests", "count", float64(res.Requests))
+	add(res.Name, "ok", "count", float64(res.OK))
+	add(res.Name, "shed", "count", float64(res.Shed))
+	add(res.Name, "errors", "count", float64(res.Errors))
+	add(res.Name, "throughput_rps", "1/s", res.ThroughputRPS)
+	for _, rt := range res.Routes {
+		name := res.Name + "/" + rt.Route
+		add(name, "count", "count", float64(rt.Count))
+		add(name, "ok", "count", float64(rt.OK))
+		add(name, "shed", "count", float64(rt.Shed))
+		add(name, "client_errors", "count", float64(rt.ClientErrs))
+		add(name, "server_errors", "count", float64(rt.ServerErrs))
+		add(name, "net_errors", "count", float64(rt.NetErrs))
+		add(name, "p50_us", "us", float64(rt.P50Us))
+		add(name, "p90_us", "us", float64(rt.P90Us))
+		add(name, "p99_us", "us", float64(rt.P99Us))
+		add(name, "p999_us", "us", float64(rt.P999Us))
+		add(name, "mean_us", "us", rt.MeanUs)
+		add(name, "max_us", "us", float64(rt.MaxUs))
+	}
+	return rows
 }
 
 // routeRec is one worker's accumulator for one route.
@@ -350,11 +368,7 @@ func Run(cfg Config) (Result, error) {
 			m.lat.Merge(&r.lat)
 		}
 	}
-	res := Result{
-		Concurrency: cfg.Concurrency,
-		RateRPS:     cfg.Rate,
-		DurationS:   elapsed.Seconds(),
-	}
+	res := Result{DurationS: elapsed.Seconds()}
 	for _, route := range []string{RouteQuery, RouteOrder, RouteUpload, RouteEdit} {
 		r := merged[route]
 		if r == nil {

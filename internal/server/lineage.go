@@ -112,8 +112,8 @@ type editResponse struct {
 
 // handleGraphEdges serves POST /graphs/{name}/edges: build version
 // N+1 of the lineage from its tip. One mutation runs at a time
-// (s.mutMu): versions form a chain, so concurrent edits must serialize
-// on the tip they extend.
+// (s.mutMu): versions form a chain, so concurrent edits and uploads
+// must serialize on the tip they extend.
 func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request, name string) {
 	if r.Method != http.MethodPost {
 		s.methodNotAllowed(w, r, http.MethodPost)

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -526,5 +528,80 @@ func TestHubCacheBoundedOnUnorderedLineage(t *testing.T) {
 	postQuery(t, ts, bfs, http.StatusOK)
 	if n := metricsSnapshot(t, ts)["query_hub_cache_entries"]; n != 1 {
 		t.Fatalf("query_hub_cache_entries = %d after %d edits and an upload on one lineage, want 1", n, edits)
+	}
+}
+
+// TestUploadDuringEditKeepsChain races an upload of new content
+// against an edit of the same lineage, sending the upload while the
+// edit holds the mutation lock. Whichever way the two serialize, every
+// edit-made version must be its batch applied to the version before
+// it: an upload the edit did not build on must not fall off the chain.
+func TestUploadDuringEditKeepsChain(t *testing.T) {
+	s, ts := newStoreServer(t, t.TempDir(), 0)
+	big := edgeListBytes(t, gen.Web(30000, gen.DefaultWeb, 3))
+	req := editRequest{
+		Add: []edgeSpec{{From: 0, To: 7}, {From: 7, To: 3}},
+		Del: []edgeSpec{{From: 0, To: 1}},
+	}
+	for round := 0; round < 3; round++ {
+		name := fmt.Sprintf("web%d", round)
+		postGraph(t, ts, name, big)
+
+		var resp editResponse
+		done := make(chan error, 1)
+		go func() {
+			body, _ := json.Marshal(req)
+			r, err := http.Post(ts.URL+"/graphs/"+name+"/edges", "application/json", bytes.NewReader(body))
+			if err != nil {
+				done <- err
+				return
+			}
+			defer r.Body.Close()
+			if r.StatusCode != http.StatusOK {
+				b, _ := io.ReadAll(r.Body)
+				done <- fmt.Errorf("edit: status %d: %s", r.StatusCode, b)
+				return
+			}
+			done <- json.NewDecoder(r.Body).Decode(&resp)
+		}()
+		raced := true
+		for raced && s.mutMu.TryLock() {
+			s.mutMu.Unlock()
+			select {
+			case err := <-done: // the edit finished before the upload
+				if err != nil {
+					t.Fatal(err)
+				}
+				raced = false
+			default:
+				runtime.Gosched()
+			}
+		}
+		postGraph(t, ts, name, edgeListBytes(t, gen.Ring(50+round)))
+		if raced {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		v := resp.Graph.Version
+		prevDigest, _, _, err := s.cfg.Store.ResolveVersion(name, v-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, err := s.cfg.Store.GetGraph(prevDigest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := applyMirror(t, prev, req).WriteBinary(&want); err != nil {
+			t.Fatal(err)
+		}
+		h := store.NewDigest()
+		h.Write(want.Bytes())
+		if resp.Graph.ID != store.DigestSum(h) {
+			t.Fatalf("round %d: %s@v%d is not its batch applied to v%d (%d nodes): an upload fell off the chain",
+				round, name, v, v-1, prev.NumNodes())
+		}
 	}
 }

@@ -81,8 +81,8 @@ type Server struct {
 	Query   *query.Executor
 	mux     *http.ServeMux
 
-	// mutMu serializes lineage mutations: versions form a chain, so
-	// two edits must not both extend the same tip.
+	// mutMu serializes lineage mutations (edits and upload tip moves):
+	// versions form a chain, so two must not both extend the same tip.
 	mutMu sync.Mutex
 
 	httpRequests *Counter

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -264,6 +265,29 @@ func TestUploadDeduplicatesByContent(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("GET /graphs/%s: status %d", ref, resp.StatusCode)
 		}
+	}
+}
+
+// TestBinaryUploadHugeEdgeCountIsBadGraph: a v0 binary CSR whose
+// header claims 2^62 edges over 4 adjacency bytes is a malformed
+// upload (400 bad_graph), not a handler panic that drops the
+// connection.
+func TestBinaryUploadHugeEdgeCountIsBadGraph(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
+	var body bytes.Buffer
+	body.WriteString("GORDCSR1")
+	binary.Write(&body, binary.LittleEndian, []int64{1, 1 << 62, 0, 1 << 62})
+	body.Write([]byte{0, 0, 0, 0})
+	resp, err := http.Post(ts.URL+"/graphs?name=huge", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if env := decodeJSON[map[string]apiError](t, resp.Body); env["error"].Code != "bad_graph" {
+		t.Fatalf("code %q, want bad_graph", env["error"].Code)
 	}
 }
 

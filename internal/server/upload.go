@@ -125,14 +125,19 @@ func (s *Server) ingest(name string, r io.Reader) (GraphInfo, bool, error) {
 
 	st := s.cfg.Store
 	digest := store.DigestSum(h)
+	// The tip moves under the mutation lock, as an edit's does: an
+	// upload appended between an edit's tip read and its append would
+	// fall off the chain the edit extends.
+	s.mutMu.Lock()
 	created := !st.Has(digest)
 	oldTip, _, _, _ := st.ResolveVersion(name, 0)
 	v, err := st.AppendVersion(name, digest, g, cr.n)
+	if err == nil && oldTip != "" && oldTip != digest {
+		s.Query.DropHub(oldTip)
+	}
+	s.mutMu.Unlock()
 	if err != nil {
 		return GraphInfo{}, false, err
-	}
-	if oldTip != "" && oldTip != digest {
-		s.Query.DropHub(oldTip)
 	}
 	if created {
 		s.ingests.Inc()

@@ -172,7 +172,7 @@ const DefaultPartitions = core.DefaultPartitions
 // by inter-partition edge weight. The permutation depends only on
 // (g, opt, Partitions, Partitioner) — never on Workers or GOMAXPROCS.
 // On a 1M-edge web graph it retains >90% of the exact F(pi) at a
-// severalfold speedup; see BENCH_parallel_order.json.
+// severalfold speedup; see BenchmarkOrderPartitioned in BENCH_gorder.json.
 func OrderPartitioned(g *Graph, opt Options, po PartitionedOptions) Permutation {
 	return core.OrderPartitioned(g, opt, po)
 }
