@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -18,6 +19,7 @@ import (
 	"gorder"
 	"gorder/internal/cache"
 	"gorder/internal/cli"
+	"gorder/internal/registry"
 	"gorder/internal/trace"
 )
 
@@ -26,7 +28,7 @@ func main() {
 		in       = flag.String("i", "", "input graph (binary or text)")
 		kernel   = flag.String("kernel", gorder.KernelPR, "kernel: "+strings.Join(gorder.KernelNames(), "|"))
 		machine  = flag.String("machine", "small", "hierarchy: small|replication")
-		compare  = flag.String("compare", "", "also run after this ordering: "+strings.Join(cli.MethodNames(), "|"))
+		compare  = flag.String("compare", "", "also run after this ordering: "+strings.Join(registry.MethodNames(), "|"))
 		seed     = flag.Uint64("seed", 1, "seed for stochastic orderings")
 		doReuse  = flag.Bool("reuse", false, "also print the reuse-distance profile")
 		traceOut = flag.String("trace-out", "", "record the access trace to this file")
@@ -53,7 +55,7 @@ func main() {
 	}
 	runOne("original", g, *kernel, cfg, *doReuse, *traceOut)
 	if *compare != "" {
-		perm, err := cli.ComputeOrdering(g, cli.OrderingSpec{Method: *compare, Seed: *seed})
+		perm, err := registry.Compute(context.Background(), g, *compare, registry.Options{Seed: *seed})
 		if err != nil {
 			fail(err)
 		}

@@ -44,7 +44,7 @@ func main() {
 func run() error {
 	var (
 		in         = flag.String("i", "", "input graph (binary or text; - for stdin text)")
-		method     = flag.String("method", "gorder", "ordering method: "+strings.Join(cli.MethodNames(), "|"))
+		method     = flag.String("method", "gorder", "ordering method: "+strings.Join(registry.MethodNames(), "|"))
 		w          = flag.Int("w", gorder.DefaultWindow, "gorder window size")
 		hub        = flag.Int("hub", 0, "gorder hub-skip threshold (0 = exact)")
 		seed       = flag.Uint64("seed", 1, "seed for stochastic methods")
@@ -144,8 +144,8 @@ func run() error {
 	} else {
 		start := time.Now()
 		var err error
-		perm, err = cli.ComputeOrdering(g, cli.OrderingSpec{
-			Method: *method, Window: *w, Hub: *hub, Seed: *seed, LDGBins: *ldgBins,
+		perm, err = registry.Compute(context.Background(), g, *method, registry.Options{
+			Window: *w, HubThreshold: *hub, Seed: *seed, LDGBins: *ldgBins,
 			Workers: *workers, Partitions: *partitions,
 		})
 		if err != nil {

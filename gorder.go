@@ -61,7 +61,7 @@ func FromEdgesDedup(n int, edges []Edge) *Graph { return graph.FromEdgesDedup(n,
 // ReadEdgeList parses a whitespace-separated text edge list ("u v"
 // per line, # or % comments) — the format SNAP and Konect datasets
 // use. Parsing and CSR construction run on GOMAXPROCS workers for
-// large inputs; see SetIngestParallelism.
+// large inputs; GOMAXPROCS=1 forces the serial path.
 func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
 
 // ReadEdgeListBytes parses a text edge list already held in memory,
@@ -73,11 +73,6 @@ func ReadBinary(r io.Reader) (*Graph, error) { return graph.ReadBinary(r) }
 
 // ReadBinaryBytes loads a binary graph already held in memory.
 func ReadBinaryBytes(data []byte) (*Graph, error) { return graph.ReadBinaryBytes(data) }
-
-// SetIngestParallelism sets the worker count the graph loaders and
-// builders use: 0 restores the default (GOMAXPROCS, small inputs
-// serial), 1 forces the serial path, k > 1 forces exactly k workers.
-func SetIngestParallelism(k int) { graph.SetIngestParallelism(k) }
 
 // EditStats summarises what an ApplyEdits call actually changed.
 type EditStats = graph.EditStats

@@ -1,19 +1,13 @@
-// Package cli holds the logic shared by the command-line tools:
-// format-sniffing graph loading and a thin adapter from flag-level
-// ordering specs to the registry. It exists so the cmd/ mains stay
-// thin and this logic is unit-tested. All ordering dispatch lives in
-// internal/registry; this package only translates an OrderingSpec
-// into registry.Options.
+// Package cli holds the format-sniffing graph loader shared by the
+// command-line tools, so the cmd/ mains stay thin and the sniffing is
+// unit-tested. Ordering dispatch is internal/registry's; the tools
+// call it directly.
 package cli
 
 import (
-	"context"
-	"io"
 	"os"
 
 	"gorder/internal/graph"
-	"gorder/internal/order"
-	"gorder/internal/registry"
 )
 
 // ReadGraph loads a graph from path, accepting both the binary CSR
@@ -39,49 +33,4 @@ func ReadGraphBytes(data []byte) (*graph.Graph, error) {
 		return g, nil
 	}
 	return graph.ReadEdgeListBytes(data)
-}
-
-// ReadGraphFrom sniffs the format of a seekable stream: binary first,
-// then text edge list.
-func ReadGraphFrom(f io.ReadSeeker) (*graph.Graph, error) {
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, err
-	}
-	return ReadGraphBytes(data)
-}
-
-// OrderingSpec configures ComputeOrdering. It is the flag/JSON-level
-// view of registry.Options plus the method name.
-type OrderingSpec struct {
-	Method     string // case-insensitive ordering name
-	Window     int    // gorder window (0 = default)
-	Hub        int    // gorder hub-skip threshold (0 = exact)
-	Seed       uint64 // seed for stochastic methods
-	LDGBins    int    // LDG bin count (0 = registry.DefaultLDGBins)
-	Workers    int    // parallel-method worker bound (0 = GOMAXPROCS)
-	Partitions int    // gorder-partitioned partition count (0 = default)
-}
-
-// options translates the spec into registry options.
-func (s OrderingSpec) options() registry.Options {
-	return registry.Options{
-		Window:       s.Window,
-		HubThreshold: s.Hub,
-		Seed:         s.Seed,
-		LDGBins:      s.LDGBins,
-		Workers:      s.Workers,
-		Partitions:   s.Partitions,
-	}
-}
-
-// MethodNames returns the accepted ordering names, sorted. It is the
-// registry catalog verbatim.
-func MethodNames() []string {
-	return registry.MethodNames()
-}
-
-// ComputeOrdering dispatches an ordering by name via the registry.
-func ComputeOrdering(g *graph.Graph, spec OrderingSpec) (order.Permutation, error) {
-	return registry.Compute(context.Background(), g, spec.Method, spec.options())
 }

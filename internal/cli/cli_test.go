@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gorder/internal/gen"
-	"gorder/internal/graph"
 )
 
 func TestReadGraphFromSniffsBinary(t *testing.T) {
@@ -16,7 +15,7 @@ func TestReadGraphFromSniffsBinary(t *testing.T) {
 	if err := g.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadGraphFrom(bytes.NewReader(buf.Bytes()))
+	h, err := ReadGraphBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +26,7 @@ func TestReadGraphFromSniffsBinary(t *testing.T) {
 
 func TestReadGraphFromSniffsText(t *testing.T) {
 	text := "# comment\n0 1\n1 2\n"
-	h, err := ReadGraphFrom(bytes.NewReader([]byte(text)))
+	h, err := ReadGraphBytes([]byte(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func TestReadGraphFromSniffsText(t *testing.T) {
 }
 
 func TestReadGraphFromRejectsGarbage(t *testing.T) {
-	if _, err := ReadGraphFrom(bytes.NewReader([]byte("completely bogus"))); err == nil {
+	if _, err := ReadGraphBytes([]byte("completely bogus")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
@@ -63,29 +62,5 @@ func TestReadGraphFile(t *testing.T) {
 	}
 	if _, err := ReadGraph(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestComputeOrderingAllMethods(t *testing.T) {
-	g := gen.BarabasiAlbert(120, 4, 1)
-	for _, m := range MethodNames() {
-		p, err := ComputeOrdering(g, OrderingSpec{Method: m, Seed: 3})
-		if err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("%s: %v", m, err)
-		}
-	}
-	// Case-insensitive.
-	if _, err := ComputeOrdering(g, OrderingSpec{Method: "GORDER"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestComputeOrderingUnknown(t *testing.T) {
-	g := graph.FromEdges(2, nil)
-	if _, err := ComputeOrdering(g, OrderingSpec{Method: "metis"}); err == nil {
-		t.Fatal("unknown method accepted")
 	}
 }

@@ -139,10 +139,10 @@ func orderUnitHeap(ctx context.Context, g *graph.Graph, w, hub int) (perm order.
 		h:      NewUnitHeap(n),
 		outIdx: g.OutIndex(), outAdj: g.OutAdjacency(),
 		inIdx: g.InIndex(), inAdj: g.InAdjacency(),
-		hub:   int64(hub),
-		delta: make([]int32, n),
-		pc:    make([]int32, n),
-		mc:    make([]int32, n),
+		hub:    int64(hub),
+		delta:  make([]int32, n),
+		pc:     make([]int32, n),
+		mc:     make([]int32, n),
 		log:    make([]int32, 0, greedyLogCap),
 		logged: true,
 	}
@@ -437,16 +437,6 @@ func orderGeneric(ctx context.Context, g *graph.Graph, w, hub int, q maxQueue) (
 		seq = append(seq, graph.NodeID(v))
 	}
 	return order.FromSequence(seq), heapOps, int64(len(seq)), nil
-}
-
-// WindowScore evaluates F(pi) for the given permutation and window —
-// a convenience re-export of the independent evaluator in the order
-// package, so callers of core need not know where the metric lives.
-func WindowScore(g *graph.Graph, p order.Permutation, w int) int64 {
-	if w <= 0 {
-		w = DefaultWindow
-	}
-	return order.Score(g, p, w)
 }
 
 // MultilevelOrder runs Gorder on a coarsened graph and projects the

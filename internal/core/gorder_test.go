@@ -131,9 +131,9 @@ func TestOrderGreedyOptimalLazyHeap(t *testing.T) {
 func TestOrderBeatsRandomOnScore(t *testing.T) {
 	g := gen.BarabasiAlbert(400, 4, 7)
 	w := DefaultWindow
-	gord := WindowScore(g, Order(g), w)
-	rnd := WindowScore(g, order.Random(g.NumNodes(), 3), w)
-	orig := WindowScore(g, order.Identity(g.NumNodes()), w)
+	gord := order.Score(g, Order(g), w)
+	rnd := order.Score(g, order.Random(g.NumNodes(), 3), w)
+	orig := order.Score(g, order.Identity(g.NumNodes()), w)
 	if gord <= rnd {
 		t.Errorf("Gorder score %d not above random %d", gord, rnd)
 	}
@@ -146,8 +146,8 @@ func TestOrderBeatsRandomOnScore(t *testing.T) {
 func TestHubThresholdNearExact(t *testing.T) {
 	g := gen.BarabasiAlbert(300, 4, 9)
 	w := DefaultWindow
-	exact := WindowScore(g, OrderWith(g, Options{Window: w}), w)
-	approx := WindowScore(g, OrderWith(g, Options{Window: w, HubThreshold: 32}), w)
+	exact := order.Score(g, OrderWith(g, Options{Window: w}), w)
+	approx := order.Score(g, OrderWith(g, Options{Window: w, HubThreshold: 32}), w)
 	if float64(approx) < 0.8*float64(exact) {
 		t.Errorf("hub-skip score %d below 80%% of exact %d", approx, exact)
 	}
@@ -164,19 +164,11 @@ func TestWindowSweepSane(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
-		s := WindowScore(g, p, 8) // fixed evaluation window
+		s := order.Score(g, p, 8) // fixed evaluation window
 		if s < prev/2 {
 			t.Errorf("w=%d: score %d collapsed from %d", w, s, prev)
 		}
 		prev = s
-	}
-}
-
-func TestWindowScoreDefaultsWindow(t *testing.T) {
-	g := gen.Ring(10)
-	p := order.Identity(10)
-	if WindowScore(g, p, 0) != WindowScore(g, p, DefaultWindow) {
-		t.Error("WindowScore(w=0) does not default")
 	}
 }
 
@@ -187,7 +179,7 @@ func TestMultilevelOrderValidAndUseful(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := DefaultWindow
-	if f, r := WindowScore(g, p, w), WindowScore(g, order.Random(g.NumNodes(), 1), w); f <= 3*r {
+	if f, r := order.Score(g, p, w), order.Score(g, order.Random(g.NumNodes(), 1), w); f <= 3*r {
 		t.Errorf("multilevel Gorder F=%d not well above random %d", f, r)
 	}
 }

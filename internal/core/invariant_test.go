@@ -114,8 +114,8 @@ func TestQueueEnginesAgreeOnObjective(t *testing.T) {
 		}
 		g := graph.FromEdgesDedup(n, edges)
 		w := 4
-		fUnit := WindowScore(g, OrderWith(g, Options{Window: w}), w)
-		fLazy := WindowScore(g, OrderWith(g, Options{Window: w, UseLazyHeap: true}), w)
+		fUnit := order.Score(g, OrderWith(g, Options{Window: w}), w)
+		fLazy := order.Score(g, OrderWith(g, Options{Window: w, UseLazyHeap: true}), w)
 		lo, hi := fUnit, fLazy
 		if lo > hi {
 			lo, hi = hi, lo

@@ -58,8 +58,8 @@ func TestParallelDeterministic(t *testing.T) {
 func TestParallelQuality(t *testing.T) {
 	g := gen.Web(4000, gen.DefaultWeb, 6)
 	w := DefaultWindow
-	exact := WindowScore(g, Order(g), w)
-	rnd := WindowScore(g, order.Random(g.NumNodes(), 1), w)
+	exact := order.Score(g, Order(g), w)
+	rnd := order.Score(g, order.Random(g.NumNodes(), 1), w)
 	// Quality degrades gracefully with partition count: boundary pairs
 	// are forfeited and chunks shrink as parallelism grows, but the
 	// guide partitioner plus ghost hubs keep sibling relations scoring
@@ -68,7 +68,7 @@ func TestParallelQuality(t *testing.T) {
 		par      int
 		fraction float64
 	}{{2, 0.90}, {4, 0.85}, {8, 0.80}} {
-		par := WindowScore(g, orderParallel(g, tc.par), w)
+		par := order.Score(g, orderParallel(g, tc.par), w)
 		if float64(par) < tc.fraction*float64(exact) {
 			t.Errorf("parallelism %d: F=%d below %.0f%% of exact %d",
 				tc.par, par, 100*tc.fraction, exact)

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"gorder/internal/graph"
 	"gorder/internal/order"
+	"gorder/internal/par"
 )
 
 // Partition-parallel Gorder: the multi-core answer to the sequential
@@ -187,14 +185,6 @@ func OrderPartitionedCtx(ctx context.Context, g *graph.Graph, opt Options, po Pa
 	return order.FromSequence(seq), nil
 }
 
-// resolveWorkers maps the workers knob to a goroutine count.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
 // ghostScratch holds one worker goroutine's reusable per-partition
 // buffers: the global-to-local vertex map, the external in-neighbour
 // child counts, the list of touched externals (for O(touched) reset),
@@ -220,45 +210,25 @@ func newGhostScratch(n int) *ghostScratch {
 // orderPartitions runs the greedy on every partition's ghost-extended
 // subgraph, up to `workers` at a time, and returns each partition's
 // ordered member sequence in global IDs. Results land in per-partition
-// slots, so the claim order does not affect the output.
+// slots, so the claim order does not affect the output; each worker
+// reuses one ghostScratch. On failure the error of the lowest-indexed
+// failing partition is returned.
 func orderPartitions(ctx context.Context, g *graph.Graph, opt Options, workers int, parts [][]graph.NodeID) ([][]graph.NodeID, error) {
-	workers = resolveWorkers(workers)
-	if workers > len(parts) {
-		workers = len(parts)
-	}
 	ordered := make([][]graph.NodeID, len(parts))
-	var firstErr error
-	var errMu sync.Mutex
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := newGhostScratch(g.NumNodes())
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(parts) || ctx.Err() != nil {
-					return
-				}
-				out, err := orderOnePartition(ctx, g, opt, parts[i], sc)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					return
-				}
-				ordered[i] = out
-			}
-		}()
+	errs := make([]error, len(parts))
+	scratch := make([]*ghostScratch, min(par.Workers(workers), len(parts)))
+	err := par.ForChunks(ctx, workers, len(parts), func(i, w int) {
+		if scratch[w] == nil {
+			scratch[w] = newGhostScratch(g.NumNodes())
+		}
+		ordered[i], errs[i] = orderOnePartition(ctx, g, opt, parts[i], scratch[w])
+	})
+	for _, perr := range errs {
+		if perr != nil {
+			return nil, perr
+		}
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return ordered, nil

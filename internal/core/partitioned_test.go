@@ -218,8 +218,8 @@ func TestParallelSmokeMidSize(t *testing.T) {
 func TestPartitionedQualityDefault(t *testing.T) {
 	g := gen.Web(4000, gen.DefaultWeb, 6)
 	w := DefaultWindow
-	exact := WindowScore(g, Order(g), w)
-	part := WindowScore(g, OrderPartitioned(g, Options{}, PartitionedOptions{}), w)
+	exact := order.Score(g, Order(g), w)
+	part := order.Score(g, OrderPartitioned(g, Options{}, PartitionedOptions{}), w)
 	if float64(part) < 0.8*float64(exact) {
 		t.Errorf("default partitioned F=%d below 80%% of exact %d", part, exact)
 	}

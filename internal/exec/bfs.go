@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"gorder/internal/graph"
+	"gorder/internal/par"
 )
 
 // The standard switching heuristics (Beamer et al.): go bottom-up
@@ -78,13 +79,13 @@ func DOBFS(ctx context.Context, g *graph.Graph, src graph.NodeID, workers int, s
 		if bottomUp {
 			span = n
 		}
-		chunks := ChunksFor(span)
+		chunks := par.Chunks(span)
 		var tail, edges atomic.Int64
-		if err := forChunks(ctx, workers, chunks, func(c int) {
+		if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
 			var block [frontierBlock]graph.NodeID
 			found := block[:0]
 			var deg int64
-			lo, hi := ChunkRange(span, chunks, c)
+			lo, hi := par.Range(span, chunks, c)
 			if bottomUp {
 				for v := lo; v < hi; v++ {
 					if dist[v] != unvisited {

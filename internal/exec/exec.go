@@ -8,8 +8,9 @@
 // locality instead of destroying it (PriorityGraph/GraphIt, arXiv
 // 1911.07260; Faldu et al., arXiv 2001.08448).
 //
-// Every kernel in this package follows the contract the parallel
-// orderings in internal/order established:
+// Every kernel in this package runs on internal/par's chunk grid and
+// fan-out and follows the contract the parallel orderings in
+// internal/order established:
 //
 //   - workers sets the goroutine count (<= 0 selects GOMAXPROCS) and
 //     never changes the result: PageRank fixes the summation order per
@@ -24,92 +25,7 @@
 //     the first cancellation aborts with ctx.Err() and a nil result.
 package exec
 
-import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"gorder/internal/graph"
-)
-
-// gridChunkTarget is the fixed upper bound on the chunk grid, shared
-// with internal/order's parallel family: a constant (not a function of
-// the worker count) so chunk boundaries — and therefore any
-// order-sensitive intermediate state — are machine-independent. 256
-// chunks keep every core busy far past the core counts we target while
-// amortizing the per-chunk claim overhead.
-const gridChunkTarget = 256
-
-// ChunksFor returns the chunk count for an input of the given size:
-// gridChunkTarget, shrunk so no chunk is empty, and at least 1.
-func ChunksFor(total int) int {
-	chunks := gridChunkTarget
-	if total < chunks {
-		chunks = total
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	return chunks
-}
-
-// ChunkRange returns the half-open [lo, hi) range of chunk c in an
-// even split of total items over the grid — one contiguous window of
-// the current ordering.
-func ChunkRange(total, chunks, c int) (lo, hi int) {
-	return c * total / chunks, (c + 1) * total / chunks
-}
-
-// resolveWorkers maps the public workers knob to a goroutine count.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// forChunks runs fn(c) for every chunk index in [0, chunks) on up to
-// `workers` goroutines. Chunks are claimed from a shared counter, so
-// scheduling is dynamic (a straggler chunk never idles the other
-// workers) but fn must only write state owned by its chunk. ctx is
-// polled before each claimed chunk; once it is done the remaining
-// chunks are skipped and ctx.Err() is returned.
-func forChunks(ctx context.Context, workers, chunks int, fn func(c int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	workers = resolveWorkers(workers)
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for c := 0; c < chunks; c++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(c)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks || ctx.Err() != nil {
-					return
-				}
-				fn(c)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
+import "gorder/internal/graph"
 
 // Scratch holds the reusable buffers the kernels borrow between
 // calls: the frontier pair, relaxation request lists, and PageRank's

@@ -317,25 +317,3 @@ func TestDeltaSteppingNegativeWeight(t *testing.T) {
 		t.Fatal("negative weight must error")
 	}
 }
-
-// The chunk grid must cover [0, total) exactly: contiguous,
-// non-overlapping, machine-independent.
-func TestChunkGridCoverage(t *testing.T) {
-	for _, total := range []int{0, 1, 5, 255, 256, 257, 1000, 65536} {
-		chunks := ChunksFor(total)
-		prev := 0
-		for c := 0; c < chunks; c++ {
-			lo, hi := ChunkRange(total, chunks, c)
-			if lo != prev {
-				t.Fatalf("total %d chunk %d: lo %d, want %d", total, c, lo, prev)
-			}
-			if total > 0 && chunks == gridChunkTarget && hi <= lo {
-				t.Fatalf("total %d chunk %d empty", total, c)
-			}
-			prev = hi
-		}
-		if prev != total {
-			t.Fatalf("total %d: grid covers %d", total, prev)
-		}
-	}
-}

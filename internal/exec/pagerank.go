@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"gorder/internal/graph"
+	"gorder/internal/par"
 )
 
 // PageRank runs the pull-mode power iteration over `workers`
@@ -51,10 +52,10 @@ func PageRank(ctx context.Context, g *graph.Graph, iters int, damping float64, w
 
 	inIdx := g.InIndex()
 	inAdj := g.InAdjacency()
-	chunks := ChunksFor(n)
+	chunks := par.Chunks(n)
 	for it := 0; it < iters; it++ {
-		if err := forChunks(ctx, workers, chunks, func(c int) {
-			lo, hi := ChunkRange(n, chunks, c)
+		if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+			lo, hi := par.Range(n, chunks, c)
 			for u := lo; u < hi; u++ {
 				contrib[u] = rank[u] * invDeg[u]
 			}
@@ -68,8 +69,8 @@ func PageRank(ctx context.Context, g *graph.Graph, iters int, damping float64, w
 			danglingMass += rank[u]
 		}
 		base := (1-damping)/float64(n) + damping*danglingMass/float64(n)
-		if err := forChunks(ctx, workers, chunks, func(c int) {
-			lo, hi := ChunkRange(n, chunks, c)
+		if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+			lo, hi := par.Range(n, chunks, c)
 			for v := lo; v < hi; v++ {
 				sum := 0.0
 				for _, u := range inAdj[inIdx[v]:inIdx[v+1]] {

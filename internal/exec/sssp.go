@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"gorder/internal/graph"
+	"gorder/internal/par"
 )
 
 // Infinity marks unreachable vertices in weighted distance arrays,
@@ -105,7 +106,7 @@ func DeltaStepping(ctx context.Context, g *graph.Graph, weights []int32, src gra
 			if len(frontier) == 0 {
 				break
 			}
-			chunks := ChunksFor(len(frontier))
+			chunks := par.Chunks(len(frontier))
 			if cap(sc.relax) < chunks {
 				sc.relax = make([]relaxList, chunks)
 			}
@@ -114,8 +115,8 @@ func DeltaStepping(ctx context.Context, g *graph.Graph, weights []int32, src gra
 				sc.relax[c] = sc.relax[c][:0]
 			}
 			relax := sc.relax
-			if err := forChunks(ctx, workers, chunks, func(c int) {
-				clo, chi := ChunkRange(len(frontier), chunks, c)
+			if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+				clo, chi := par.Range(len(frontier), chunks, c)
 				buf := relax[c]
 				for _, u := range frontier[clo:chi] {
 					du := atomic.LoadInt64(&dist[u])

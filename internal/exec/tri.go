@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"gorder/internal/graph"
+	"gorder/internal/par"
 )
 
 // TriangleCount counts the triangles of the undirected view of g with
@@ -52,12 +53,12 @@ func TriangleCount(ctx context.Context, g *graph.Graph, workers int, sc *Scratch
 		}
 	}
 
-	chunks := ChunksFor(n)
+	chunks := par.Chunks(n)
 
 	// Pass 1: count each vertex's higher-rank neighbours.
 	fwdIdx := make([]int64, n+1)
-	if err := forChunks(ctx, workers, chunks, func(c int) {
-		lo, hi := ChunkRange(n, chunks, c)
+	if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+		lo, hi := par.Range(n, chunks, c)
 		for v := lo; v < hi; v++ {
 			cnt := int64(0)
 			for _, w := range u.OutNeighbors(graph.NodeID(v)) {
@@ -78,8 +79,8 @@ func TriangleCount(ctx context.Context, g *graph.Graph, workers int, sc *Scratch
 	// Pass 2: fill each vertex's slot (exclusively owned by its chunk)
 	// and sort it by rank, matching the serial forward lists.
 	fwdAdj := make([]graph.NodeID, fwdIdx[n])
-	if err := forChunks(ctx, workers, chunks, func(c int) {
-		lo, hi := ChunkRange(n, chunks, c)
+	if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+		lo, hi := par.Range(n, chunks, c)
 		for v := lo; v < hi; v++ {
 			at := fwdIdx[v]
 			for _, w := range u.OutNeighbors(graph.NodeID(v)) {
@@ -96,8 +97,8 @@ func TriangleCount(ctx context.Context, g *graph.Graph, workers int, sc *Scratch
 
 	// Count: per-chunk partial sums, exact integer reduce in chunk order.
 	partial := make([]int64, chunks)
-	if err := forChunks(ctx, workers, chunks, func(c int) {
-		lo, hi := ChunkRange(n, chunks, c)
+	if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+		lo, hi := par.Range(n, chunks, c)
 		var t int64
 		for v := lo; v < hi; v++ {
 			fv := fwdAdj[fwdIdx[v]:fwdIdx[v+1]]

@@ -1,8 +1,11 @@
 package graph
 
 import (
+	"context"
 	"fmt"
 	"slices"
+
+	"gorder/internal/par"
 )
 
 // Edge is a directed edge used when constructing a Graph.
@@ -65,12 +68,12 @@ func validateShards(n int, shards [][]Edge, workers int) {
 		ok bool
 	}
 	found := make([]bad, workers)
-	runParallel(workers, func(w int) {
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
 		for _, sh := range shards {
-			lo, hi := span(len(sh), workers, w)
+			lo, hi := par.Range(len(sh), workers, c)
 			for _, e := range sh[lo:hi] {
 				if int(e.From) >= n || int(e.To) >= n {
-					found[w] = bad{e, true}
+					found[c] = bad{e, true}
 					return
 				}
 			}
@@ -132,8 +135,8 @@ func buildCSRSerial(n int, shards [][]Edge, reverse, dedup bool) (idx []int64, a
 // produces, and the final sort pass yields identical arrays.
 func buildCSRParallel(n int, shards [][]Edge, reverse, dedup bool, workers int) (idx []int64, adj []NodeID) {
 	idx = make([]int64, n+1)
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		vlo, vhi := NodeID(lo), NodeID(hi)
 		for _, sh := range shards {
 			for _, e := range sh {
@@ -153,8 +156,8 @@ func buildCSRParallel(n int, shards [][]Edge, reverse, dedup bool, workers int) 
 	adj = make([]NodeID, idx[n])
 	cursor := make([]int64, n)
 	copy(cursor, idx[:n])
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		vlo, vhi := NodeID(lo), NodeID(hi)
 		for _, sh := range shards {
 			for _, e := range sh {
@@ -169,8 +172,8 @@ func buildCSRParallel(n int, shards [][]Edge, reverse, dedup bool, workers int) 
 			}
 		}
 	})
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		sortAdjacency(idx, adj, lo, hi)
 	})
 	if !dedup {
@@ -218,8 +221,8 @@ func dedupAdjacency(n int, idx []int64, adj []NodeID) ([]int64, []NodeID) {
 // partitioned by vertex range.
 func dedupAdjacencyParallel(n int, idx []int64, adj []NodeID, workers int) ([]int64, []NodeID) {
 	newIdx := make([]int64, n+1)
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		for u := lo; u < hi; u++ {
 			lst := adj[idx[u]:idx[u+1]]
 			uniq := int64(0)
@@ -235,8 +238,8 @@ func dedupAdjacencyParallel(n int, idx []int64, adj []NodeID, workers int) ([]in
 		newIdx[i+1] += newIdx[i]
 	}
 	out := make([]NodeID, newIdx[n])
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		for u := lo; u < hi; u++ {
 			lst := adj[idx[u]:idx[u+1]]
 			pos := newIdx[u]
@@ -259,13 +262,13 @@ func dedupAdjacencyParallel(n int, idx []int64, adj []NodeID, workers int) ([]in
 // needed to restore the package invariant.
 func fromCSR(n int, outIdx []int64, outAdj []NodeID) *Graph {
 	workers := csrWorkers(int64(len(outAdj)))
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		sortAdjacency(outIdx, outAdj, lo, hi)
 	})
 	inIdx := make([]int64, n+1)
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		vlo, vhi := NodeID(lo), NodeID(hi)
 		for _, v := range outAdj {
 			if v >= vlo && v < vhi {
@@ -281,8 +284,8 @@ func fromCSR(n int, outIdx []int64, outAdj []NodeID) *Graph {
 	copy(cursor, inIdx[:n])
 	// Scatter scans sources in ascending order, so each in-neighbour
 	// list comes out already sorted — no sort pass needed.
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		vlo, vhi := NodeID(lo), NodeID(hi)
 		for u := 0; u < n; u++ {
 			for _, v := range outAdj[outIdx[u]:outIdx[u+1]] {
@@ -308,8 +311,8 @@ func (g *Graph) Undirected() *Graph {
 	n := g.n
 	workers := csrWorkers(2 * int64(len(g.outAdj)))
 	idx := make([]int64, n+1)
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		var buf []NodeID
 		for u := lo; u < hi; u++ {
 			buf = unionSorted(buf[:0], g.OutNeighbors(NodeID(u)), g.InNeighbors(NodeID(u)))
@@ -320,8 +323,8 @@ func (g *Graph) Undirected() *Graph {
 		idx[i+1] += idx[i]
 	}
 	adj := make([]NodeID, idx[n])
-	runParallel(workers, func(w int) {
-		lo, hi := span(n, workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(n, workers, c)
 		for u := lo; u < hi; u++ {
 			dst := adj[idx[u]:idx[u]:idx[u+1]]
 			unionSorted(dst, g.OutNeighbors(NodeID(u)), g.InNeighbors(NodeID(u)))

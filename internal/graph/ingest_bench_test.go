@@ -77,8 +77,8 @@ func BenchmarkReadEdgeList(b *testing.B) {
 	benchSetup(b)
 	for _, k := range benchParallelisms() {
 		b.Run(benchLabel(k), func(b *testing.B) {
-			SetIngestParallelism(k)
-			defer SetIngestParallelism(0)
+			forcedWorkers = k
+			defer func() { forcedWorkers = 0 }()
 			b.SetBytes(int64(len(benchIngest.text)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -95,8 +95,8 @@ func BenchmarkFromEdges(b *testing.B) {
 	benchSetup(b)
 	for _, k := range benchParallelisms() {
 		b.Run(benchLabel(k), func(b *testing.B) {
-			SetIngestParallelism(k)
-			defer SetIngestParallelism(0)
+			forcedWorkers = k
+			defer func() { forcedWorkers = 0 }()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -110,8 +110,8 @@ func BenchmarkReadBinary(b *testing.B) {
 	benchSetup(b)
 	for _, k := range benchParallelisms() {
 		b.Run("direct-"+benchLabel(k), func(b *testing.B) {
-			SetIngestParallelism(k)
-			defer SetIngestParallelism(0)
+			forcedWorkers = k
+			defer func() { forcedWorkers = 0 }()
 			b.SetBytes(int64(len(benchIngest.bin)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -126,8 +126,8 @@ func BenchmarkReadBinary(b *testing.B) {
 	// reference: decode, materialize an []Edge, rebuild both CSR
 	// directions from scratch.
 	b.Run("via-edges-reference", func(b *testing.B) {
-		SetIngestParallelism(1)
-		defer SetIngestParallelism(0)
+		forcedWorkers = 1
+		defer func() { forcedWorkers = 0 }()
 		b.SetBytes(int64(len(benchIngest.bin)))
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,8 @@ import (
 	"io"
 	"math"
 	"sync/atomic"
+
+	"gorder/internal/par"
 )
 
 // The datasets the paper downloads come as whitespace-separated edge
@@ -19,7 +22,7 @@ import (
 // Both loaders are parallel by default: the edge list is split into
 // line-aligned chunks parsed on ingestWorkers() goroutines, and the
 // binary format feeds its decoded CSR straight to fromCSR. See
-// parallel.go for the worker-count knob and serial fallback rules.
+// parallel.go for the worker-count and serial fallback rules.
 
 // ReadEdgeList parses a text edge list. Lines starting with '#' or '%'
 // are comments; blank lines are skipped. The vertex count is
@@ -168,14 +171,14 @@ func parseBlock(data []byte, workers int) (shards [][]Edge, maxID int64, lines, 
 		errLine int // chunk-local line number of err
 	}
 	chunks := make([]chunkResult, len(starts))
-	runParallel(len(starts), func(w int) {
-		c := &chunks[w]
+	par.ForChunks(context.Background(), len(starts), len(starts), func(i, _ int) {
+		c := &chunks[i]
 		c.maxID = -1
 		end := len(data)
-		if w+1 < len(starts) {
-			end = starts[w+1]
+		if i+1 < len(starts) {
+			end = starts[i+1]
 		}
-		part := data[starts[w]:end]
+		part := data[starts[i]:end]
 		c.edges = make([]Edge, 0, len(part)/16+1)
 		for len(part) > 0 {
 			var line []byte
@@ -386,8 +389,8 @@ func readBinaryPayload(b []byte) (*Graph, error) {
 	var badNeighbor atomic.Int64
 	badNeighbor.Store(-1)
 	workers := csrWorkers(m)
-	runParallel(workers, func(w int) {
-		lo, hi := span(int(m), workers, w)
+	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+		lo, hi := par.Range(int(m), workers, c)
 		for i := lo; i < hi; i++ {
 			v := binary.LittleEndian.Uint32(b[i*4:])
 			if int64(v) >= n {

@@ -1,15 +1,15 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "gorder/internal/par"
 
 // Ingestion — edge-list parsing, CSR construction, the binary loader,
-// and Undirected — fans out across GOMAXPROCS workers by default. The
-// parallel paths are bit-identical to the serial ones: same CSR
-// arrays, same sorted neighbour lists, so downstream orderings and
+// and Undirected — fans out across GOMAXPROCS workers by default. Each
+// pass calls par.ForChunks with one contiguous chunk per worker
+// (chunks == workers): the CSR builder's passes scan every shard once
+// per chunk, so a finer grid would multiply their O(workers·m) scan
+// cost. The passes run under context.Background, so ForChunks cannot
+// fail. The parallel paths are bit-identical to the serial ones: same
+// CSR arrays, same sorted neighbour lists, so downstream orderings and
 // tests cannot tell them apart. The serial code is kept as the oracle
 // and is used automatically for small inputs, where goroutine fan-out
 // costs more than it saves.
@@ -23,70 +23,28 @@ const (
 	serialByteCutoff = 1 << 16
 )
 
-// ingestParallelism is the configured worker count; 0 means automatic
-// (GOMAXPROCS with the small-input cutoffs above).
-var ingestParallelism atomic.Int32
+// forcedWorkers, when positive, pins the ingest worker count and
+// bypasses the small-input cutoffs above. Only this package's tests and
+// benchmarks set it, to exercise the parallel paths (and the serial
+// oracle) on any machine.
+var forcedWorkers int
 
-// SetIngestParallelism sets the worker count used by ReadEdgeList,
-// FromEdges, ReadBinary, and Undirected. k == 0 restores the default:
-// GOMAXPROCS workers, with small inputs handled serially. k == 1
-// forces the serial reference path. k > 1 forces exactly k workers
-// even for inputs below the serial cutoffs, which is how the tests
-// exercise the parallel code on any machine.
-func SetIngestParallelism(k int) {
-	if k < 0 {
-		k = 0
-	}
-	ingestParallelism.Store(int32(k))
-}
-
-// IngestParallelism reports the configured worker count (0 = automatic).
-func IngestParallelism() int { return int(ingestParallelism.Load()) }
-
-// ingestWorkers resolves the effective worker count. forced reports
-// that the count was set explicitly with SetIngestParallelism, which
-// bypasses the small-input serial cutoffs.
+// ingestWorkers resolves the effective worker count: forcedWorkers if
+// set (forced reports that), else par.Workers(0) — GOMAXPROCS.
 func ingestWorkers() (workers int, forced bool) {
-	if k := ingestParallelism.Load(); k > 0 {
-		return int(k), true
+	if forcedWorkers > 0 {
+		return forcedWorkers, true
 	}
-	return runtime.GOMAXPROCS(0), false
+	return par.Workers(0), false
 }
 
 // csrWorkers picks the worker count for a CSR-construction pass over m
-// edges: 1 (serial) unless the input is big enough or the caller
-// forced a count.
+// edges: 1 (serial) unless the input is big enough or the count is
+// forced.
 func csrWorkers(m int64) int {
 	workers, forced := ingestWorkers()
 	if workers <= 1 || (!forced && m < serialEdgeCutoff) {
 		return 1
 	}
 	return workers
-}
-
-// runParallel runs fn(w) for w in [0, workers) on that many goroutines
-// and waits for all of them. workers <= 1 runs inline.
-func runParallel(workers int, fn func(w int)) {
-	if workers <= 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			fn(w)
-		}()
-	}
-	fn(0)
-	wg.Wait()
-}
-
-// span returns the w-th of `workers` near-equal contiguous half-open
-// ranges covering [0, n).
-func span(n, workers, w int) (lo, hi int) {
-	lo = int(int64(n) * int64(w) / int64(workers))
-	hi = int(int64(n) * int64(w+1) / int64(workers))
-	return lo, hi
 }

@@ -21,8 +21,8 @@ func sameGraph(g, h *Graph) bool {
 // withParallelism runs fn with the ingest worker count forced to k and
 // restores the automatic default afterwards.
 func withParallelism(k int, fn func()) {
-	SetIngestParallelism(k)
-	defer SetIngestParallelism(0)
+	forcedWorkers = k
+	defer func() { forcedWorkers = 0 }()
 	fn()
 }
 
@@ -42,22 +42,6 @@ func messyEdges(rng *rand.Rand, n, m int) []Edge {
 		}
 	}
 	return edges
-}
-
-func TestSetIngestParallelism(t *testing.T) {
-	defer SetIngestParallelism(0)
-	SetIngestParallelism(7)
-	if got := IngestParallelism(); got != 7 {
-		t.Fatalf("IngestParallelism() = %d, want 7", got)
-	}
-	SetIngestParallelism(-3)
-	if got := IngestParallelism(); got != 0 {
-		t.Fatalf("negative parallelism should clamp to automatic, got %d", got)
-	}
-	w, forced := ingestWorkers()
-	if forced || w != runtime.GOMAXPROCS(0) {
-		t.Fatalf("automatic workers = (%d, forced=%v), want (%d, false)", w, forced, runtime.GOMAXPROCS(0))
-	}
 }
 
 // The parallel CSR builder must be bit-identical to the serial oracle
@@ -116,10 +100,9 @@ func TestShardedBuildMatchesFlat(t *testing.T) {
 }
 
 func TestOutOfRangePanicsParallel(t *testing.T) {
-	defer SetIngestParallelism(0)
-	SetIngestParallelism(4)
+	forcedWorkers = 4
 	defer func() {
-		SetIngestParallelism(0)
+		forcedWorkers = 0
 		if recover() == nil {
 			t.Error("expected panic on out-of-range edge under forced parallelism")
 		}

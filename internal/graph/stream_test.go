@@ -152,8 +152,8 @@ func TestSniffBinary(t *testing.T) {
 
 // TestStreamParallelWorkers forces the sharded path inside each block.
 func TestStreamParallelWorkers(t *testing.T) {
-	SetIngestParallelism(4)
-	defer SetIngestParallelism(0)
+	forcedWorkers = 4
+	defer func() { forcedWorkers = 0 }()
 	data := randomEdgeList(2, 300, 2000)
 	want, err := readEdgeListSerial(data)
 	if err != nil {

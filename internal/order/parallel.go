@@ -2,104 +2,29 @@ package order
 
 import (
 	"context"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"gorder/internal/graph"
+	"gorder/internal/par"
 )
 
 // Lightweight *parallel* reordering machinery. Every ordering in this
 // file follows the same contract:
 //
 //   - workers sets the number of goroutines (<= 0 selects GOMAXPROCS)
-//     and NEVER affects the result: work is divided over a fixed chunk
-//     grid whose geometry depends only on the input size, per-chunk
-//     results land in per-chunk slots, and cross-chunk combination is
-//     either commutative (atomic min) or an exact prefix sum — so the
-//     permutation is bit-identical at any worker count and GOMAXPROCS.
+//     and NEVER affects the result: work is divided over internal/par's
+//     fixed chunk grid, whose geometry depends only on the input size;
+//     per-chunk results land in per-chunk slots, and cross-chunk
+//     combination is either commutative (atomic min) or an exact
+//     prefix sum — so the permutation is bit-identical at any worker
+//     count and GOMAXPROCS.
 //   - ctx is checked between chunks; the first cancellation aborts the
 //     computation with ctx.Err() and a nil permutation.
 //
 // This determinism is what lets the artifact cache treat the worker
 // count as an execution detail rather than part of the cache key, and
 // it is pinned by TestParallelOrderingsDeterministic.
-
-// gridChunkTarget is the fixed upper bound on the parallel chunk grid.
-// It is a constant (not a function of the worker count) so the chunk
-// boundaries — and therefore the output — are machine-independent;
-// 256 chunks keep every core busy up to far more cores than we target
-// while staying coarse enough that the per-chunk overhead vanishes.
-const gridChunkTarget = 256
-
-// gridFor returns the chunk count for an input of the given size:
-// gridChunkTarget, shrunk so no chunk is empty, and at least 1.
-func gridFor(total int) int {
-	chunks := gridChunkTarget
-	if total < chunks {
-		chunks = total
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	return chunks
-}
-
-// chunkRange returns the half-open [lo, hi) range of chunk c in an
-// even split of total items over the grid.
-func chunkRange(total, chunks, c int) (lo, hi int) {
-	return c * total / chunks, (c + 1) * total / chunks
-}
-
-// resolveWorkers maps the public workers knob to a goroutine count.
-func resolveWorkers(workers int) int {
-	if workers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return workers
-}
-
-// forChunks runs fn(c) for every chunk index in [0, chunks) on up to
-// `workers` goroutines. Chunks are claimed from a shared counter, so
-// scheduling is nondeterministic but fn must only write per-chunk
-// state. ctx is polled before each claimed chunk; once it is done the
-// remaining chunks are skipped and ctx.Err() is returned.
-func forChunks(ctx context.Context, workers, chunks int, fn func(c int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	workers = resolveWorkers(workers)
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		for c := 0; c < chunks; c++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(c)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks || ctx.Err() != nil {
-					return
-				}
-				fn(c)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
 
 // BOBA computes the sort-free parallel ordering of arXiv 2306.10410
 // with default parallelism; see BOBACtx.
@@ -136,10 +61,10 @@ func BOBACtx(ctx context.Context, g *graph.Graph, workers int) (Permutation, err
 	for i := range first {
 		first[i] = sentinel
 	}
-	chunks := gridFor(m)
+	chunks := par.Chunks(m)
 	if m > 0 {
-		err := forChunks(ctx, workers, chunks, func(c int) {
-			lo, hi := chunkRange(m, chunks, c)
+		err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+			lo, hi := par.Range(m, chunks, c)
 			for i := lo; i < hi; i++ {
 				v := adj[i]
 				pos := int64(i)
@@ -157,8 +82,8 @@ func BOBACtx(ctx context.Context, g *graph.Graph, workers int) (Permutation, err
 	}
 	locals := make([][]graph.NodeID, chunks)
 	if m > 0 {
-		err := forChunks(ctx, workers, chunks, func(c int) {
-			lo, hi := chunkRange(m, chunks, c)
+		err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+			lo, hi := par.Range(m, chunks, c)
 			var buf []graph.NodeID
 			for i := lo; i < hi; i++ {
 				if v := adj[i]; first[v] == int64(i) {
@@ -191,10 +116,10 @@ func splitHotCold(ctx context.Context, g *graph.Graph, workers int) (hot, cold [
 	n := g.NumNodes()
 	avg := float64(g.NumEdges()) / float64(n)
 	inIdx := g.InIndex()
-	chunks := gridFor(n)
+	chunks := par.Chunks(n)
 	hotCount := make([]int, chunks)
-	if err := forChunks(ctx, workers, chunks, func(c int) {
-		lo, hi := chunkRange(n, chunks, c)
+	if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+		lo, hi := par.Range(n, chunks, c)
 		cnt := 0
 		for v := lo; v < hi; v++ {
 			if float64(inIdx[v+1]-inIdx[v]) > avg {
@@ -218,12 +143,12 @@ func splitHotCold(ctx context.Context, g *graph.Graph, workers int) (hot, cold [
 	h, cd := 0, 0
 	for c := 0; c < chunks; c++ {
 		hotOff[c], coldOff[c] = h, cd
-		lo, hi := chunkRange(n, chunks, c)
+		lo, hi := par.Range(n, chunks, c)
 		h += hotCount[c]
 		cd += (hi - lo) - hotCount[c]
 	}
-	if err := forChunks(ctx, workers, chunks, func(c int) {
-		lo, hi := chunkRange(n, chunks, c)
+	if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+		lo, hi := par.Range(n, chunks, c)
 		ho, co := hotOff[c], coldOff[c]
 		for v := lo; v < hi; v++ {
 			if float64(inIdx[v+1]-inIdx[v]) > avg {
@@ -323,10 +248,10 @@ func DBGCtx(ctx context.Context, g *graph.Graph, workers int) (Permutation, erro
 		avg = 1
 	}
 	inIdx := g.InIndex()
-	chunks := gridFor(n)
+	chunks := par.Chunks(n)
 	counts := make([][dbgClassCount]int, chunks)
-	if err := forChunks(ctx, workers, chunks, func(c int) {
-		lo, hi := chunkRange(n, chunks, c)
+	if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+		lo, hi := par.Range(n, chunks, c)
 		var cnt [dbgClassCount]int
 		for v := lo; v < hi; v++ {
 			cnt[dbgClass(float64(inIdx[v+1]-inIdx[v]), avg)]++
@@ -347,8 +272,8 @@ func DBGCtx(ctx context.Context, g *graph.Graph, workers int) (Permutation, erro
 		}
 	}
 	seq := make([]graph.NodeID, n)
-	if err := forChunks(ctx, workers, chunks, func(c int) {
-		lo, hi := chunkRange(n, chunks, c)
+	if err := par.ForChunks(ctx, workers, chunks, func(c, _ int) {
+		lo, hi := par.Range(n, chunks, c)
 		off := offsets[c]
 		for v := lo; v < hi; v++ {
 			k := dbgClass(float64(inIdx[v+1]-inIdx[v]), avg)

@@ -1,8 +1,8 @@
 // Package registry is the single source of truth for the vertex
 // orderings and benchmark kernels the repo exposes. Every consumer —
-// the cmd/ tools via internal/cli, the experiment harness in
-// internal/bench, the gorderd service in internal/server, and the
-// public facade — resolves names through the catalogs here, so adding
+// the cmd/ tools, the experiment harness in internal/bench, the
+// gorderd service in internal/server, and the public facade —
+// resolves names through the catalogs here, so adding
 // an ordering or a kernel is one descriptor in one file and every
 // execution path (including cancellation and instrumentation) picks it
 // up for free.
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"gorder/internal/core"
@@ -391,7 +390,7 @@ func Names() []string {
 }
 
 // MethodNames returns the lowercase (CLI/API) spelling of every
-// canonical ordering name, sorted — the contract cli.MethodNames and
+// canonical ordering name, sorted — the contract the CLI flag help and
 // the server's advertised method list are defined by.
 func MethodNames() []string {
 	out := make([]string, len(orderings))
@@ -455,48 +454,9 @@ type Observation struct {
 	Placements int64
 }
 
-// Observer receives every Observation produced by Compute and
-// ComputeObserved.
-type Observer func(Observation)
-
-var (
-	obsMu     sync.Mutex
-	obsSeq    int
-	observers = map[int]Observer{}
-)
-
-// AddObserver registers fn to be called (synchronously) after every
-// ordering computation in the process. The returned function removes
-// the registration.
-func AddObserver(fn Observer) (remove func()) {
-	obsMu.Lock()
-	defer obsMu.Unlock()
-	obsSeq++
-	id := obsSeq
-	observers[id] = fn
-	return func() {
-		obsMu.Lock()
-		defer obsMu.Unlock()
-		delete(observers, id)
-	}
-}
-
-func notify(o Observation) {
-	obsMu.Lock()
-	fns := make([]Observer, 0, len(observers))
-	for _, fn := range observers {
-		fns = append(fns, fn)
-	}
-	obsMu.Unlock()
-	for _, fn := range fns {
-		fn(o)
-	}
-}
-
 // ComputeObserved resolves name, runs the ordering under ctx, and
 // returns the permutation together with the timing observation. This
-// is the one instrumented code path every consumer shares; the
-// observation is also delivered to registered observers.
+// is the one instrumented code path every consumer shares.
 func ComputeObserved(ctx context.Context, g *graph.Graph, name string, opt Options) (order.Permutation, Observation, error) {
 	desc, ok := Lookup(name)
 	if !ok {
@@ -507,9 +467,7 @@ func ComputeObserved(ctx context.Context, g *graph.Graph, name string, opt Optio
 	// method's queue-to-start latency even when the method itself
 	// cannot be interrupted (or is too small to hit a cancel check).
 	if err := ctx.Err(); err != nil {
-		obs := Observation{Ordering: desc.Name, Canceled: true, Err: err}
-		notify(obs)
-		return nil, obs, err
+		return nil, Observation{Ordering: desc.Name, Canceled: true, Err: err}, err
 	}
 	st := new(core.OrderStats)
 	ctx = core.WithOrderStats(ctx, st)
@@ -523,7 +481,6 @@ func ComputeObserved(ctx context.Context, g *graph.Graph, name string, opt Optio
 		HeapOps:    st.HeapOps(),
 		Placements: st.Placements(),
 	}
-	notify(obs)
 	return perm, obs, err
 }
 

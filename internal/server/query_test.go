@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +214,31 @@ func TestReadsNotBlockedByCompute(t *testing.T) {
 	}
 	for _, id := range jobs {
 		waitJob(t, ts, id)
+	}
+}
+
+// TestMaterializeFailureCounted: a whole-graph result that cannot be
+// persisted is still served, and /metrics counts the failed write.
+func TestMaterializeFailureCounted(t *testing.T) {
+	st := openTestStore(t)
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}, Store: st})
+	postGraph(t, ts, "ring", edgeListBytes(t, gen.Ring(64)))
+	if n, ok := metricsSnapshot(t, ts)["query_materialize_fails_total"]; !ok || n != 0 {
+		t.Fatalf("query_materialize_fails_total = %d (present %v), want 0", n, ok)
+	}
+
+	// Replace the results directory with a regular file: every result
+	// write now fails the way a full or read-only disk would.
+	results := filepath.Join(st.Dir(), "results")
+	if err := os.RemoveAll(results); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(results, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	postQuery(t, ts, query.Request{Graph: "ring", Kernel: "PR"}, http.StatusOK)
+	if n := metricsSnapshot(t, ts)["query_materialize_fails_total"]; n != 1 {
+		t.Fatalf("query_materialize_fails_total = %d after a failed result write, want 1", n)
 	}
 }
 

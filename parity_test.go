@@ -10,7 +10,6 @@ import (
 
 	"gorder"
 	"gorder/internal/bench"
-	"gorder/internal/cli"
 	"gorder/internal/registry"
 	"gorder/internal/server"
 	"gorder/internal/store"
@@ -19,12 +18,6 @@ import (
 // These tests pin every consumer's view of the method and kernel
 // catalogs to internal/registry, so a name added (or renamed) in one
 // layer but not the others fails loudly instead of drifting.
-
-func TestParityCLIMethodNames(t *testing.T) {
-	if got, want := cli.MethodNames(), registry.MethodNames(); !reflect.DeepEqual(got, want) {
-		t.Errorf("cli.MethodNames() = %v, want registry catalog %v", got, want)
-	}
-}
 
 func TestParityBenchContenders(t *testing.T) {
 	var got []string

@@ -111,6 +111,19 @@ if grep -nE 'flag\.[A-Za-z0-9]+\("[A-Za-z0-9-]+-json"' cmd/bench/*.go; then
     exit 1
 fi
 
+echo "==> one parallel runtime gate (chunk grid, worker rule and fan-out live in internal/par)"
+# The grid size, the range split, the worker-count rule and the
+# goroutine fan-out are one policy shared by the orderings, the kernel
+# engine, partitioned Gorder and ingest. A private copy in any of them
+# can drift from the rest and make a result depend on the worker count.
+if grep -rn --include='*.go' --exclude='*_test.go' \
+    -e 'gridChunkTarget' -e 'func forChunks' -e 'func resolveWorkers' \
+    -e 'func runParallel' -e 'sync\.WaitGroup' \
+    internal/order internal/exec internal/core internal/graph 2>/dev/null; then
+    echo "FAIL: parallel runtime outside internal/par" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -126,8 +139,8 @@ go test -race ./...
 echo "==> greedy parity under race (optimized loop == seed reference, bit for bit)"
 go test -race -run 'TestOrderOptimizedMatchesReference' -count=1 ./internal/core/
 
-echo "==> parallel kernel parity under race (exec == serial oracles, bit for bit, workers 1/2/4/8)"
-go test -race -count=1 ./internal/exec/
+echo "==> parallel runtime + kernel parity under race (par fan-out; exec == serial oracles, bit for bit, workers 1/2/4/8)"
+go test -race -count=1 ./internal/par/ ./internal/exec/
 
 echo "==> parallel ordering smoke under race (boba + gorder-partitioned, workers=4, mid-size web graph)"
 go test -race -count=1 -run 'TestParallelSmokeMidSize' ./internal/core/
@@ -136,8 +149,8 @@ echo "==> GOMAXPROCS=1 go test (serial ingest fallback + registry parity)"
 GOMAXPROCS=1 go test ./internal/graph/ ./internal/cli/ ./internal/server/ ./internal/registry/
 GOMAXPROCS=1 go test -run 'TestParity' .
 
-echo "==> GOMAXPROCS=1 kernel-engine pass (worker counts above core count stay bit-identical)"
-GOMAXPROCS=1 go test -count=1 ./internal/exec/
+echo "==> GOMAXPROCS=1 runtime + kernel-engine pass (worker counts above core count stay bit-identical)"
+GOMAXPROCS=1 go test -count=1 ./internal/par/ ./internal/exec/
 
 echo "==> GOMAXPROCS=1 parallel determinism pass (worker- and GOMAXPROCS-independent permutations)"
 GOMAXPROCS=1 go test -count=1 \
