@@ -252,7 +252,7 @@ func TestProfileReuseViaFacade(t *testing.T) {
 
 func TestParallelViaFacade(t *testing.T) {
 	g := gorder.NewWebGraph(2000, 8)
-	p := gorder.OrderParallel(g, gorder.Options{}, 4)
+	p := gorder.OrderPartitioned(g, gorder.Options{}, gorder.PartitionedOptions{Workers: 4, Partitions: 4})
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}

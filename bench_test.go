@@ -158,26 +158,6 @@ func BenchmarkKernelsByOrdering(b *testing.B) {
 
 // --- Ablations (design choices called out in DESIGN.md) ----------------
 
-// BenchmarkAblationQueue compares the paper's unit heap against a
-// lazy binary heap inside the Gorder greedy loop — the claim the unit
-// heap exists to support.
-func BenchmarkAblationQueue(b *testing.B) {
-	g := gorder.NewSocialGraph(20000, 5)
-	for _, cfg := range []struct {
-		name string
-		opt  gorder.Options
-	}{
-		{"unitheap", gorder.Options{}},
-		{"lazyheap", gorder.Options{UseLazyHeap: true}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gorder.OrderWithOptions(g, cfg.opt)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationHubSkip measures the hub-skip optimisation: the
 // sibling-score expansion through high-out-degree in-neighbours
 // dominates Gorder's cost on power-law graphs.

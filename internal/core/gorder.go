@@ -24,27 +24,6 @@ type Options struct {
 	// event, and a handful of hubs dominate the runtime while barely
 	// changing the ordering. Zero computes exact scores.
 	HubThreshold int
-	// UseLazyHeap replaces the unit heap with a lazy binary heap; the
-	// result is the same ordering (identical keys and tie-breaking is
-	// near-identical), but updates cost O(log n). Exposed for the
-	// ablation benchmark; this path runs the generic per-bump loop
-	// rather than the batched unit-heap specialisation.
-	UseLazyHeap bool
-}
-
-// maxQueue is the priority-queue contract the generic greedy loop
-// needs; both UnitHeap and lazyHeap satisfy it. The production path
-// does not dispatch through it: the unit-heap loop is specialised on
-// *UnitHeap (batched deltas, no interface calls), and this interface
-// survives for the UseLazyHeap ablation and the queue tests.
-type maxQueue interface {
-	Len() int
-	Contains(item int) bool
-	Key(item int) int32
-	Inc(item int)
-	Dec(item int)
-	Delete(item int)
-	ExtractMax() (item int, key int32, ok bool)
 }
 
 // cancelCheckInterval is how many vertex placements the greedy loop
@@ -77,22 +56,9 @@ func OrderWithCtx(ctx context.Context, g *graph.Graph, opt Options) (order.Permu
 	if n == 0 {
 		return order.Permutation{}, ctx.Err()
 	}
-	w := opt.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
-	var p order.Permutation
-	var heapOps, placements int64
-	var err error
-	if opt.UseLazyHeap {
-		p, heapOps, placements, err = orderGeneric(ctx, g, w, opt.HubThreshold, newLazyHeap(n))
-	} else {
-		p, heapOps, placements, err = orderUnitHeap(ctx, g, w, opt.HubThreshold)
-	}
-	if st := orderStatsFrom(ctx); st != nil {
-		st.add(heapOps, placements)
-	}
-	return p, err
+	seq := make([]graph.NodeID, 1, n)
+	seq[0] = graph.NodeID(startVertex(g))
+	return orderFrom(ctx, g, opt, seq)
 }
 
 // startVertex returns the vertex with maximum in-degree (the most
@@ -109,10 +75,17 @@ func startVertex(g *graph.Graph) int32 {
 	return start
 }
 
-// orderUnitHeap is the production greedy loop, specialised on the
-// concrete *UnitHeap and batched: instead of issuing one heap splice
-// per ±1 score bump, each placement accumulates net deltas in scratch
-// arrays and relocates every touched candidate once.
+// orderFrom is the greedy loop every Gorder ordering runs: it extends
+// seq, an already-placed prefix with capacity n, to a full sequence.
+// The prefix leaves the heap and its last w vertices prime the window
+// as plus-only steps; an empty prefix starts from the first
+// ExtractMax. OrderWithCtx passes the start vertex as the prefix and
+// OrderIncrementalCtx the compacted clean prefix of its base.
+//
+// The loop is specialised on the concrete *UnitHeap and batched:
+// instead of issuing one heap splice per ±1 score bump, each placement
+// accumulates net deltas in scratch arrays and relocates every touched
+// candidate once.
 //
 // The batching preserves the per-bump loop's permutation bit for bit,
 // which takes care, because a UnitHeap breaks ties by list position
@@ -131,54 +104,62 @@ func startVertex(g *graph.Graph) int32 {
 // (a hub placement can produce ~m bump events) falls back to
 // re-traversing its adjacency ranges in the same order, so the log
 // never grows and the loop performs no per-placement allocation.
-// TestOrderOptimizedMatchesReference holds the bit-for-bit equivalence
-// against the retained per-bump reference implementation.
-func orderUnitHeap(ctx context.Context, g *graph.Graph, w, hub int) (perm order.Permutation, heapOps, placements int64, err error) {
+// TestOrderOptimizedMatchesReference and TestIncrementalMatchesReference
+// hold the bit-for-bit equivalence against the per-bump oracles.
+//
+// The run adds its heap operations and its sequence length, prefix
+// included, to the context's OrderStats carrier, if one is attached.
+func orderFrom(ctx context.Context, g *graph.Graph, opt Options, seq []graph.NodeID) (order.Permutation, error) {
+	w := opt.Window
+	if w <= 0 {
+		w = DefaultWindow
+	}
 	n := g.NumNodes()
 	s := &greedyState{
 		h:      NewUnitHeap(n),
 		outIdx: g.OutIndex(), outAdj: g.OutAdjacency(),
 		inIdx: g.InIndex(), inAdj: g.InAdjacency(),
-		hub:    int64(hub),
+		hub:    int64(opt.HubThreshold),
 		delta:  make([]int32, n),
 		pc:     make([]int32, n),
 		mc:     make([]int32, n),
 		log:    make([]int32, 0, greedyLogCap),
 		logged: true,
 	}
+	if st := orderStatsFrom(ctx); st != nil {
+		defer func() { st.add(s.heapOps, int64(len(seq))) }()
+	}
 
-	seq := make([]graph.NodeID, 0, n)
-	start := startVertex(g)
-	s.h.Delete(int(start))
-	s.heapOps++
-	seq = append(seq, graph.NodeID(start))
+	for _, v := range seq {
+		s.h.Delete(int(v))
+		s.heapOps++
+	}
+	if len(seq) == 0 {
+		v, _, _ := s.h.ExtractMax()
+		s.heapOps++
+		seq = append(seq, graph.NodeID(v))
+	}
+	// Prime the window with the prefix's last w vertices; the last one
+	// enters it in the loop's first step. Only primed vertices (index
+	// >= lo) ever leave it.
+	p := len(seq)
+	lo := max(0, p-w)
+	for _, v := range seq[lo : p-1] {
+		s.slide(v, 0, false)
+	}
 
-	for i := 1; i < n; i++ {
-		if i%cancelCheckInterval == 0 {
+	for i := p; i < n; i++ {
+		if (i-p)%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, s.heapOps, int64(len(seq)), err
+				return nil, err
 			}
 		}
-		v := seq[i-1]
-		plusEnd := s.accumulate(v, false)
-		minusEnd := plusEnd
-		hasMinus := i-1 >= w
+		hasMinus := i-1-w >= lo
 		var ov graph.NodeID
 		if hasMinus {
 			ov = seq[i-1-w]
-			minusEnd = s.accumulate(ov, true)
 		}
-		if s.logged {
-			s.applyPlusLog(s.log[:plusEnd])
-			s.applyMinusLog(s.log[plusEnd:minusEnd])
-		} else {
-			s.applyPlusRescan(v)
-			if hasMinus {
-				s.applyMinusRescan(ov)
-			}
-		}
-		s.log = s.log[:0]
-		s.logged = true
+		s.slide(seq[i-1], ov, hasMinus)
 
 		next, _, ok := s.h.ExtractMax()
 		s.heapOps++
@@ -187,7 +168,7 @@ func orderUnitHeap(ctx context.Context, g *graph.Graph, w, hub int) (perm order.
 		}
 		seq = append(seq, graph.NodeID(next))
 	}
-	return order.FromSequence(seq), s.heapOps, int64(len(seq)), nil
+	return order.FromSequence(seq), nil
 }
 
 // greedyLogCap bounds the per-placement bump log: one preallocated
@@ -221,6 +202,29 @@ type greedyState struct {
 	logged bool
 
 	heapOps int64
+}
+
+// slide moves the window one step: v enters it (the +phase) and, when
+// hasMinus, ov leaves it (the -phase). Every touched candidate is
+// relocated once, at the position its last individual bump would have
+// left it.
+func (s *greedyState) slide(v, ov graph.NodeID, hasMinus bool) {
+	plusEnd := s.accumulate(v, false)
+	minusEnd := plusEnd
+	if hasMinus {
+		minusEnd = s.accumulate(ov, true)
+	}
+	if s.logged {
+		s.applyPlusLog(s.log[:plusEnd])
+		s.applyMinusLog(s.log[plusEnd:minusEnd])
+	} else {
+		s.applyPlusRescan(v)
+		if hasMinus {
+			s.applyMinusRescan(ov)
+		}
+	}
+	s.log = s.log[:0]
+	s.logged = true
 }
 
 // accumulate walks v's score contributions in the reference traversal
@@ -367,76 +371,6 @@ func (s *greedyState) applyMinusOne(u int32) {
 		s.heapOps++
 		s.delta[u] = 0
 	}
-}
-
-// applyQueue adds (inc) or removes (!inc) vertex v's score
-// contributions to every candidate still in q, one queue operation per
-// ±1 bump:
-//   - out-neighbours and in-neighbours of v gain Sn,
-//   - out-neighbours of v's in-neighbours gain Ss (one shared
-//     in-neighbour each).
-//
-// It returns the number of queue operations performed. This is the
-// generic (interface-dispatched) update the UseLazyHeap ablation runs;
-// the unit-heap production path uses the batched loop above.
-func applyQueue(g *graph.Graph, q maxQueue, hub int, v graph.NodeID, inc bool) int64 {
-	var ops int64
-	bump := func(u graph.NodeID) {
-		if q.Contains(int(u)) {
-			if inc {
-				q.Inc(int(u))
-			} else {
-				q.Dec(int(u))
-			}
-			ops++
-		}
-	}
-	for _, u := range g.OutNeighbors(v) {
-		bump(u)
-	}
-	for _, x := range g.InNeighbors(v) {
-		bump(x)
-		if hub > 0 && g.OutDegree(x) > hub {
-			continue
-		}
-		for _, u := range g.OutNeighbors(x) {
-			if u != v {
-				bump(u)
-			}
-		}
-	}
-	return ops
-}
-
-// orderGeneric is the greedy loop over the maxQueue interface — the
-// seed algorithm's shape, kept for the UseLazyHeap ablation where the
-// queue cannot relocate an item across several classes in one splice.
-func orderGeneric(ctx context.Context, g *graph.Graph, w, hub int, q maxQueue) (perm order.Permutation, heapOps, placements int64, err error) {
-	n := g.NumNodes()
-	seq := make([]graph.NodeID, 0, n)
-	start := startVertex(g)
-	q.Delete(int(start))
-	heapOps++
-	seq = append(seq, graph.NodeID(start))
-
-	for i := 1; i < n; i++ {
-		if i%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, heapOps, int64(len(seq)), err
-			}
-		}
-		heapOps += applyQueue(g, q, hub, seq[i-1], true)
-		if i-1 >= w {
-			heapOps += applyQueue(g, q, hub, seq[i-1-w], false)
-		}
-		v, _, ok := q.ExtractMax()
-		heapOps++
-		if !ok {
-			break
-		}
-		seq = append(seq, graph.NodeID(v))
-	}
-	return order.FromSequence(seq), heapOps, int64(len(seq)), nil
 }
 
 // MultilevelOrder runs Gorder on a coarsened graph and projects the

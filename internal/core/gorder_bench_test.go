@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -69,6 +70,65 @@ func BenchmarkOrderPartitioned(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(order.Score(g, p, opt.Window))/float64(exact), "F/exact")
+		})
+	}
+}
+
+// BenchmarkOrderIncremental measures OrderIncrementalCtx on the web1M
+// graph: appending 10 and 10k vertices to the exact ordering of the
+// rest, and a repair that re-places 20k random vertices. Every case
+// pays the greedy's O(n) heap setup; the large cases are dominated by
+// the re-placement itself.
+func BenchmarkOrderIncremental(b *testing.B) {
+	g := gen.Web(100000, gen.DefaultWeb, 0x90DE)
+	n := g.NumNodes()
+	full := OrderWith(g, Options{})
+	// prefixBase is full restricted to vertices 0..k-1: the ordering
+	// the graph had before vertices k..n-1 were appended.
+	prefixBase := func(k int) order.Permutation {
+		seq := make([]graph.NodeID, 0, k)
+		for _, v := range full.Sequence() {
+			if int(v) < k {
+				seq = append(seq, v)
+			}
+		}
+		return order.FromSequence(seq)
+	}
+	var dirty []graph.NodeID
+	for _, v := range gen.NewRNG(7).Perm(n)[:20000] {
+		dirty = append(dirty, graph.NodeID(v))
+	}
+	for _, c := range []struct {
+		name  string
+		base  order.Permutation
+		dirty []graph.NodeID
+	}{
+		{"append10", prefixBase(n - 10), nil},
+		{"append10k", prefixBase(n - 10000), nil},
+		{"repair20k", full, dirty},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := OrderIncrementalCtx(context.Background(), g, c.base, c.dirty, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAblationQueue compares the paper's unit heap against a lazy
+// binary heap inside the per-bump reference greedy, so the queue is
+// the only difference between the two runs — the claim the unit heap
+// exists to support.
+func BenchmarkAblationQueue(b *testing.B) {
+	g := gen.BarabasiAlbert(20000, 8, 5)
+	for _, q := range queueImpls {
+		b.Run(q.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				orderReference(g, Options{}, q.make(g.NumNodes()))
+			}
 		})
 	}
 }

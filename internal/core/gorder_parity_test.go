@@ -14,9 +14,9 @@ import (
 // optimized greedy (dense-index unit heap, batched per-placement
 // deltas, devirtualized loop) must return a permutation identical to
 // the seed per-bump implementation — not merely one of equal score —
-// across random graphs, the full window sweep, the hub ablation, and
-// both queue engines. Any tie-break drift in the batched relocation
-// order shows up here as a hard mismatch.
+// across random graphs, the full window sweep and the hub ablation.
+// Any tie-break drift in the batched relocation order shows up here as
+// a hard mismatch.
 func TestOrderOptimizedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	graphs := []*graph.Graph{
@@ -31,19 +31,17 @@ func TestOrderOptimizedMatchesReference(t *testing.T) {
 	for gi, g := range graphs {
 		for _, w := range []int{1, 2, 5, 8, 16} {
 			for _, hub := range []int{0, 4} {
-				for _, lazy := range []bool{false, true} {
-					opt := Options{Window: w, HubThreshold: hub, UseLazyHeap: lazy}
-					name := fmt.Sprintf("g%d/w=%d/hub=%d/lazy=%v", gi, w, hub, lazy)
-					want := orderReference(g, opt)
-					got := OrderWith(g, opt)
-					if len(got) != len(want) {
-						t.Fatalf("%s: length %d vs reference %d", name, len(got), len(want))
-					}
-					for v := range want {
-						if got[v] != want[v] {
-							t.Fatalf("%s: permutation diverges from reference at vertex %d: %d vs %d",
-								name, v, got[v], want[v])
-						}
+				opt := Options{Window: w, HubThreshold: hub}
+				name := fmt.Sprintf("g%d/w=%d/hub=%d", gi, w, hub)
+				want := orderReference(g, opt, NewUnitHeap(g.NumNodes()))
+				got := OrderWith(g, opt)
+				if len(got) != len(want) {
+					t.Fatalf("%s: length %d vs reference %d", name, len(got), len(want))
+				}
+				for v := range want {
+					if got[v] != want[v] {
+						t.Fatalf("%s: permutation diverges from reference at vertex %d: %d vs %d",
+							name, v, got[v], want[v])
 					}
 				}
 			}
@@ -51,10 +49,9 @@ func TestOrderOptimizedMatchesReference(t *testing.T) {
 	}
 }
 
-// The batched loop reports its work through the context stats carrier;
-// the generic per-bump loop of the reference performs one queue op per
-// bump, so the batched op count must be no larger (and for any window
-// above 1, strictly smaller on a non-trivial graph).
+// The batched loop reports its work through the context stats carrier:
+// every vertex is placed, and relocations plus extractions outnumber
+// the vertices on a non-trivial graph.
 func TestOrderStatsCarrier(t *testing.T) {
 	g := gen.Web(800, gen.DefaultWeb, 5)
 	var st OrderStats
@@ -68,21 +65,6 @@ func TestOrderStatsCarrier(t *testing.T) {
 	ops := st.HeapOps()
 	if ops <= int64(g.NumNodes()) {
 		t.Errorf("heap ops = %d, implausibly low for %d vertices", ops, g.NumNodes())
-	}
-
-	// The lazy path runs the per-bump generic loop: same placements,
-	// at least as many queue ops as the batched unit-heap loop.
-	var lazySt OrderStats
-	if _, err := OrderWithCtx(WithOrderStats(context.Background(), &lazySt), g,
-		Options{UseLazyHeap: true}); err != nil {
-		t.Fatal(err)
-	}
-	if lazySt.Placements() != int64(g.NumNodes()) {
-		t.Errorf("lazy placements = %d, want %d", lazySt.Placements(), g.NumNodes())
-	}
-	if lazySt.HeapOps() < ops {
-		t.Errorf("per-bump ops %d < batched ops %d; batching should not add ops",
-			lazySt.HeapOps(), ops)
 	}
 
 	// Without a carrier the context lookup is a no-op.

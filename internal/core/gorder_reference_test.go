@@ -7,11 +7,12 @@ import (
 
 // orderReference is the seed implementation of the Gorder greedy,
 // kept verbatim as the parity oracle: one interface-dispatched queue
-// operation per ±1 score bump, per-call closures and all. The
-// optimized production loop (batched deltas over the concrete
-// *UnitHeap) must reproduce its permutation bit for bit —
-// TestOrderOptimizedMatchesReference holds the two together.
-func orderReference(g *graph.Graph, opt Options) order.Permutation {
+// operation per ±1 score bump, per-call closures and all. q must hold
+// items 0..n-1 at key 0. Over a UnitHeap, the optimized production
+// loop (batched deltas over the concrete *UnitHeap) must reproduce its
+// permutation bit for bit — TestOrderOptimizedMatchesReference holds
+// the two together. Over a lazyHeap it is the queue ablation.
+func orderReference(g *graph.Graph, opt Options, q maxQueue) order.Permutation {
 	n := g.NumNodes()
 	if n == 0 {
 		return order.Permutation{}
@@ -19,12 +20,6 @@ func orderReference(g *graph.Graph, opt Options) order.Permutation {
 	w := opt.Window
 	if w <= 0 {
 		w = DefaultWindow
-	}
-	var q maxQueue
-	if opt.UseLazyHeap {
-		q = newLazyHeap(n)
-	} else {
-		q = NewUnitHeap(n)
 	}
 
 	seq := make([]graph.NodeID, 0, n)

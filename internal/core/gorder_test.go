@@ -51,8 +51,6 @@ func TestQuickOrderValid(t *testing.T) {
 		{Window: 1},
 		{Window: 8},
 		{HubThreshold: 3},
-		{UseLazyHeap: true},
-		{Window: 3, HubThreshold: 2, UseLazyHeap: true},
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -123,7 +121,7 @@ func TestOrderGreedyOptimalLazyHeap(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		n := 5 + rng.Intn(40)
 		g := randGraph(rng, n, 2*n+rng.Intn(3*n))
-		greedyOptimal(t, g, OrderWith(g, Options{Window: 4, UseLazyHeap: true}), 4)
+		greedyOptimal(t, g, orderReference(g, Options{Window: 4}, newLazyHeap(n)), 4)
 	}
 }
 

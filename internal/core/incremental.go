@@ -63,11 +63,6 @@ func OrderIncrementalCtx(ctx context.Context, g *graph.Graph, base order.Permuta
 	if k == 0 {
 		return OrderWithCtx(ctx, g, opt)
 	}
-	w := opt.Window
-	if w <= 0 {
-		w = DefaultWindow
-	}
-
 	// The re-placement set R: dirty old vertices plus every new vertex.
 	// mark[v] for old vertices only; new vertices are implicit.
 	mark := make([]bool, k)
@@ -78,84 +73,16 @@ func OrderIncrementalCtx(ctx context.Context, g *graph.Graph, base order.Permuta
 	}
 
 	// seq starts as the compacted clean prefix: base order with the
-	// dirty vertices' slots squeezed out.
+	// dirty vertices' slots squeezed out. The greedy re-places R after
+	// it, breaking ties by ascending vertex ID.
 	seq := make([]graph.NodeID, 0, n)
 	for _, v := range base.Sequence() {
 		if !mark[v] {
 			seq = append(seq, v)
 		}
 	}
-	frozen := len(seq)
-	if frozen == n {
+	if len(seq) == n {
 		return order.FromSequence(seq), ctx.Err()
 	}
-
-	// R in ascending vertex ID — the deterministic slot order the unit
-	// heap breaks ties by.
-	slot := make([]int32, n)
-	for i := range slot {
-		slot[i] = -1
-	}
-	r := make([]graph.NodeID, 0, n-frozen)
-	for v := 0; v < n; v++ {
-		if v >= k || mark[v] {
-			slot[v] = int32(len(r))
-			r = append(r, graph.NodeID(v))
-		}
-	}
-
-	q := NewUnitHeap(len(r))
-	apply := func(v graph.NodeID, delta int) {
-		bump := func(u graph.NodeID) {
-			if s := slot[u]; s >= 0 && q.Contains(int(s)) {
-				if delta > 0 {
-					q.Inc(int(s))
-				} else {
-					q.Dec(int(s))
-				}
-			}
-		}
-		for _, u := range g.OutNeighbors(v) {
-			bump(u)
-		}
-		for _, x := range g.InNeighbors(v) {
-			bump(x)
-			if opt.HubThreshold > 0 && g.OutDegree(x) > opt.HubThreshold {
-				continue
-			}
-			for _, u := range g.OutNeighbors(x) {
-				if u != v {
-					bump(u)
-				}
-			}
-		}
-	}
-	// Prime the window with the tail of the frozen prefix.
-	lo := frozen - w
-	if lo < 0 {
-		lo = 0
-	}
-	for _, v := range seq[lo:frozen] {
-		apply(v, +1)
-	}
-	seq = seq[:n]
-	for i := frozen; i < n; i++ {
-		if (i-frozen)%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if i > frozen {
-			apply(seq[i-1], +1)
-			if i-1-w >= 0 {
-				apply(seq[i-1-w], -1)
-			}
-		}
-		v, _, ok := q.ExtractMax()
-		if !ok {
-			break
-		}
-		seq[i] = r[v]
-	}
-	return order.FromSequence(seq), nil
+	return orderFrom(ctx, g, opt, seq)
 }

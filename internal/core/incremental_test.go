@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -314,5 +315,195 @@ func TestQuickIncrementalValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// orderIncrementalReference is the per-bump OrderIncrementalCtx the
+// batched loop replaced, kept verbatim as the parity oracle: a private
+// UnitHeap over the re-placement set R (slots in ascending vertex ID)
+// and one Inc or Dec per ±1 score bump.
+func orderIncrementalReference(ctx context.Context, g *graph.Graph, base order.Permutation, dirty []graph.NodeID, opt Options) (order.Permutation, error) {
+	n := g.NumNodes()
+	k := len(base)
+	if k > n {
+		return nil, fmt.Errorf("core: base permutation covers %d vertices but graph has %d", k, n)
+	}
+	if err := base.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid base permutation: %w", err)
+	}
+	for _, d := range dirty {
+		if int(d) < 0 || int(d) >= n {
+			return nil, fmt.Errorf("core: dirty vertex %d out of range [0, %d)", d, n)
+		}
+	}
+	if k == 0 {
+		return OrderWithCtx(ctx, g, opt)
+	}
+	w := opt.Window
+	if w <= 0 {
+		w = DefaultWindow
+	}
+
+	// The re-placement set R: dirty old vertices plus every new vertex.
+	// mark[v] for old vertices only; new vertices are implicit.
+	mark := make([]bool, k)
+	for _, d := range dirty {
+		if int(d) < k {
+			mark[d] = true
+		}
+	}
+
+	// seq starts as the compacted clean prefix: base order with the
+	// dirty vertices' slots squeezed out.
+	seq := make([]graph.NodeID, 0, n)
+	for _, v := range base.Sequence() {
+		if !mark[v] {
+			seq = append(seq, v)
+		}
+	}
+	frozen := len(seq)
+	if frozen == n {
+		return order.FromSequence(seq), ctx.Err()
+	}
+
+	// R in ascending vertex ID — the deterministic slot order the unit
+	// heap breaks ties by.
+	slot := make([]int32, n)
+	for i := range slot {
+		slot[i] = -1
+	}
+	r := make([]graph.NodeID, 0, n-frozen)
+	for v := 0; v < n; v++ {
+		if v >= k || mark[v] {
+			slot[v] = int32(len(r))
+			r = append(r, graph.NodeID(v))
+		}
+	}
+
+	q := NewUnitHeap(len(r))
+	apply := func(v graph.NodeID, delta int) {
+		bump := func(u graph.NodeID) {
+			if s := slot[u]; s >= 0 && q.Contains(int(s)) {
+				if delta > 0 {
+					q.Inc(int(s))
+				} else {
+					q.Dec(int(s))
+				}
+			}
+		}
+		for _, u := range g.OutNeighbors(v) {
+			bump(u)
+		}
+		for _, x := range g.InNeighbors(v) {
+			bump(x)
+			if opt.HubThreshold > 0 && g.OutDegree(x) > opt.HubThreshold {
+				continue
+			}
+			for _, u := range g.OutNeighbors(x) {
+				if u != v {
+					bump(u)
+				}
+			}
+		}
+	}
+	// Prime the window with the tail of the frozen prefix.
+	lo := frozen - w
+	if lo < 0 {
+		lo = 0
+	}
+	for _, v := range seq[lo:frozen] {
+		apply(v, +1)
+	}
+	seq = seq[:n]
+	for i := frozen; i < n; i++ {
+		if (i-frozen)%cancelCheckInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
+		if i > frozen {
+			apply(seq[i-1], +1)
+			if i-1-w >= 0 {
+				apply(seq[i-1-w], -1)
+			}
+		}
+		v, _, ok := q.ExtractMax()
+		if !ok {
+			break
+		}
+		seq[i] = r[v]
+	}
+	return order.FromSequence(seq), nil
+}
+
+// TestIncrementalMatchesReference holds OrderIncrementalCtx, which now
+// extends the clean prefix with the production batched loop, to the
+// per-bump oracle bit for bit: random bases and dirty sets over the
+// window sweep and the hub ablation, plus an empty clean prefix (every
+// base vertex dirty), a prefix shorter than the window, and a repair
+// with nothing to re-place (frozen == n).
+func TestIncrementalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	graphs := []*graph.Graph{
+		gen.Web(400, gen.DefaultWeb, 7),
+		gen.BarabasiAlbert(300, 5, 11),
+		gen.SBM(350, 5, 8, 2, 3),
+	}
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.Intn(120)
+		graphs = append(graphs, randGraph(rng, n, rng.Intn(6*n)))
+	}
+	// randomBase returns a random valid permutation of 0..k-1.
+	randomBase := func(k int) order.Permutation {
+		p := make(order.Permutation, k)
+		for i, j := range rng.Perm(k) {
+			p[i] = graph.NodeID(j)
+		}
+		return p
+	}
+	for gi, g := range graphs {
+		n := g.NumNodes()
+		for _, w := range []int{1, 2, 5, 8, 16} {
+			for _, hub := range []int{0, 4} {
+				opt := Options{Window: w, HubThreshold: hub}
+				k := 1 + rng.Intn(n)
+				var dirty []graph.NodeID
+				for d := rng.Intn(k/2 + 1); d > 0; d-- {
+					dirty = append(dirty, graph.NodeID(rng.Intn(n)))
+				}
+				all := make([]graph.NodeID, k)
+				for v := range all {
+					all[v] = graph.NodeID(v)
+				}
+				short := min(n, 2)
+				cases := []struct {
+					name  string
+					base  order.Permutation
+					dirty []graph.NodeID
+				}{
+					{"random", randomBase(k), dirty},
+					{"empty-prefix", randomBase(k), all},
+					{"short-prefix", randomBase(short), nil},
+					{"frozen-all", randomBase(n), nil},
+				}
+				for _, c := range cases {
+					name := fmt.Sprintf("g%d/w=%d/hub=%d/%s", gi, w, hub, c.name)
+					want, werr := orderIncrementalReference(context.Background(), g, c.base, c.dirty, opt)
+					got, gerr := OrderIncrementalCtx(context.Background(), g, c.base, c.dirty, opt)
+					if werr != nil || gerr != nil {
+						t.Fatalf("%s: errors %v / reference %v", name, gerr, werr)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s: length %d vs reference %d", name, len(got), len(want))
+					}
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("%s: permutation diverges from reference at vertex %d: %d vs %d",
+								name, v, got[v], want[v])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -115,7 +115,7 @@ func TestQueueEnginesAgreeOnObjective(t *testing.T) {
 		g := graph.FromEdgesDedup(n, edges)
 		w := 4
 		fUnit := order.Score(g, OrderWith(g, Options{Window: w}), w)
-		fLazy := order.Score(g, OrderWith(g, Options{Window: w, UseLazyHeap: true}), w)
+		fLazy := order.Score(g, orderReference(g, Options{Window: w}, newLazyHeap(n)), w)
 		lo, hi := fUnit, fLazy
 		if lo > hi {
 			lo, hi = hi, lo

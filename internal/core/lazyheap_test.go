@@ -1,12 +1,26 @@
 package core
 
+// maxQueue is the priority-queue contract the per-bump reference
+// greedy (orderReference) needs; both UnitHeap and lazyHeap satisfy
+// it. Production code does not dispatch through it: the greedy loop is
+// specialised on *UnitHeap.
+type maxQueue interface {
+	Len() int
+	Contains(item int) bool
+	Key(item int) int32
+	Inc(item int)
+	Dec(item int)
+	Delete(item int)
+	ExtractMax() (item int, key int32, ok bool)
+}
+
 // lazyHeap is the ablation alternative to the unit heap: a standard
 // binary max-heap with lazy entries. Inc/Dec adjust the authoritative
 // key array and push a fresh entry on increments; stale entries are
 // discarded at extraction time. The paper argues the unit heap's O(1)
 // updates matter because the greedy algorithm performs a key update
 // per edge-relation per window slide; BenchmarkAblationQueue measures
-// that claim.
+// that claim by running orderReference over each queue.
 type lazyHeap struct {
 	key   []int32
 	alive []bool

@@ -31,7 +31,8 @@ func (s *OrderStats) Placements() int64 { return s.placements.Load() }
 type orderStatsKey struct{}
 
 // WithOrderStats returns a context under which every Gorder greedy run
-// (OrderWithCtx, and each partition of OrderPartitionedCtx) adds its
+// (OrderWithCtx, OrderIncrementalCtx with its frozen prefix counted as
+// placed, and each partition of OrderPartitionedCtx) adds its
 // operation counts to st — an httptrace-style carrier, so the
 // instrumentation costs nothing when absent and needs no change to the
 // ordering signatures. The registry's ComputeObserved uses it to put

@@ -272,8 +272,8 @@ func (h *UnitHeap) ExtractMax() (item int, key int32, ok bool) {
 	return int(e), h.key[e], true
 }
 
-// Delete removes an arbitrary item from the heap (used to seed the
-// ordering with a chosen start vertex).
+// Delete removes an arbitrary item from the heap (used to take the
+// ordering's already-placed prefix out of the candidates).
 func (h *UnitHeap) Delete(item int) {
 	e := int32(item)
 	if !h.inHeap[item] {

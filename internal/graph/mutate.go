@@ -24,8 +24,9 @@ type EditStats struct {
 // Deletes run before adds, so a batch that removes and re-adds the
 // same edge leaves it present. Duplicate requests within a batch
 // collapse. Self-loops are allowed, matching FromEdgesDedup. An
-// endpoint outside the grown vertex range or a negative addNodes is an
-// error (never a panic): mutation batches arrive from network clients.
+// endpoint outside the grown vertex range, a negative addNodes, or a
+// grown vertex count past 1<<32 is an error (never a panic): mutation
+// batches arrive from network clients.
 //
 // The new out-CSR is produced by per-vertex sorted merges of the old
 // adjacency with the edit lists — no O(m) edge-list materialisation —
@@ -34,6 +35,11 @@ func ApplyEdits(g *Graph, addNodes int, add, del []Edge) (*Graph, EditStats, err
 	var st EditStats
 	if addNodes < 0 {
 		return nil, st, fmt.Errorf("graph: negative addNodes %d", addNodes)
+	}
+	// Vertex IDs are uint32, so a graph holds at most 1<<32 vertices
+	// (ReadBinary's bound); refuse before allocating the offsets.
+	if int64(addNodes) > 1<<32-int64(g.NumNodes()) {
+		return nil, st, fmt.Errorf("graph: %d vertices plus addNodes %d exceed the 32-bit NodeID range", g.NumNodes(), addNodes)
 	}
 	n, n2 := g.NumNodes(), g.NumNodes()+addNodes
 	for _, e := range del {

@@ -139,3 +139,14 @@ func TestApplyEditsErrors(t *testing.T) {
 		t.Error("out-of-range delete accepted")
 	}
 }
+
+// An addNodes past the uint32 vertex-ID space is an error before any
+// allocation, not a makeslice panic or a multi-gigabyte offsets array.
+func TestApplyEditsHugeAddNodes(t *testing.T) {
+	g := FromEdges(2, []Edge{{0, 1}})
+	for _, addNodes := range []int{1 << 62, 1<<32 - 1} {
+		if _, _, err := ApplyEdits(g, addNodes, nil, nil); err == nil {
+			t.Errorf("addNodes %d accepted on a 2-vertex graph", addNodes)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -126,8 +127,10 @@ func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request, name s
 		s.writeError(w, http.StatusBadRequest, "bad_request", "decoding edit batch: %v", err)
 		return
 	}
-	if req.AddNodes < 0 {
-		s.writeError(w, http.StatusBadRequest, "bad_request", "add_nodes must be >= 0")
+	// No binary upload under the same byte cap could carry more than
+	// MaxUpload/8 vertices (8 offset bytes each), so neither can an edit.
+	if maxNodes := s.cfg.MaxUpload / 8; req.AddNodes < 0 || int64(req.AddNodes) > maxNodes {
+		s.writeError(w, http.StatusBadRequest, "bad_request", "add_nodes must be in [0, %d]", maxNodes)
 		return
 	}
 	if req.AddNodes == 0 && len(req.Add) == 0 && len(req.Del) == 0 {
@@ -154,6 +157,11 @@ func toEdges(specs []edgeSpec) ([]graph.Edge, error) {
 	for i, e := range specs {
 		if e.From < 0 || e.To < 0 {
 			return nil, fmt.Errorf("edge %d→%d has a negative endpoint", e.From, e.To)
+		}
+		// NodeID is uint32: a larger endpoint would wrap in the
+		// conversion below and name a different vertex.
+		if uint64(e.From) > math.MaxUint32 || uint64(e.To) > math.MaxUint32 {
+			return nil, fmt.Errorf("edge %d→%d has an endpoint past the 32-bit NodeID range", e.From, e.To)
 		}
 		out[i] = graph.Edge{From: graph.NodeID(e.From), To: graph.NodeID(e.To)}
 	}

@@ -446,6 +446,13 @@ func TestMutationValidation(t *testing.T) {
 	postEdges(t, ts, "soc", editRequest{AddNodes: -1}, http.StatusBadRequest)
 	postEdges(t, ts, "soc", editRequest{Add: []edgeSpec{{From: -1, To: 2}}}, http.StatusBadRequest)
 	postEdges(t, ts, "soc", editRequest{Add: []edgeSpec{{From: 0, To: 5000}}}, http.StatusBadRequest)
+	// Past the uint32 ID space: the endpoint must not wrap to vertex 0,
+	// and a huge add_nodes must not reach the allocator.
+	postEdges(t, ts, "soc", editRequest{Add: []edgeSpec{{From: 1 << 32, To: 1}}}, http.StatusBadRequest)
+	postEdges(t, ts, "soc", editRequest{AddNodes: 1 << 62}, http.StatusBadRequest)
+	if vs, _ := getLineage(t, ts, "soc"); len(vs) != 1 {
+		t.Fatalf("rejected batches moved the lineage: %d versions, want 1", len(vs))
+	}
 
 	// Repair jobs validate their lineage at submit time.
 	body, _ := json.Marshal(JobRequest{Kind: KindRepair, Graph: "nope"})

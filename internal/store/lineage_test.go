@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -106,6 +107,77 @@ func TestLineageSurvivesRestart(t *testing.T) {
 	}
 	if d := q.Decay(); d < 0.81 || d > 0.82 { // (90/55)/(100/50)
 		t.Fatalf("decay = %v", d)
+	}
+}
+
+// readManifestKeys returns the top-level JSON objects of dir's manifest.
+func readManifestKeys(t *testing.T, dir string) map[string]json.RawMessage {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// A manifest written before lineages existed records names only; it
+// reopens with one one-version lineage per name, aliases included.
+func TestManifestNamesOnlyMigratesToLineages(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	if err := s.PutGraph("d1", "ring", gen.Ring(16), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutGraph("d2", "grid", gen.Grid(3, 3), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := readManifestKeys(t, dir)
+	delete(m, "lineages")
+	m["names"] = json.RawMessage(`{"ring":"d1","alias":"d1","grid":"d2"}`)
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := open(t, dir, 0)
+	for name, digest := range map[string]string{"ring": "d1", "alias": "d1", "grid": "d2"} {
+		info, ok := s2.Lineage(name)
+		if !ok || len(info.Versions) != 1 || info.Versions[0].Digest != digest {
+			t.Errorf("lineage %q = %+v ok=%v, want one version %s", name, info, ok, digest)
+		}
+		if meta, ok := s2.Lookup(name); !ok || meta.Digest != digest || meta.Version != 1 || meta.Latest != 1 {
+			t.Errorf("Lookup(%q) = %+v ok=%v, want %s@v1", name, meta, ok, digest)
+		}
+	}
+}
+
+// The names field is derivable from the lineage tips, so a saved
+// manifest does not carry it.
+func TestManifestSaveOmitsNames(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	if _, err := s.AppendVersion("g", "d1", gen.Ring(8), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := readManifestKeys(t, dir)
+	if _, ok := m["names"]; ok {
+		t.Errorf("saved manifest has a names key: %s", m["names"])
+	}
+	if _, ok := m["lineages"]; !ok {
+		t.Error("saved manifest has no lineages key")
 	}
 }
 

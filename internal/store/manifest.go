@@ -83,8 +83,7 @@ type qualityRec struct {
 	DirtyOverflow bool     `json:"dirty_overflow,omitempty"`
 }
 
-// lineageRec is one named graph's version history, oldest first. The
-// manifest's names field records each lineage's last (tip) entry.
+// lineageRec is one named graph's version history, oldest first.
 type lineageRec struct {
 	Versions []string    `json:"versions"`
 	Quality  *qualityRec `json:"quality,omitempty"`
@@ -103,8 +102,11 @@ func (l *lineageRec) tip() string {
 type manifest struct {
 	Version int                  `json:"version"`
 	Graphs  map[string]*graphRec `json:"graphs"` // digest -> record
-	Names   map[string]string    `json:"names"`  // graph name -> tip digest; derived from Lineages on save
-	Orders  map[string]*orderRec `json:"orders"` // artifact file name -> record
+	// Names maps graph names to digests in manifests written before
+	// Lineages existed. loadManifest migrates it into one-version
+	// lineages; it is never written.
+	Names  map[string]string    `json:"names,omitempty"`
+	Orders map[string]*orderRec `json:"orders"` // artifact file name -> record
 	// Results maps result-artifact file names to records. Omitted
 	// (nil) in manifests written before the query tier existed.
 	Results map[string]*resultRec `json:"results,omitempty"`
@@ -162,18 +164,12 @@ func loadManifest(path string) (*manifest, error) {
 			m.Lineages[name] = &lineageRec{Versions: []string{digest}}
 		}
 	}
+	m.Names = nil
 	return &m, nil
 }
 
-// save writes the manifest atomically, with the names field rebuilt
-// from the lineage tips so the two can never disagree.
+// save writes the manifest atomically.
 func (m *manifest) save(path string) error {
-	m.Names = make(map[string]string, len(m.Lineages))
-	for name, lin := range m.Lineages {
-		if tip := lin.tip(); tip != "" {
-			m.Names[name] = tip
-		}
-	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err

@@ -23,7 +23,7 @@ type AnnealOptions = order.AnnealOptions
 func Order(g *Graph) Permutation { return core.Order(g) }
 
 // OrderWithOptions computes the Gorder permutation with explicit
-// options (window size, hub-skip threshold, queue choice).
+// options (window size, hub-skip threshold).
 func OrderWithOptions(g *Graph, opt Options) Permutation { return core.OrderWith(g, opt) }
 
 // OrderCtx computes the Gorder permutation with cooperative
@@ -34,12 +34,6 @@ func OrderWithOptions(g *Graph, opt Options) Permutation { return core.OrderWith
 // so deadlines and shutdown propagate into the ordering loop.
 func OrderCtx(ctx context.Context, g *Graph, opt Options) (Permutation, error) {
 	return core.OrderWithCtx(ctx, g, opt)
-}
-
-// OrderParallelCtx is OrderParallel with cooperative cancellation; see
-// OrderCtx.
-func OrderParallelCtx(ctx context.Context, g *Graph, opt Options, parallelism int) (Permutation, error) {
-	return core.OrderPartitionedCtx(ctx, g, opt, PartitionedOptions{Workers: parallelism, Partitions: parallelism})
 }
 
 // Original returns the identity permutation — the dataset's native
@@ -146,16 +140,6 @@ func OrderIncrementalCtx(ctx context.Context, g *Graph, base Permutation, dirty 
 // how the daemon's quality monitor tracks F(pi) across mutations.
 func ScoreDelta(gOld, gNew *Graph, p Permutation, w int, added, removed []Edge) int64 {
 	return order.ScoreDelta(gOld, gNew, p, w, added, removed)
-}
-
-// OrderParallel computes a partition-parallel approximation of Gorder
-// with parallelism partitions and worker goroutines (<= 0 selects
-// GOMAXPROCS workers over the default partition grid). It is
-// OrderPartitioned with Workers = Partitions = parallelism, kept for
-// the historical signature; new code should call OrderPartitioned.
-func OrderParallel(g *Graph, opt Options, parallelism int) Permutation {
-	p, _ := OrderParallelCtx(context.Background(), g, opt, parallelism)
-	return p
 }
 
 // PartitionedOptions configures OrderPartitioned: worker bound,

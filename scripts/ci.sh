@@ -124,6 +124,20 @@ if grep -rn --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> one Gorder greedy gate (exact and incremental orderings share the batched unit-heap loop)"
+# Every Gorder ordering runs orderFrom, the batched loop over the
+# concrete *UnitHeap. The lazy binary heap and the per-bump loop over
+# the queue interface are test-only: the reference oracle and the queue
+# ablation benchmark. A second greedy in production code would have to
+# be held to the first by its own parity test.
+if grep -n --exclude='*_test.go' \
+    -e 'UseLazyHeap' -e 'func orderGeneric' -e 'func applyQueue' \
+    -e 'maxQueue' -e 'lazyHeap' \
+    internal/core/*.go ./*.go 2>/dev/null; then
+    echo "FAIL: a second Gorder greedy or queue in non-test code" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -136,8 +150,8 @@ echo "==> benchmark module vet + short tests (compiles against internal/query an
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> greedy parity under race (optimized loop == seed reference, bit for bit)"
-go test -race -run 'TestOrderOptimizedMatchesReference' -count=1 ./internal/core/
+echo "==> greedy parity under race (optimized loop == seed reference, bit for bit; incremental == per-bump oracle)"
+go test -race -run 'TestOrderOptimizedMatchesReference|TestIncrementalMatchesReference' -count=1 ./internal/core/
 
 echo "==> parallel runtime + kernel parity under race (par fan-out; exec == serial oracles, bit for bit, workers 1/2/4/8)"
 go test -race -count=1 ./internal/par/ ./internal/exec/
