@@ -18,14 +18,14 @@ import (
 
 	"gorder"
 	"gorder/internal/cache"
-	"gorder/internal/cli"
+	"gorder/internal/graph"
 	"gorder/internal/registry"
 	"gorder/internal/trace"
 )
 
 func main() {
 	var (
-		in       = flag.String("i", "", "input graph (binary or text)")
+		in       = flag.String("i", "", "input graph (binary or text; - for stdin)")
 		kernel   = flag.String("kernel", gorder.KernelPR, "kernel: "+strings.Join(gorder.KernelNames(), "|"))
 		machine  = flag.String("machine", "small", "hierarchy: small|replication")
 		compare  = flag.String("compare", "", "also run after this ordering: "+strings.Join(registry.MethodNames(), "|"))
@@ -49,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cachesim: -i (or -replay) is required")
 		os.Exit(2)
 	}
-	g, err := cli.ReadGraph(*in)
+	g, err := readGraph(*in)
 	if err != nil {
 		fail(err)
 	}
@@ -141,4 +141,17 @@ func fmtReport(r gorder.CacheReport) string {
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "cachesim:", err)
 	os.Exit(1)
+}
+
+// readGraph loads the input graph in either format; "-" reads stdin.
+func readGraph(path string) (*graph.Graph, error) {
+	if path == "-" {
+		return graph.Read(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return graph.Read(f)
 }

@@ -29,7 +29,7 @@ import (
 	"time"
 
 	"gorder"
-	"gorder/internal/cli"
+	"gorder/internal/graph"
 	"gorder/internal/registry"
 	"gorder/internal/store"
 )
@@ -43,7 +43,7 @@ func main() {
 
 func run() error {
 	var (
-		in         = flag.String("i", "", "input graph (binary or text; - for stdin text)")
+		in         = flag.String("i", "", "input graph (binary or text; - for stdin)")
 		method     = flag.String("method", "gorder", "ordering method: "+strings.Join(registry.MethodNames(), "|"))
 		w          = flag.Int("w", gorder.DefaultWindow, "gorder window size")
 		hub        = flag.Int("hub", 0, "gorder hub-skip threshold (0 = exact)")
@@ -96,7 +96,7 @@ func run() error {
 			}
 		}()
 	}
-	g, err := cli.ReadGraph(*in)
+	g, err := readGraph(*in)
 	if err != nil {
 		return err
 	}
@@ -201,4 +201,17 @@ func listMethods() {
 		fmt.Printf("%-16s %-10s %-12s %-9s %s\n", strings.ToLower(o.Name),
 			string(o.Cost), cancellable, seeded, strings.Join(o.Aliases, ","))
 	}
+}
+
+// readGraph loads the input graph in either format; "-" reads stdin.
+func readGraph(path string) (*graph.Graph, error) {
+	if path == "-" {
+		return graph.Read(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return graph.Read(f)
 }

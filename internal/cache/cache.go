@@ -227,17 +227,6 @@ func (h *Hierarchy) probeTLB(page uint64) {
 	h.tlbPages[0] = page
 }
 
-// AccessRange simulates a sequential access to size bytes starting at
-// addr, touching each cache line once (how a streaming read of a
-// struct or a few adjacent elements behaves).
-func (h *Hierarchy) AccessRange(addr uint64, size int64) {
-	first := addr >> h.lineBits
-	last := (addr + uint64(size) - 1) >> h.lineBits
-	for line := first; line <= last; line++ {
-		h.Access(line << h.lineBits)
-	}
-}
-
 // Reset clears statistics and cache contents.
 func (h *Hierarchy) Reset() {
 	for i, lv := range h.levels {

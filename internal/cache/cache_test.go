@@ -125,15 +125,6 @@ func TestRandomVsSequential(t *testing.T) {
 	}
 }
 
-func TestAccessRange(t *testing.T) {
-	h := tiny()
-	h.AccessRange(60, 8) // straddles the line boundary at 64
-	r := h.Report()
-	if r.Accesses != 2 {
-		t.Fatalf("AccessRange touched %d lines, want 2", r.Accesses)
-	}
-}
-
 func TestReset(t *testing.T) {
 	h := tiny()
 	h.Access(0)

@@ -89,7 +89,7 @@ func TestParallelPartitionsContiguous(t *testing.T) {
 	// Recompute the default (guide) partition and check that the
 	// stitched sequence is a concatenation of the partitions, each
 	// block holding exactly one partition's members.
-	parts := order.ChunkPartition(order.BOBA(g).Sequence(), par)
+	parts := chunkPartition(order.BOBA(g).Sequence(), par)
 	memberOf := make([]int, g.NumNodes())
 	for i, members := range parts {
 		for _, v := range members {

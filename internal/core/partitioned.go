@@ -76,22 +76,6 @@ const minGhostChildren = 2
 // 1M-edge web workload.
 const defaultPartitionHubThreshold = 1024
 
-// Partitioner selects how OrderPartitioned cuts the graph.
-type Partitioner int
-
-const (
-	// PartitionerGuide (the default) chunks the BOBA first-appearance
-	// sequence: each hub's out-neighbourhood lands in one chunk, which
-	// preserves by far the most sibling score on power-law graphs.
-	PartitionerGuide Partitioner = iota
-	// PartitionerBFS chunks a BFS visit sequence — hop-locality
-	// partitions, the natural choice for mesh- and road-like graphs.
-	PartitionerBFS
-	// PartitionerLDG uses Linear Deterministic Greedy streaming bins:
-	// slowest to build, cuts the fewest edges on clustered graphs.
-	PartitionerLDG
-)
-
 // PartitionedOptions configures OrderPartitioned beyond the Gorder
 // Options the per-partition greedy consumes.
 type PartitionedOptions struct {
@@ -102,9 +86,6 @@ type PartitionedOptions struct {
 	// DefaultPartitions). Part of the result: more partitions order
 	// faster and forfeit more cross-partition score.
 	Partitions int
-	// Partitioner selects the partitioning strategy; the zero value is
-	// PartitionerGuide.
-	Partitioner Partitioner
 }
 
 func (po PartitionedOptions) partitions(n int) int {
@@ -129,11 +110,11 @@ func OrderPartitioned(g *graph.Graph, opt Options, po PartitionedOptions) order.
 }
 
 // OrderPartitionedCtx computes the partition-parallel Gorder
-// permutation: partition along the configured guide, order every
-// partition's ghost-extended subgraph with the unit-heap greedy on up
-// to po.Workers goroutines, stitch by inter-partition edge weight.
-// Cancellation propagates into the partitioner and every partition's
-// greedy loop; the first error aborts the whole run.
+// permutation: cut the BOBA guide sequence into contiguous chunks,
+// order every chunk's ghost-extended subgraph with the unit-heap
+// greedy on up to po.Workers goroutines, stitch by inter-partition
+// edge weight. Cancellation propagates into the BOBA pass and every
+// partition's greedy loop; the first error aborts the whole run.
 //
 // opt.HubThreshold keeps its OrderWith meaning inside each partition,
 // with one twist: zero selects defaultPartitionHubThreshold rather
@@ -149,23 +130,11 @@ func OrderPartitionedCtx(ctx context.Context, g *graph.Graph, opt Options, po Pa
 	if k == 1 {
 		return OrderWithCtx(ctx, g, opt)
 	}
-	var parts [][]graph.NodeID
-	var err error
-	switch po.Partitioner {
-	case PartitionerBFS:
-		parts, err = order.BFSPartition(ctx, g, k)
-	case PartitionerLDG:
-		parts, err = order.LDGPartition(ctx, g, k)
-	default:
-		var guide order.Permutation
-		guide, err = order.BOBACtx(ctx, g, po.Workers)
-		if err == nil {
-			parts = order.ChunkPartition(guide.Sequence(), k)
-		}
-	}
+	guide, err := order.BOBACtx(ctx, g, po.Workers)
 	if err != nil {
 		return nil, err
 	}
+	parts := chunkPartition(guide.Sequence(), k)
 	popt := opt
 	switch {
 	case popt.HubThreshold == 0:
@@ -183,6 +152,18 @@ func OrderPartitionedCtx(ctx context.Context, g *graph.Graph, opt Options, po Pa
 		seq = append(seq, ordered[pi]...)
 	}
 	return order.FromSequence(seq), nil
+}
+
+// chunkPartition cuts seq into k near-equal contiguous chunks, for
+// 1 <= k <= len(seq), so no chunk is empty.
+func chunkPartition(seq []graph.NodeID, k int) [][]graph.NodeID {
+	n := len(seq)
+	parts := make([][]graph.NodeID, k)
+	for c := range parts {
+		lo, hi := c*n/k, (c+1)*n/k
+		parts[c] = seq[lo:hi:hi]
+	}
+	return parts
 }
 
 // ghostScratch holds one worker goroutine's reusable per-partition

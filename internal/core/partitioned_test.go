@@ -24,8 +24,6 @@ func TestQuickPartitionedValid(t *testing.T) {
 			{Workers: 1, Partitions: 2},
 			{Workers: 3, Partitions: 5},
 			{Workers: 8, Partitions: n},
-			{Partitions: 4, Partitioner: PartitionerBFS},
-			{Partitions: 4, Partitioner: PartitionerLDG},
 		} {
 			perm := OrderPartitioned(g, Options{}, po)
 			if len(perm) != n || perm.Validate() != nil {
@@ -39,8 +37,7 @@ func TestQuickPartitionedValid(t *testing.T) {
 	}
 }
 
-// The permutation is a function of (graph, Options, Partitions,
-// Partitioner) only — bit-identical at every worker count and
+// The permutation is a function of (graph, Options, Partitions) only — bit-identical at every worker count and
 // GOMAXPROCS setting. This is the contract that lets the artifact
 // cache ignore Workers.
 func TestPartitionedWorkerIndependent(t *testing.T) {
@@ -50,20 +47,18 @@ func TestPartitionedWorkerIndependent(t *testing.T) {
 		"sbm": gen.SBM(350, 5, 8, 2, 3),
 	}
 	for gname, g := range graphs {
-		for _, part := range []Partitioner{PartitionerGuide, PartitionerBFS, PartitionerLDG} {
-			po := PartitionedOptions{Workers: 1, Partitions: 6, Partitioner: part}
-			base := OrderPartitioned(g, Options{}, po)
-			if err := base.Validate(); err != nil {
-				t.Fatalf("%s: %v", gname, err)
-			}
-			for _, workers := range []int{2, 3, 8, 0} {
-				po.Workers = workers
-				p := OrderPartitioned(g, Options{}, po)
-				for u := range base {
-					if base[u] != p[u] {
-						t.Fatalf("%s (partitioner=%d): workers=%d diverges from workers=1 at vertex %d",
-							gname, part, workers, u)
-					}
+		po := PartitionedOptions{Workers: 1, Partitions: 6}
+		base := OrderPartitioned(g, Options{}, po)
+		if err := base.Validate(); err != nil {
+			t.Fatalf("%s: %v", gname, err)
+		}
+		for _, workers := range []int{2, 3, 8, 0} {
+			po.Workers = workers
+			p := OrderPartitioned(g, Options{}, po)
+			for u := range base {
+				if base[u] != p[u] {
+					t.Fatalf("%s: workers=%d diverges from workers=1 at vertex %d",
+						gname, workers, u)
 				}
 			}
 		}
@@ -178,6 +173,31 @@ func TestStitchFollowsWeight(t *testing.T) {
 	// partition 1 (the weakly linked one) must come last.
 	if chain[len(chain)-1] != 1 {
 		t.Fatalf("chain = %v; weakly connected partition 1 should stitch last", chain)
+	}
+}
+
+func TestChunkPartitionCoversDisjoint(t *testing.T) {
+	g := gen.SBM(500, 10, 8, 1, 4)
+	seq := order.BOBA(g).Sequence()
+	for _, k := range []int{1, 2, 7, 16} {
+		parts := chunkPartition(seq, k)
+		seen := make([]bool, g.NumNodes())
+		total := 0
+		for _, members := range parts {
+			for _, v := range members {
+				if seen[v] {
+					t.Fatalf("k=%d: vertex %d in two partitions", k, v)
+				}
+				seen[v] = true
+				total++
+			}
+		}
+		if total != g.NumNodes() {
+			t.Fatalf("k=%d: partitions cover %d of %d vertices", k, total, g.NumNodes())
+		}
+		if len(parts) != k {
+			t.Fatalf("k=%d: got %d partitions", k, len(parts))
+		}
 	}
 }
 

@@ -310,12 +310,3 @@ func TestComputeStats(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
-
-func TestDegreeHistogram(t *testing.T) {
-	g := FromEdges(3, []Edge{{0, 1}, {1, 2}})
-	h := DegreeHistogram(g)
-	// Degrees: v0 total 1, v1 total 2, v2 total 1.
-	if h[1] != 2 || h[2] != 1 {
-		t.Errorf("histogram = %v", h)
-	}
-}

@@ -47,19 +47,3 @@ func (s Stats) String() string {
 	return fmt.Sprintf("n=%d m=%d avg_deg=%.2f max_out=%d max_in=%d self_loops=%d isolated=%d",
 		s.Nodes, s.Edges, s.AvgDegree, s.MaxOutDegree, s.MaxInDegree, s.SelfLoops, s.Isolated)
 }
-
-// DegreeHistogram returns counts[d] = number of vertices with total
-// degree d, up to and including the maximum degree.
-func DegreeHistogram(g *Graph) []int64 {
-	maxd := 0
-	for u := 0; u < g.NumNodes(); u++ {
-		if d := g.Degree(NodeID(u)); d > maxd {
-			maxd = d
-		}
-	}
-	counts := make([]int64, maxd+1)
-	for u := 0; u < g.NumNodes(); u++ {
-		counts[g.Degree(NodeID(u))]++
-	}
-	return counts
-}

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -17,23 +18,22 @@ import (
 // gorderd accept uploads much larger than its RAM headroom would
 // otherwise allow.
 
-// DefaultStreamBuffer is the per-round parse buffer of
+// streamBuffer is the per-round parse buffer of
 // ReadEdgeListStream: big enough to amortize the sharded parser's
 // fan-out, small enough that buffering is not "the whole upload".
-const DefaultStreamBuffer = 4 << 20
+const streamBuffer = 4 << 20
 
 // ReadEdgeListStream parses a text edge list incrementally from r with
 // the default buffer size. Identical semantics to ReadEdgeListBytes —
 // same comment/blank-line rules, same error line numbers, bit-identical
 // CSR — at bounded peak memory.
 func ReadEdgeListStream(r io.Reader) (*Graph, error) {
-	return ReadEdgeListStreamBuffer(r, DefaultStreamBuffer)
+	return readEdgeListStreamBuffer(r, streamBuffer)
 }
 
-// ReadEdgeListStreamBuffer is ReadEdgeListStream with an explicit
-// buffer size (minimum 4 KiB), exposed so tests can force many small
-// rounds and benchmarks can explore the buffer/throughput trade.
-func ReadEdgeListStreamBuffer(r io.Reader, bufSize int) (*Graph, error) {
+// readEdgeListStreamBuffer is ReadEdgeListStream with an explicit
+// buffer size (minimum 4 KiB), so tests can force many small rounds.
+func readEdgeListStreamBuffer(r io.Reader, bufSize int) (*Graph, error) {
 	if bufSize < 4<<10 {
 		bufSize = 4 << 10
 	}
@@ -93,10 +93,29 @@ func ReadEdgeListStreamBuffer(r io.Reader, bufSize int) (*Graph, error) {
 	return build(int(maxID+1), shards, false), nil
 }
 
-// SniffBinary reports whether prefix begins with the binary CSR magic
-// (any format version). Upload handlers peek a few bytes to route a
-// body to the binary decoder or the streaming text parser; version
-// validation stays in ReadBinaryBytes.
-func SniffBinary(prefix []byte) bool {
+// Read parses a graph in either on-disk format: a body that starts
+// with the binary CSR magic (any format version) goes whole to
+// ReadBinaryBytes, anything else streams through ReadEdgeListStream.
+// Binary CSR is already the in-memory layout and compact, so
+// buffering it is the cheap path; text never exists in memory whole.
+func Read(r io.Reader) (*Graph, error) {
+	br := bufio.NewReader(r)
+	prefix, err := br.Peek(len(binaryMagic))
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("graph: reading: %w", err)
+	}
+	if !sniffBinary(prefix) {
+		return ReadEdgeListStream(br)
+	}
+	data, err := io.ReadAll(br)
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading binary CSR: %w", err)
+	}
+	return ReadBinaryBytes(data)
+}
+
+// sniffBinary reports whether prefix begins with the binary CSR magic
+// (any format version); version validation stays in ReadBinaryBytes.
+func sniffBinary(prefix []byte) bool {
 	return len(prefix) >= 7 && [7]byte(prefix[:7]) == [7]byte(binaryMagic[:7])
 }

@@ -70,7 +70,7 @@ func TestStreamMatchesSerial(t *testing.T) {
 		}
 		for _, bufSize := range []int{4 << 10, 8 << 10, 1 << 20} {
 			for _, readMax := range []int{1 << 30, 1000, 7} {
-				got, err := ReadEdgeListStreamBuffer(&chunkyReader{data: data, max: readMax}, bufSize)
+				got, err := readEdgeListStreamBuffer(&chunkyReader{data: data, max: readMax}, bufSize)
 				if err != nil {
 					t.Fatalf("seed %d buf %d read %d: %v", seed, bufSize, readMax, err)
 				}
@@ -98,7 +98,7 @@ func TestStreamErrorLineNumbers(t *testing.T) {
 	if serialErr == nil {
 		t.Fatal("serial parse accepted the bad line")
 	}
-	_, streamErr := ReadEdgeListStreamBuffer(bytes.NewReader(data), 4<<10)
+	_, streamErr := readEdgeListStreamBuffer(bytes.NewReader(data), 4<<10)
 	if streamErr == nil {
 		t.Fatal("stream parse accepted the bad line")
 	}
@@ -109,7 +109,7 @@ func TestStreamErrorLineNumbers(t *testing.T) {
 
 func TestStreamOverlongLine(t *testing.T) {
 	data := []byte("1 2\n" + strings.Repeat("9", 10<<10)) // one 10 KiB "line"
-	_, err := ReadEdgeListStreamBuffer(&chunkyReader{data: data, max: 512}, 4<<10)
+	_, err := readEdgeListStreamBuffer(&chunkyReader{data: data, max: 512}, 4<<10)
 	if err == nil || !strings.Contains(err.Error(), "streaming buffer") {
 		t.Fatalf("overlong line not refused: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestStreamOverlongLine(t *testing.T) {
 
 func TestStreamEmptyAndCommentOnly(t *testing.T) {
 	for _, in := range []string{"", "# only comments\n\n% more\n"} {
-		g, err := ReadEdgeListStreamBuffer(strings.NewReader(in), 4<<10)
+		g, err := readEdgeListStreamBuffer(strings.NewReader(in), 4<<10)
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
 		}
@@ -128,7 +128,7 @@ func TestStreamEmptyAndCommentOnly(t *testing.T) {
 }
 
 func TestStreamRejectsOversizeEndpoint(t *testing.T) {
-	_, err := ReadEdgeListStreamBuffer(strings.NewReader("1 4294967296\n"), 4<<10)
+	_, err := readEdgeListStreamBuffer(strings.NewReader("1 4294967296\n"), 4<<10)
 	if err == nil || !strings.Contains(err.Error(), "NodeID") {
 		t.Fatalf("oversize endpoint not refused: %v", err)
 	}
@@ -139,14 +139,51 @@ func TestSniffBinary(t *testing.T) {
 	if err := FromEdges(3, []Edge{{0, 1}, {1, 2}}).WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !SniffBinary(buf.Bytes()) {
+	if !sniffBinary(buf.Bytes()) {
 		t.Fatal("binary CSR bytes not recognized")
 	}
-	if SniffBinary([]byte("0 1\n1 2\n")) {
+	if sniffBinary([]byte("0 1\n1 2\n")) {
 		t.Fatal("text edge list sniffed as binary")
 	}
-	if SniffBinary([]byte("GORD")) {
+	if sniffBinary([]byte("GORD")) {
 		t.Fatal("short prefix sniffed as binary")
+	}
+}
+
+func TestReadSniffsBinary(t *testing.T) {
+	for _, g := range []*Graph{FromEdges(4, []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 0}}), FromEdges(0, nil)} {
+		var buf bytes.Buffer
+		if err := g.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h, err := Read(&chunkyReader{data: buf.Bytes(), max: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.Equal(h) {
+			t.Fatalf("binary round trip of n=%d failed", g.NumNodes())
+		}
+	}
+}
+
+func TestReadSniffsText(t *testing.T) {
+	h, err := Read(strings.NewReader("# comment\n0 1\n1 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.NumNodes() != 3 || h.NumEdges() != 2 {
+		t.Fatalf("sniffed text graph n=%d m=%d", h.NumNodes(), h.NumEdges())
+	}
+}
+
+func TestReadRejectsGarbage(t *testing.T) {
+	for name, in := range map[string][]byte{
+		"text":             []byte("completely bogus"),
+		"truncated binary": binaryMagic[:],
+	} {
+		if _, err := Read(bytes.NewReader(in)); err == nil {
+			t.Errorf("%s garbage accepted", name)
+		}
 	}
 }
 
@@ -159,7 +196,7 @@ func TestStreamParallelWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadEdgeListStreamBuffer(bytes.NewReader(data), 4<<10)
+	got, err := readEdgeListStreamBuffer(bytes.NewReader(data), 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

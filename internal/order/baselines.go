@@ -214,19 +214,6 @@ func SlashBurn(g *graph.Graph) Permutation {
 // The final order concatenates the bins. Neighbourhoods are over the
 // undirected view.
 func LDG(g *graph.Graph, binSize int) Permutation {
-	bins := ldgBins(g, binSize)
-	seq := make([]graph.NodeID, 0, g.NumNodes())
-	for _, b := range bins {
-		seq = append(seq, b...)
-	}
-	return FromSequence(seq)
-}
-
-// ldgBins runs the LDG streaming placement and returns the bins
-// themselves (vertices in placement order). LDG concatenates them
-// into an ordering; LDGPartition hands them to the partition-parallel
-// Gorder as partitions.
-func ldgBins(g *graph.Graph, binSize int) [][]graph.NodeID {
 	if binSize < 1 {
 		binSize = 64
 	}
@@ -279,5 +266,9 @@ func ldgBins(g *graph.Graph, binSize int) [][]graph.NodeID {
 		binSizeCount[best]++
 		bins[best] = append(bins[best], graph.NodeID(v))
 	}
-	return bins
+	seq := make([]graph.NodeID, 0, n)
+	for _, b := range bins {
+		seq = append(seq, b...)
+	}
+	return FromSequence(seq)
 }

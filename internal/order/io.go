@@ -28,14 +28,6 @@ func (p Permutation) WriteTo(w io.Writer) (int64, error) {
 	return total, bw.Flush()
 }
 
-// WritePermutation writes p in the text format — the function-form
-// twin of WriteTo, used where an io.Writer pipeline (such as the
-// daemon's permutation-download endpoint) wants a plain error.
-func WritePermutation(w io.Writer, p Permutation) error {
-	_, err := p.WriteTo(w)
-	return err
-}
-
 // ReadPermutation parses the text format and validates the result.
 func ReadPermutation(r io.Reader) (Permutation, error) {
 	sc := bufio.NewScanner(r)

@@ -44,8 +44,12 @@ func TestReadPermutationRejects(t *testing.T) {
 func TestWritePermutationRoundTrip(t *testing.T) {
 	p := Permutation{3, 1, 4, 0, 2}
 	var buf bytes.Buffer
-	if err := WritePermutation(&buf, p); err != nil {
+	n, err := p.WriteTo(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 	q, err := ReadPermutation(&buf)
 	if err != nil {
@@ -69,7 +73,7 @@ func (w *failWriter) Write(b []byte) (int, error) {
 
 func TestWritePermutationPropagatesWriteError(t *testing.T) {
 	p := Permutation(Identity(10000))
-	if err := WritePermutation(&failWriter{after: 16}, p); err == nil {
+	if _, err := p.WriteTo(&failWriter{after: 16}); err == nil {
 		t.Fatal("write error swallowed")
 	}
 }

@@ -20,13 +20,14 @@ type MultilevelOptions struct {
 	// CoarsenTo stops coarsening when at most this many supervertices
 	// remain (default 2048).
 	CoarsenTo int
-	// MaxLevels bounds the coarsening depth (default 20).
-	MaxLevels int
 	// OrderCoarse orders the coarsest graph. Nil defaults to RCM,
 	// which is cheap and locality-friendly; core.MultilevelOrder
 	// passes Gorder here.
 	OrderCoarse func(g *graph.Graph) Permutation
 }
+
+// maxLevels bounds the coarsening depth.
+const maxLevels = 20
 
 // mlLevel is one coarsening level: an undirected weighted adjacency
 // plus the mapping from this level's vertices to the two (or one)
@@ -45,9 +46,6 @@ func Multilevel(g *graph.Graph, opt MultilevelOptions) Permutation {
 	}
 	if opt.CoarsenTo <= 0 {
 		opt.CoarsenTo = 2048
-	}
-	if opt.MaxLevels <= 0 {
-		opt.MaxLevels = 20
 	}
 	if opt.OrderCoarse == nil {
 		opt.OrderCoarse = func(cg *graph.Graph) Permutation { return RCM(cg) }
@@ -68,7 +66,7 @@ func Multilevel(g *graph.Graph, opt MultilevelOptions) Permutation {
 	}
 
 	var levels []mlLevel
-	for len(adj) > opt.CoarsenTo && len(levels) < opt.MaxLevels {
+	for len(adj) > opt.CoarsenTo && len(levels) < maxLevels {
 		lvl, coarse := coarsen(adj)
 		if len(coarse) >= len(adj) { // matching stalled
 			break

@@ -55,19 +55,6 @@ func (p Permutation) Inverse() Permutation {
 	return q
 }
 
-// Compose returns the permutation "p then q": result[u] = q[p[u]].
-// It panics if lengths differ.
-func (p Permutation) Compose(q Permutation) Permutation {
-	if len(p) != len(q) {
-		panic("order: composing permutations of different length")
-	}
-	r := make(Permutation, len(p))
-	for u, v := range p {
-		r[u] = q[v]
-	}
-	return r
-}
-
 // FromSequence builds the permutation that places seq[i] at position
 // i: perm[seq[i]] = i. seq must contain each vertex exactly once.
 // Ordering algorithms naturally produce visit sequences; this converts

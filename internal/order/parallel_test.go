@@ -197,64 +197,3 @@ func TestParallelOrderingsDeadline(t *testing.T) {
 		t.Errorf("DBGCtx: err = %v, want context.DeadlineExceeded", err)
 	}
 }
-
-func TestBFSPartitionCoversDisjoint(t *testing.T) {
-	for _, k := range []int{1, 2, 7, 16} {
-		g := gen.SBM(500, 10, 8, 1, 4)
-		parts, err := BFSPartition(context.Background(), g, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := make([]bool, g.NumNodes())
-		total := 0
-		for _, members := range parts {
-			for _, v := range members {
-				if seen[v] {
-					t.Fatalf("k=%d: vertex %d in two partitions", k, v)
-				}
-				seen[v] = true
-				total++
-			}
-		}
-		if total != g.NumNodes() {
-			t.Fatalf("k=%d: partitions cover %d of %d vertices", k, total, g.NumNodes())
-		}
-		if len(parts) != k {
-			t.Fatalf("k=%d: got %d partitions", k, len(parts))
-		}
-	}
-}
-
-func TestLDGPartitionCoversDisjoint(t *testing.T) {
-	g := gen.SBM(500, 10, 8, 1, 4)
-	parts, err := LDGPartition(context.Background(), g, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make([]bool, g.NumNodes())
-	total := 0
-	for _, members := range parts {
-		if len(members) == 0 {
-			t.Fatal("LDGPartition returned an empty partition")
-		}
-		for _, v := range members {
-			if seen[v] {
-				t.Fatalf("vertex %d in two partitions", v)
-			}
-			seen[v] = true
-			total++
-		}
-	}
-	if total != g.NumNodes() {
-		t.Fatalf("partitions cover %d of %d vertices", total, g.NumNodes())
-	}
-}
-
-func TestBFSPartitionCanceled(t *testing.T) {
-	g := gen.BarabasiAlbert(20000, 6, 9)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := BFSPartition(ctx, g, 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}

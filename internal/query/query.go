@@ -42,11 +42,12 @@ const MaxTop = 1000
 // monopolize the read path.
 const maxPageRankIters = 10000
 
-// Default cache budgets (bytes) when the config leaves them zero.
-const (
-	DefaultResultBudget = 64 << 20
-	DefaultGraphBudget  = 256 << 20
-)
+// DefaultResultBudget is the result-cache byte budget when the config
+// leaves it zero.
+const DefaultResultBudget = 64 << 20
+
+// graphBudget is the relabeled-graph cache's byte budget.
+const graphBudget = 256 << 20
 
 // Source is the graph-resolution surface the executor needs — in the
 // daemon, the store's catalog: cheap metadata lookup for validation
@@ -67,10 +68,9 @@ type Config struct {
 	// Store supplies ordering artifacts (the "latest cached artifact"
 	// fallback) and persists whole-graph results.
 	Store *store.Store
-	// ResultBudget and GraphBudget are LRU byte budgets for decoded
-	// results and relabeled graphs; zero means the defaults.
+	// ResultBudget is the LRU byte budget for decoded results; zero
+	// means DefaultResultBudget.
 	ResultBudget int64
-	GraphBudget  int64
 	// Workers is the goroutine count handed to the exec-backed kernels
 	// (BFS, SP, PR, Tri); <= 1 runs them on one goroutine. Scheduling
 	// only: their results are parity-pinned to the serial oracles, so
@@ -212,13 +212,10 @@ func New(cfg Config) *Executor {
 	if cfg.ResultBudget <= 0 {
 		cfg.ResultBudget = DefaultResultBudget
 	}
-	if cfg.GraphBudget <= 0 {
-		cfg.GraphBudget = DefaultGraphBudget
-	}
 	return &Executor{
 		cfg:     cfg,
 		results: newByteLRU(cfg.ResultBudget),
-		graphs:  newByteLRU(cfg.GraphBudget),
+		graphs:  newByteLRU(graphBudget),
 		hubs:    make(map[string]int),
 		flights: make(map[string]*flight),
 		scratch: sync.Pool{New: func() any { return new(registry.QueryScratch) }},

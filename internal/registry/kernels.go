@@ -25,8 +25,6 @@ type KernelParams struct {
 	// ties), which is order-invariant because relabeling preserves
 	// degrees — every ordering then runs SP from the same logical hub.
 	SPSource int
-	// LabelPropIters bounds the LP kernel's sweeps (<= 0 = default).
-	LabelPropIters int
 	// Workers sets the goroutine count of the kernels that consume
 	// KOptWorkers and run on internal/exec (<= 1 = one goroutine, the
 	// serial case). Scheduling only — results are parity-pinned to the
@@ -136,11 +134,11 @@ var kernels = []Kernel{
 	},
 	{
 		Name: "LP",
-		Run: func(g *graph.Graph, p KernelParams) {
-			algos.LabelPropagation(g, p.LabelPropIters)
+		Run: func(g *graph.Graph, _ KernelParams) {
+			algos.LabelPropagation(g, algos.DefaultLabelPropIters)
 		},
-		RunTraced: func(g *graph.Graph, _ *algos.TracedGraph, s *mem.Space, p KernelParams) {
-			algos.TracedLabelPropagation(g, s, p.LabelPropIters)
+		RunTraced: func(g *graph.Graph, _ *algos.TracedGraph, s *mem.Space, _ KernelParams) {
+			algos.TracedLabelPropagation(g, s, algos.DefaultLabelPropIters)
 		},
 	},
 	{

@@ -425,12 +425,6 @@ func PaperContenders() []Ordering {
 	return out
 }
 
-// PaperContenderNames returns the contenders' canonical names in
-// presentation order.
-func PaperContenderNames() []string {
-	return append([]string(nil), paperContenderNames...)
-}
-
 // Observation reports one instrumented ordering computation: which
 // method ran, how long it took, and how it ended. It is what the
 // gorderd /metrics per-method counters and the bench harness's

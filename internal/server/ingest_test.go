@@ -64,6 +64,20 @@ func TestRegistryLoadDirCorruptFileFails(t *testing.T) {
 	}
 }
 
+func TestRegistryLoadDirVersionRefStemFails(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "web@v2.el"), []byte("0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openTestStore(t)
+	if _, err := New(Config{Store: st}).LoadDir(dir); err == nil {
+		t.Fatal("file stem web@v2 loaded as a lineage name")
+	}
+	if len(st.Lineages()) != 0 {
+		t.Fatalf("lineages after a refused load: %+v", st.Lineages())
+	}
+}
+
 // Every graph parsed into the store is timed into the ingest metrics;
 // a dedup hit (same bytes again) stores nothing new and must not count.
 func TestRegistryRecordsIngestMetrics(t *testing.T) {

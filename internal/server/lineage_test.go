@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -490,6 +492,32 @@ func TestAliasUploadIsLineage(t *testing.T) {
 	}
 	if vs, _ := getLineage(t, ts, "a"); len(vs) != 1 || vs[0].Digest != a.ID {
 		t.Fatalf("editing b moved a: %+v", vs)
+	}
+}
+
+// TestUploadRejectsVersionRefName: a name that parses as a version
+// reference could never be addressed (GET /graphs/g@v1 reads v1 of
+// lineage g), so the upload is refused and no lineage is created.
+func TestUploadRejectsVersionRefName(t *testing.T) {
+	_, ts := newStoreServer(t, t.TempDir(), 0)
+	for _, name := range []string{"g@v1", "g@latest", "a@b@v2"} {
+		resp, err := http.Post(ts.URL+"/graphs?name="+url.QueryEscape(name), "text/plain", strings.NewReader("0 1\n1 2\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := decodeJSON[map[string]apiError](t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || env["error"].Code != "bad_name" {
+			t.Errorf("upload as %q: status %d code %q, want 400 bad_name", name, resp.StatusCode, env["error"].Code)
+		}
+	}
+	getGraphInfo(t, ts, "g", http.StatusNotFound)
+	// Names with an @ that is not a version tag stay addressable.
+	for _, name := range []string{"g@v0", "g@beta", "g@"} {
+		up := postGraph(t, ts, url.QueryEscape(name), []byte("0 1\n1 2\n"))
+		if got := getGraphInfo(t, ts, url.PathEscape(name), http.StatusOK); got.ID != up.ID || got.Lineage != name {
+			t.Errorf("GET %q = %+v, want lineage %q", name, got, name)
+		}
 	}
 }
 

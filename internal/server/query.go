@@ -23,15 +23,18 @@ import (
 // Query-path defaults when Config leaves the knobs zero.
 const (
 	defaultQueryConcurrency = 8
-	defaultQueryWaitCap     = 64
 	defaultQueryTimeout     = 30 * time.Second
 )
+
+// queryWaitCap is each tenant's query waiting room: waiters beyond it
+// are rejected with 429.
+const queryWaitCap = 64
 
 // initQuery builds the executor, the weighted-fair read gate, and the
 // metrics; called from New. The gate admits queries in per-tenant
 // stride order (internal/fair.Gate), so a tenant flooding the read
 // path cannot push another tenant's queries past one weighted round;
-// each tenant's waiting room is capped at QueryWaitCap → 429, so
+// each tenant's waiting room is capped at queryWaitCap → 429, so
 // overload degrades into fast rejections instead of a convoy.
 func (s *Server) initQuery(m *Metrics) {
 	s.Query = query.New(query.Config{
@@ -44,12 +47,8 @@ func (s *Server) initQuery(m *Metrics) {
 	if conc <= 0 {
 		conc = defaultQueryConcurrency
 	}
-	waitCap := s.cfg.QueryWaitCap
-	if waitCap <= 0 {
-		waitCap = defaultQueryWaitCap
-	}
 	s.queryConc = conc
-	s.qgate = fair.NewGate(conc, waitCap, s.cfg.TenantWeights)
+	s.qgate = fair.NewGate(conc, queryWaitCap, s.cfg.TenantWeights)
 	s.querySvc = fair.NewEWMA(0.2)
 
 	s.queryRequests = m.Counter("query_requests_total")

@@ -40,7 +40,6 @@ type Config struct {
 	// their own gate — never in the compute worker pool — so these are
 	// independent of Pool.Workers.
 	QueryConcurrency  int           // concurrent queries; <= 0 means 8
-	QueryWaitCap      int           // queued waiters per tenant before 429; <= 0 means 64
 	QueryTimeout      time.Duration // default per-query deadline; <= 0 means 30s
 	QueryResultBudget int64         // result-cache LRU bytes; <= 0 means 64 MiB
 	KernelWorkers     int           // goroutines per BFS/SP/PR/Tri kernel run; <= 1 means serial
@@ -486,7 +485,7 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if err := order.WritePermutation(w, perm); err != nil {
+		if _, err := perm.WriteTo(w); err != nil {
 			s.log.Warn("permutation download aborted", "job", id, "err", err)
 		}
 	default:

@@ -270,7 +270,6 @@ func TestQuietTenantNotStarvedUnderReadFlood(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Pool:             PoolConfig{Workers: 1, QueueDepth: 8},
 		QueryConcurrency: 1,
-		QueryWaitCap:     64,
 	})
 	postGraph(t, ts, "g", edgeListBytes(t, gen.BarabasiAlbert(3000, 4, 1)))
 

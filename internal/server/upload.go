@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -99,25 +98,9 @@ func (s *Server) ingest(name string, r io.Reader) (GraphInfo, bool, error) {
 		return GraphInfo{}, false, errors.New("graph name is required")
 	}
 	start := time.Now()
-	br := bufio.NewReaderSize(r, 32<<10)
-	prefix, err := br.Peek(8)
-	if err != nil && err != io.EOF {
-		return GraphInfo{}, false, &badGraphError{err}
-	}
 	h := store.NewDigest()
-	cr := &countingReader{r: io.TeeReader(br, h)}
-	var g *graph.Graph
-	if graph.SniffBinary(prefix) {
-		// Binary CSR is already the in-memory layout; its decoder needs
-		// the packed arrays whole, and the format is compact enough that
-		// buffering it (under MaxUpload, for uploads) is the cheap path.
-		var data []byte
-		if data, err = io.ReadAll(cr); err == nil {
-			g, err = graph.ReadBinaryBytes(data)
-		}
-	} else {
-		g, err = graph.ReadEdgeListStream(cr)
-	}
+	cr := &countingReader{r: io.TeeReader(r, h)}
+	g, err := graph.Read(cr)
 	if err != nil {
 		return GraphInfo{}, false, &badGraphError{err}
 	}
@@ -161,6 +144,9 @@ func (s *Server) handleGraphUpload(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.As(err, &bad):
 		s.writeUploadError(w, err)
+		return
+	case errors.Is(err, store.ErrBadName):
+		s.writeError(w, http.StatusBadRequest, "bad_name", "%v", err)
 		return
 	case err != nil:
 		// The body parsed, so this is a server-side failure (a full or

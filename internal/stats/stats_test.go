@@ -51,15 +51,6 @@ func TestQuantileEndpoints(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	if got := Stddev([]float64{1}); got != 0 {
-		t.Errorf("Stddev(single) = %v, want 0", got)
-	}
-	if got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEqual(got, math.Sqrt(32.0/7.0)) {
-		t.Errorf("Stddev = %v", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if got := Min(xs); got != -1 {

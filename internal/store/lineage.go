@@ -23,6 +23,10 @@ var ErrUnknownLineage = errors.New("store: unknown lineage")
 // recorded range.
 var ErrUnknownVersion = errors.New("store: unknown version")
 
+// ErrBadName reports a lineage name that parses as a version
+// reference (name@vN or name@latest), which no ref could address.
+var ErrBadName = errors.New("store: lineage name reads as a version reference")
+
 // MaxDirtyTracked caps how many changed-edge endpoints a lineage's
 // quality record accumulates between full orderings. Past the cap the
 // record flips to DirtyOverflow and the next repair must be a full
@@ -39,23 +43,30 @@ type VersionInfo struct {
 	Added   time.Time
 }
 
-// Quality is the exported view of a lineage's ordering-quality state.
-// The zero Method means no ordering has been recorded yet.
+// Quality is a lineage's ordering-quality state, persisted in its
+// manifest record: the monitor's baseline (set at the last full
+// ordering) and running totals, maintained incrementally across
+// mutation batches so a restarted daemon resumes decay tracking
+// without rescoring anything. The zero Method means no ordering has
+// been recorded yet.
 type Quality struct {
-	Method        string
-	OptKey        string
-	OptionsJSON   string
-	Window        int
-	BaseF         int64
-	BaseEdges     int64
-	BasePacking   float64
-	CurF          int64
-	CurEdges      int64
-	CurPacking    float64
-	CleanNodes    int
-	Repairs       int
-	Dirty         []graph.NodeID
-	DirtyOverflow bool
+	Method      string  `json:"method"`       // canonical ordering the lineage follows
+	OptKey      string  `json:"opt_key"`      // its canonical-options hash (artifact key part)
+	OptionsJSON string  `json:"options_json"` // canonical options as JSON — opt_key is a hash, repair jobs need the values
+	Window      int     `json:"window"`       // window width F is tracked at
+	BaseF       int64   `json:"base_f"`       // F(pi) at the last full ordering
+	BaseEdges   int64   `json:"base_edges"`   // edge count then
+	BasePacking float64 `json:"base_packing"` // packing factor then
+	CurF        int64   `json:"cur_f"`        // F(pi) on the current tip
+	CurEdges    int64   `json:"cur_edges"`
+	CurPacking  float64 `json:"cur_packing"`
+	CleanNodes  int     `json:"clean_nodes"` // vertex count at the last full ordering; repair re-places everything after it
+	Repairs     int     `json:"repairs"`     // incremental repairs since the last full ordering
+	// Dirty accumulates changed-edge endpoints since the last full
+	// ordering, capped at MaxDirtyTracked; past the cap DirtyOverflow
+	// forces the next repair to be a full recompute.
+	Dirty         []graph.NodeID `json:"dirty,omitempty"`
+	DirtyOverflow bool           `json:"dirty_overflow,omitempty"`
 }
 
 // Decay is the monitor's quality signal: the current edge-normalised
@@ -92,9 +103,13 @@ type OrderKey struct {
 // already stored, under any name, keeps its blob), the lineage gains a
 // version entry, and the new tip replaces the old one in memory.
 // Appending the digest already at the tip is a no-op (idempotent
-// replays). The lineage is created if the name is new. Returns the
+// replays). The lineage is created if the name is new; a name that
+// reads as a version reference fails with ErrBadName. Returns the
 // 1-based version number now at the tip.
 func (s *Store) AppendVersion(name, digest string, g *graph.Graph, srcBytes int64) (int, error) {
+	if base, _ := parseRef(name); base != name {
+		return 0, fmt.Errorf("%w: %q", ErrBadName, name)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if v, ok := s.tipVersionLocked(name, digest); ok {
@@ -276,7 +291,7 @@ func (s *Store) lineageInfoLocked(name string, lin *lineageRec) LineageInfo {
 		info.Versions = append(info.Versions, vi)
 	}
 	if lin.Quality != nil {
-		q := qualityFromRec(lin.Quality)
+		q := lin.Quality.clone()
 		info.Quality = &q
 	}
 	return info
@@ -291,20 +306,12 @@ func (s *Store) SetQuality(name string, q Quality) error {
 	if lin == nil || len(lin.Versions) == 0 {
 		return fmt.Errorf("%w: %s", ErrUnknownLineage, name)
 	}
-	rec := &qualityRec{
-		Method: q.Method, OptKey: q.OptKey, OptionsJSON: q.OptionsJSON,
-		Window: q.Window,
-		BaseF:  q.BaseF, BaseEdges: q.BaseEdges, BasePacking: q.BasePacking,
-		CurF: q.CurF, CurEdges: q.CurEdges, CurPacking: q.CurPacking,
-		CleanNodes: q.CleanNodes, Repairs: q.Repairs,
-		DirtyOverflow: q.DirtyOverflow,
-	}
 	if len(q.Dirty) > MaxDirtyTracked {
-		rec.DirtyOverflow = true
+		q.DirtyOverflow = true
 		q.Dirty = q.Dirty[:MaxDirtyTracked]
 	}
-	rec.Dirty = append([]uint32(nil), q.Dirty...)
-	lin.Quality = rec
+	q = q.clone()
+	lin.Quality = &q
 	return s.saveManifestLocked()
 }
 
@@ -316,19 +323,14 @@ func (s *Store) GetQuality(name string) (Quality, bool) {
 	if lin == nil || lin.Quality == nil {
 		return Quality{}, false
 	}
-	return qualityFromRec(lin.Quality), true
+	return lin.Quality.clone(), true
 }
 
-func qualityFromRec(rec *qualityRec) Quality {
-	return Quality{
-		Method: rec.Method, OptKey: rec.OptKey, OptionsJSON: rec.OptionsJSON,
-		Window: rec.Window,
-		BaseF:  rec.BaseF, BaseEdges: rec.BaseEdges, BasePacking: rec.BasePacking,
-		CurF: rec.CurF, CurEdges: rec.CurEdges, CurPacking: rec.CurPacking,
-		CleanNodes: rec.CleanNodes, Repairs: rec.Repairs,
-		Dirty:         append([]graph.NodeID(nil), rec.Dirty...),
-		DirtyOverflow: rec.DirtyOverflow,
-	}
+// clone copies q with its own Dirty slice, so the manifest's record
+// never aliases a caller's.
+func (q Quality) clone() Quality {
+	q.Dirty = append([]graph.NodeID(nil), q.Dirty...)
+	return q
 }
 
 // OrdersFor lists the ordering artifacts stored for one graph digest,

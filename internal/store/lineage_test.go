@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -199,6 +200,71 @@ func TestQualityDirtyCapOverflow(t *testing.T) {
 	}
 	if err := s.SetQuality("nope", Quality{}); !errors.Is(err, ErrUnknownLineage) {
 		t.Fatalf("quality on unknown lineage err = %v", err)
+	}
+}
+
+// A lineage's quality record is stored under fixed JSON keys: a
+// record in the manifest format reads back field for field, and saving
+// it again writes the same keys and values.
+func TestQualityRecordJSONKeys(t *testing.T) {
+	const rec = `{"method":"gorder","opt_key":"k1","options_json":"{\"window\":5}",` +
+		`"window":5,"base_f":100,"base_edges":40,"base_packing":0.5,` +
+		`"cur_f":90,"cur_edges":42,"cur_packing":0.25,"clean_nodes":8,` +
+		`"repairs":2,"dirty":[3,1,7],"dirty_overflow":true}`
+	want := Quality{
+		Method: "gorder", OptKey: "k1", OptionsJSON: `{"window":5}`, Window: 5,
+		BaseF: 100, BaseEdges: 40, BasePacking: 0.5,
+		CurF: 90, CurEdges: 42, CurPacking: 0.25,
+		CleanNodes: 8, Repairs: 2, Dirty: []graph.NodeID{3, 1, 7}, DirtyOverflow: true,
+	}
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	if _, err := s.AppendVersion("g", "d1", gen.Ring(8), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m := readManifestKeys(t, dir)
+	m["lineages"] = json.RawMessage(`{"g":{"versions":["d1"],"quality":` + rec + `}}`)
+	data, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s = open(t, dir, 0)
+	got, ok := s.GetQuality("g")
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("quality = %+v ok=%v, want %+v", got, ok, want)
+	}
+	got.Dirty[0] = 99 // the returned record is a copy
+	if again, _ := s.GetQuality("g"); again.Dirty[0] != 3 {
+		t.Fatal("GetQuality aliases the stored dirty list")
+	}
+	if err := s.SetQuality("g", want); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var lins map[string]struct {
+		Quality json.RawMessage `json:"quality"`
+	}
+	if err := json.Unmarshal(readManifestKeys(t, dir)["lineages"], &lins); err != nil {
+		t.Fatal(err)
+	}
+	var saved, orig map[string]any
+	if err := json.Unmarshal(lins["g"].Quality, &saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(rec), &orig); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(saved, orig) {
+		t.Fatalf("saved quality record = %s, want %s", lins["g"].Quality, rec)
 	}
 }
 

@@ -59,34 +59,10 @@ type resultRec struct {
 	LastAccess time.Time `json:"last_access"`
 }
 
-// qualityRec is a lineage's persisted ordering-quality state: the
-// monitor's baseline (set at the last full ordering) and running
-// totals, maintained incrementally across mutation batches so a
-// restarted daemon resumes decay tracking without rescoring anything.
-type qualityRec struct {
-	Method      string  `json:"method"`       // canonical ordering the lineage follows
-	OptKey      string  `json:"opt_key"`      // its canonical-options hash (artifact key part)
-	OptionsJSON string  `json:"options_json"` // canonical options as JSON — opt_key is a hash, repair jobs need the values
-	Window      int     `json:"window"`       // window width F is tracked at
-	BaseF       int64   `json:"base_f"`       // F(pi) at the last full ordering
-	BaseEdges   int64   `json:"base_edges"`   // edge count then
-	BasePacking float64 `json:"base_packing"` // packing factor then
-	CurF        int64   `json:"cur_f"`        // F(pi) on the current tip
-	CurEdges    int64   `json:"cur_edges"`    //
-	CurPacking  float64 `json:"cur_packing"`  //
-	CleanNodes  int     `json:"clean_nodes"`  // vertex count at the last full ordering; repair re-places everything after it
-	Repairs     int     `json:"repairs"`      // incremental repairs since the last full ordering
-	// Dirty accumulates changed-edge endpoints since the last full
-	// ordering, capped at maxDirtyTracked; past the cap DirtyOverflow
-	// forces the next repair to be a full recompute.
-	Dirty         []uint32 `json:"dirty,omitempty"`
-	DirtyOverflow bool     `json:"dirty_overflow,omitempty"`
-}
-
 // lineageRec is one named graph's version history, oldest first.
 type lineageRec struct {
-	Versions []string    `json:"versions"`
-	Quality  *qualityRec `json:"quality,omitempty"`
+	Versions []string `json:"versions"`
+	Quality  *Quality `json:"quality,omitempty"`
 }
 
 // tip returns the newest version's digest ("" for an empty history).

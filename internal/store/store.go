@@ -420,12 +420,9 @@ func (s *Store) PutOrder(graphDigest, method, optKey string, perm order.Permutat
 	var n int64
 	sum := crc32.NewIEEE()
 	err := WriteFileAtomic(filepath.Join(s.dir, ordersDirName, file), 0o644, func(w io.Writer) error {
-		cw := &countWriter{w: io.MultiWriter(w, sum)}
-		if err := order.WritePermutation(cw, perm); err != nil {
-			return err
-		}
-		n = cw.n
-		return nil
+		var err error
+		n, err = perm.WriteTo(io.MultiWriter(w, sum))
+		return err
 	})
 	if err != nil {
 		return fmt.Errorf("store: persisting ordering %s: %w", file, err)

@@ -142,19 +142,19 @@ func ScoreDelta(gOld, gNew *Graph, p Permutation, w int, added, removed []Edge) 
 	return order.ScoreDelta(gOld, gNew, p, w, added, removed)
 }
 
-// PartitionedOptions configures OrderPartitioned: worker bound,
-// partition count, and partitioner choice.
+// PartitionedOptions configures OrderPartitioned: worker bound and
+// partition count.
 type PartitionedOptions = core.PartitionedOptions
 
 // DefaultPartitions is the default OrderPartitioned partition count.
 const DefaultPartitions = core.DefaultPartitions
 
 // OrderPartitioned computes the partition-parallel Gorder: the graph
-// is cut along the BOBA guide sequence (or a BFS/LDG partitioner),
-// each partition's ghost-extended subgraph is ordered with the exact
+// is cut into contiguous chunks of the BOBA guide sequence, each
+// partition's ghost-extended subgraph is ordered with the exact
 // unit-heap greedy concurrently, and the partition orders are stitched
 // by inter-partition edge weight. The permutation depends only on
-// (g, opt, Partitions, Partitioner) — never on Workers or GOMAXPROCS.
+// (g, opt, Partitions) — never on Workers or GOMAXPROCS.
 // On a 1M-edge web graph it retains >90% of the exact F(pi) at a
 // severalfold speedup; see BenchmarkOrderPartitioned in BENCH_gorder.json.
 func OrderPartitioned(g *Graph, opt Options, po PartitionedOptions) Permutation {

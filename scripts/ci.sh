@@ -138,6 +138,20 @@ if grep -n --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> nothing only tests reach gate (deleted partitioners, test-only settings, twin writers)"
+# Every exported name and option field in non-test code has a non-test
+# caller. These were reachable only from tests and were deleted or
+# turned into constants; bringing one back reopens a configuration no
+# caller selects.
+if grep -rnw --include='*.go' --exclude='*_test.go' \
+    -e 'Partitioner' -e 'BFSPartition' -e 'LDGPartition' -e 'WritePermutation' \
+    -e 'qualityRec' -e 'GraphBudget' -e 'QueryWaitCap' -e 'MaxLevels' -e 'LabelPropIters' \
+    -e '"gorder/internal/cli"' \
+    cmd internal examples ./*.go 2>/dev/null; then
+    echo "FAIL: code only tests reach is back in non-test Go" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -160,7 +174,7 @@ echo "==> parallel ordering smoke under race (boba + gorder-partitioned, workers
 go test -race -count=1 -run 'TestParallelSmokeMidSize' ./internal/core/
 
 echo "==> GOMAXPROCS=1 go test (serial ingest fallback + registry parity)"
-GOMAXPROCS=1 go test ./internal/graph/ ./internal/cli/ ./internal/server/ ./internal/registry/
+GOMAXPROCS=1 go test ./internal/graph/ ./internal/server/ ./internal/registry/
 GOMAXPROCS=1 go test -run 'TestParity' .
 
 echo "==> GOMAXPROCS=1 runtime + kernel-engine pass (worker counts above core count stay bit-identical)"
