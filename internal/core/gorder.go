@@ -102,13 +102,16 @@ func startVertex(g *graph.Graph) int32 {
 // delta zero, which still moves the item to its class head) for items
 // the -phase touched. A placement whose bump count overflows the log
 // (a hub placement can produce ~m bump events) falls back to
-// re-traversing its adjacency ranges in the same order, so the log
-// never grows and the loop performs no per-placement allocation.
+// re-walking its lists in the same order, so the log never grows and
+// the loop performs no per-placement allocation.
 // TestOrderOptimizedMatchesReference and TestIncrementalMatchesReference
 // hold the bit-for-bit equivalence against the per-bump oracles.
 //
-// The run adds its heap operations and its sequence length, prefix
-// included, to the context's OrderStats carrier, if one is attached.
+// The run adds its heap operations, adjacency entries scanned,
+// extracted keys and sequence length, prefix included, to the
+// context's OrderStats carrier, if one is attached. Each extracted key
+// is the vertex's score against the window it joins, so from a
+// one-vertex prefix at exact scores the key sum is F(pi).
 func orderFrom(ctx context.Context, g *graph.Graph, opt Options, seq []graph.NodeID) (order.Permutation, error) {
 	w := opt.Window
 	if w <= 0 {
@@ -119,15 +122,17 @@ func orderFrom(ctx context.Context, g *graph.Graph, opt Options, seq []graph.Nod
 		h:      NewUnitHeap(n),
 		outIdx: g.OutIndex(), outAdj: g.OutAdjacency(),
 		inIdx: g.InIndex(), inAdj: g.InAdjacency(),
-		hub:    int64(opt.HubThreshold),
-		delta:  make([]int32, n),
-		pc:     make([]int32, n),
-		mc:     make([]int32, n),
-		log:    make([]int32, 0, greedyLogCap),
-		logged: true,
+		hub:      int64(opt.HubThreshold),
+		live:     make([][]graph.NodeID, n),
+		chunk:    n / 2,
+		uncopied: len(g.OutAdjacency()),
+		cnt:      make([]bumpCount, n),
+		log:      make([]int32, 0, greedyLogCap),
+		logged:   true,
 	}
+	var keySum int64
 	if st := orderStatsFrom(ctx); st != nil {
-		defer func() { st.add(s.heapOps, int64(len(seq))) }()
+		defer func() { st.add(s.heapOps, s.scans, keySum, int64(len(seq))) }()
 	}
 
 	for _, v := range seq {
@@ -135,8 +140,9 @@ func orderFrom(ctx context.Context, g *graph.Graph, opt Options, seq []graph.Nod
 		s.heapOps++
 	}
 	if len(seq) == 0 {
-		v, _, _ := s.h.ExtractMax()
+		v, key, _ := s.h.ExtractMax()
 		s.heapOps++
+		keySum += int64(key)
 		seq = append(seq, graph.NodeID(v))
 	}
 	// Prime the window with the prefix's last w vertices; the last one
@@ -161,11 +167,12 @@ func orderFrom(ctx context.Context, g *graph.Graph, opt Options, seq []graph.Nod
 		}
 		s.slide(seq[i-1], ov, hasMinus)
 
-		next, _, ok := s.h.ExtractMax()
+		next, key, ok := s.h.ExtractMax()
 		s.heapOps++
 		if !ok {
 			break
 		}
+		keySum += int64(key)
 		seq = append(seq, graph.NodeID(next))
 	}
 	return order.FromSequence(seq), nil
@@ -187,13 +194,25 @@ type greedyState struct {
 	inAdj  []graph.NodeID
 	hub    int64 // 0 = exact scores
 
-	// delta holds each touched item's net key change this placement;
-	// pc and mc hold its remaining +phase / -phase occurrence counts.
-	// The apply pass drives every touched entry back to zero, so the
-	// arrays never need a clearing pass.
-	delta []int32
-	pc    []int32
-	mc    []int32
+	// live[x] is x's out-list cut down to the candidates still in the
+	// heap, in adjacency order: copied into the arena on its first scan
+	// (nil until then) and compacted in place on every later one, so
+	// extracted vertices are skipped once instead of on every scan.
+	// The arena grows as lists are first scanned, in chunks that
+	// double from n entries but never exceed the adjacency not yet
+	// copied (uncopied), so a run that touches few lists (an
+	// incremental append) allocates little; free is the current
+	// chunk's unused tail.
+	live     [][]graph.NodeID
+	free     []graph.NodeID
+	chunk    int
+	uncopied int
+
+	// cnt holds each touched item's net key change and its remaining
+	// +phase / -phase occurrence counts. The apply pass drives every
+	// touched entry back to zero, so the array never needs a clearing
+	// pass.
+	cnt []bumpCount
 
 	// log records the bump sequence of the current placement while it
 	// fits; logged reports whether it is complete (capacity never
@@ -201,7 +220,13 @@ type greedyState struct {
 	log    []int32
 	logged bool
 
-	heapOps int64
+	heapOps, scans int64
+}
+
+// bumpCount is one candidate's accumulated bumps for the current
+// placement, kept together so a bump touches one cache line.
+type bumpCount struct {
+	delta, pc, mc int32
 }
 
 // slide moves the window one step: v enters it (the +phase) and, when
@@ -215,162 +240,174 @@ func (s *greedyState) slide(v, ov graph.NodeID, hasMinus bool) {
 		minusEnd = s.accumulate(ov, true)
 	}
 	if s.logged {
-		s.applyPlusLog(s.log[:plusEnd])
-		s.applyMinusLog(s.log[plusEnd:minusEnd])
+		s.applyLog(s.log[:plusEnd], false)
+		s.applyLog(s.log[plusEnd:minusEnd], true)
 	} else {
-		s.applyPlusRescan(v)
+		s.rescan(v, false)
 		if hasMinus {
-			s.applyMinusRescan(ov)
+			s.rescan(ov, true)
 		}
 	}
 	s.log = s.log[:0]
 	s.logged = true
 }
 
+// liveOut returns x's live out-list, copying the still-live part of
+// its adjacency into the arena on the first call.
+func (s *greedyState) liveOut(x graph.NodeID) []graph.NodeID {
+	if l := s.live[x]; l != nil {
+		return l
+	}
+	return s.copyOut(x)
+}
+
+// copyOut is liveOut's first-scan path, kept out of line so that
+// liveOut inlines into the scan loops.
+func (s *greedyState) copyOut(x graph.NodeID) []graph.NodeID {
+	src := s.outAdj[s.outIdx[x]:s.outIdx[x+1]]
+	if len(src) == 0 {
+		return nil
+	}
+	if len(s.free) < len(src) {
+		s.chunk = min(max(2*s.chunk, len(src)), s.uncopied)
+		s.free = make([]graph.NodeID, s.chunk)
+	}
+	s.uncopied -= len(src)
+	l := s.free[:0]
+	for _, u := range src {
+		if s.h.node[u].in {
+			l = append(l, u)
+		}
+	}
+	s.free = s.free[len(l):]
+	s.live[x] = l
+	return l
+}
+
 // accumulate walks v's score contributions in the reference traversal
 // order — out-neighbours, then each in-neighbour followed by its
 // non-hub sibling expansion — counting occurrences and net deltas for
-// every candidate still in the heap. Candidates already extracted are
-// skipped here once instead of per heap op: no extraction happens
-// between accumulation and apply, so membership cannot change. It
-// returns the log length after this phase.
+// every candidate still in the heap. No extraction happens between
+// accumulation and apply, so membership cannot change within a
+// placement; out-lists are compacted to their live entries as they
+// are scanned, which drops v itself (already extracted) from its
+// siblings' lists. It returns the log length after this phase.
 func (s *greedyState) accumulate(v graph.NodeID, minus bool) int {
-	inHeap := s.h.inHeap
-	cnt := s.pc
-	d := int32(1)
-	if minus {
-		cnt = s.mc
-		d = -1
-	}
-	for _, u := range s.outAdj[s.outIdx[v]:s.outIdx[v+1]] {
-		if inHeap[u] {
-			cnt[u]++
-			s.delta[u] += d
-			s.logBump(int32(u))
-		}
-	}
-	for _, x := range s.inAdj[s.inIdx[v]:s.inIdx[v+1]] {
-		if inHeap[x] {
-			cnt[x]++
-			s.delta[x] += d
-			s.logBump(int32(x))
+	s.scanLive(v, minus)
+	in := s.inAdj[s.inIdx[v]:s.inIdx[v+1]]
+	s.scans += int64(len(in))
+	for _, x := range in {
+		if s.h.node[x].in {
+			s.bump(x, minus)
 		}
 		if s.hub > 0 && s.outIdx[x+1]-s.outIdx[x] > s.hub {
 			continue
 		}
-		for _, u := range s.outAdj[s.outIdx[x]:s.outIdx[x+1]] {
-			if u != v && inHeap[u] {
-				cnt[u]++
-				s.delta[u] += d
-				s.logBump(int32(u))
-			}
-		}
+		s.scanLive(x, minus)
 	}
 	return len(s.log)
 }
 
-func (s *greedyState) logBump(u int32) {
+// scanLive bumps every live entry of x's out-list and compacts the
+// list in place, keeping the live entries in order.
+func (s *greedyState) scanLive(x graph.NodeID, minus bool) {
+	l := s.liveOut(x)
+	s.scans += int64(len(l))
+	node := s.h.node
+	k := 0
+	for _, u := range l {
+		if node[u].in {
+			l[k] = u
+			k++
+			s.bump(u, minus)
+		}
+	}
+	if k < len(l) {
+		s.live[x] = l[:k]
+	}
+}
+
+func (s *greedyState) bump(u graph.NodeID, minus bool) {
+	c := &s.cnt[u]
+	if minus {
+		c.mc++
+		c.delta--
+	} else {
+		c.pc++
+		c.delta++
+	}
 	if len(s.log) < cap(s.log) {
-		s.log = append(s.log, u)
+		s.log = append(s.log, int32(u))
 	} else {
 		s.logged = false
 	}
 }
 
-// applyPlusLog relocates each all-plus item at its last logged
-// occurrence with a class-tail append, as a trailing Inc would have
-// left it. Items the -phase also touched relocate in the -phase apply
-// instead.
-func (s *greedyState) applyPlusLog(log []int32) {
+// applyLog replays one phase's bump sequence, relocating each item
+// at its last occurrence. A +phase item the -phase did not touch moves
+// with a class-tail append, as a trailing Inc would have left it;
+// items the -phase also touched relocate in the -phase apply instead.
+// A -phase item moves with a class-head prepend, as a trailing Dec
+// would have left it — even at net delta zero, which still moves the
+// item to its class head.
+func (s *greedyState) applyLog(log []int32, minus bool) {
+	h, cnt := s.h, s.cnt
+	if !minus {
+		for _, u := range log {
+			c := &cnt[u]
+			c.pc--
+			if c.pc == 0 && c.mc == 0 {
+				h.addTail(u, c.delta)
+				s.heapOps++
+				c.delta = 0
+			}
+		}
+		return
+	}
 	for _, u := range log {
-		s.pc[u]--
-		if s.pc[u] == 0 && s.mc[u] == 0 {
-			s.h.addTail(u, s.delta[u])
+		c := &cnt[u]
+		c.mc--
+		if c.mc == 0 {
+			h.addFront(u, c.delta)
 			s.heapOps++
-			s.delta[u] = 0
+			c.delta = 0
 		}
 	}
 }
 
-// applyMinusLog relocates every -phase-touched item at its last logged
-// occurrence with a class-head prepend, as a trailing Dec would have
-// left it — even at net delta zero, which still moves the item to its
-// class head.
-func (s *greedyState) applyMinusLog(log []int32) {
-	for _, u := range log {
-		s.mc[u]--
-		if s.mc[u] == 0 {
-			s.h.addFront(u, s.delta[u])
-			s.heapOps++
-			s.delta[u] = 0
-		}
-	}
-}
-
-// applyPlusRescan is applyPlusLog for placements whose bump sequence
+// rescan applies one phase of a placement whose bump sequence
 // overflowed the log: re-walking v's contributions in accumulate order
-// visits exactly the logged sequence.
-func (s *greedyState) applyPlusRescan(v graph.NodeID) {
-	inHeap := s.h.inHeap
-	for _, u := range s.outAdj[s.outIdx[v]:s.outIdx[v+1]] {
-		if inHeap[u] {
-			s.applyPlusOne(int32(u))
+// visits exactly the sequence the log would have held, and feeds it to
+// applyLog one full log at a time. accumulate left every out-list it
+// walked compacted to live entries, so only v's in-list needs the
+// membership test.
+func (s *greedyState) rescan(v graph.NodeID, minus bool) {
+	s.log = s.log[:0]
+	replay := func(u graph.NodeID) {
+		if len(s.log) == cap(s.log) {
+			s.applyLog(s.log, minus)
+			s.log = s.log[:0]
 		}
+		s.log = append(s.log, int32(u))
 	}
-	for _, x := range s.inAdj[s.inIdx[v]:s.inIdx[v+1]] {
-		if inHeap[x] {
-			s.applyPlusOne(int32(x))
+	out, in := s.live[v], s.inAdj[s.inIdx[v]:s.inIdx[v+1]]
+	s.scans += int64(len(out) + len(in))
+	for _, u := range out {
+		replay(u)
+	}
+	for _, x := range in {
+		if s.h.node[x].in {
+			replay(x)
 		}
 		if s.hub > 0 && s.outIdx[x+1]-s.outIdx[x] > s.hub {
 			continue
 		}
-		for _, u := range s.outAdj[s.outIdx[x]:s.outIdx[x+1]] {
-			if u != v && inHeap[u] {
-				s.applyPlusOne(int32(u))
-			}
+		s.scans += int64(len(s.live[x]))
+		for _, u := range s.live[x] {
+			replay(u)
 		}
 	}
-}
-
-func (s *greedyState) applyPlusOne(u int32) {
-	s.pc[u]--
-	if s.pc[u] == 0 && s.mc[u] == 0 {
-		s.h.addTail(u, s.delta[u])
-		s.heapOps++
-		s.delta[u] = 0
-	}
-}
-
-// applyMinusRescan is applyMinusLog's rescan fallback.
-func (s *greedyState) applyMinusRescan(ov graph.NodeID) {
-	inHeap := s.h.inHeap
-	for _, u := range s.outAdj[s.outIdx[ov]:s.outIdx[ov+1]] {
-		if inHeap[u] {
-			s.applyMinusOne(int32(u))
-		}
-	}
-	for _, x := range s.inAdj[s.inIdx[ov]:s.inIdx[ov+1]] {
-		if inHeap[x] {
-			s.applyMinusOne(int32(x))
-		}
-		if s.hub > 0 && s.outIdx[x+1]-s.outIdx[x] > s.hub {
-			continue
-		}
-		for _, u := range s.outAdj[s.outIdx[x]:s.outIdx[x+1]] {
-			if u != ov && inHeap[u] {
-				s.applyMinusOne(int32(u))
-			}
-		}
-	}
-}
-
-func (s *greedyState) applyMinusOne(u int32) {
-	s.mc[u]--
-	if s.mc[u] == 0 {
-		s.h.addFront(u, s.delta[u])
-		s.heapOps++
-		s.delta[u] = 0
-	}
+	s.applyLog(s.log, minus)
 }
 
 // MultilevelOrder runs Gorder on a coarsened graph and projects the

@@ -34,7 +34,9 @@ var orderBenchConfigs = []Options{
 
 // BenchmarkOrderWith measures the Gorder greedy itself — the system's
 // dominant cost — reporting placements/sec alongside ns/op so runs of
-// different graph sizes stay comparable.
+// different graph sizes stay comparable, and scans/op, the adjacency
+// entries the greedy visited: an exact, machine-independent count of
+// its traversal work.
 func BenchmarkOrderWith(b *testing.B) {
 	for _, ds := range orderBenchGraphs {
 		g := ds.gen()
@@ -42,11 +44,16 @@ func BenchmarkOrderWith(b *testing.B) {
 			name := fmt.Sprintf("%s/w=%d/hub=%d", ds.name, opt.Window, opt.HubThreshold)
 			b.Run(name, func(b *testing.B) {
 				b.ReportMetric(float64(g.NumEdges()), "edges")
+				var st OrderStats
+				ctx := WithOrderStats(context.Background(), &st)
 				for i := 0; i < b.N; i++ {
-					OrderWith(g, opt)
+					if _, err := OrderWithCtx(ctx, g, opt); err != nil {
+						b.Fatal(err)
+					}
 				}
 				placements := float64(g.NumNodes()-1) * float64(b.N)
 				b.ReportMetric(placements/b.Elapsed().Seconds(), "placements/s")
+				b.ReportMetric(float64(st.scans.Load())/float64(b.N), "scans/op")
 			})
 		}
 	}

@@ -23,13 +23,13 @@ const noItem = int32(-1)
 // indexed by key (grown on demand), not maps: every heap operation is
 // a handful of array reads with no hashing.
 type UnitHeap struct {
-	key    []int32
-	prev   []int32 // doubly linked list over 0..n-1 plus two sentinels
-	next   []int32
-	head   []int32 // head[k]: first item of key class k (closest to max), noItem if empty
-	tail   []int32 // tail[k]: last item of key class k
-	inHeap []bool
-	size   int
+	// node holds each item's list links, key and membership side by
+	// side, so one relocation touches one cache line per item instead
+	// of one per array. Entries n and n+1 are the list sentinels.
+	node []heapNode
+	head []int32 // head[k]: first item of key class k (closest to max), noItem if empty
+	tail []int32 // tail[k]: last item of key class k
+	size int
 	// top is an upper bound on the highest non-empty key class; it
 	// bounds the empty-class scan in relocate and decays lazily as the
 	// top classes drain.
@@ -38,29 +38,32 @@ type UnitHeap struct {
 	sentTail int32
 }
 
+// heapNode is one item's entry in the doubly linked list.
+type heapNode struct {
+	prev, next int32
+	key        int32
+	in         bool // still in the heap
+}
+
 // NewUnitHeap returns a heap containing items 0..n-1, all with key 0,
 // ordered by item number (smaller items extract first among ties).
 func NewUnitHeap(n int) *UnitHeap {
 	h := &UnitHeap{
-		key:      make([]int32, n),
-		prev:     make([]int32, n+2),
-		next:     make([]int32, n+2),
+		node:     make([]heapNode, n+2),
 		head:     make([]int32, 1, 64),
 		tail:     make([]int32, 1, 64),
-		inHeap:   make([]bool, n),
 		size:     n,
 		sentHead: int32(n),
 		sentTail: int32(n + 1),
 	}
 	last := h.sentHead
 	for i := 0; i < n; i++ {
-		h.next[last] = int32(i)
-		h.prev[i] = last
-		h.inHeap[i] = true
+		h.node[last].next = int32(i)
+		h.node[i] = heapNode{prev: last, in: true}
 		last = int32(i)
 	}
-	h.next[last] = h.sentTail
-	h.prev[h.sentTail] = last
+	h.node[last].next = h.sentTail
+	h.node[h.sentTail].prev = last
 	h.head[0], h.tail[0] = noItem, noItem
 	if n > 0 {
 		h.head[0], h.tail[0] = 0, int32(n-1)
@@ -72,11 +75,11 @@ func NewUnitHeap(n int) *UnitHeap {
 func (h *UnitHeap) Len() int { return h.size }
 
 // Contains reports whether item is still in the heap.
-func (h *UnitHeap) Contains(item int) bool { return h.inHeap[item] }
+func (h *UnitHeap) Contains(item int) bool { return h.node[item].in }
 
 // Key returns item's current key. Valid only while the item is in the
 // heap.
-func (h *UnitHeap) Key(item int) int32 { return h.key[item] }
+func (h *UnitHeap) Key(item int) int32 { return h.node[item].key }
 
 // growTo extends the dense class indices to cover key k.
 func (h *UnitHeap) growTo(k int32) {
@@ -87,39 +90,39 @@ func (h *UnitHeap) growTo(k int32) {
 }
 
 func (h *UnitHeap) unlink(e int32) {
-	p, nx := h.prev[e], h.next[e]
-	h.next[p] = nx
-	h.prev[nx] = p
+	p, nx := h.node[e].prev, h.node[e].next
+	h.node[p].next = nx
+	h.node[nx].prev = p
 }
 
 func (h *UnitHeap) insertBefore(e, f int32) {
-	p := h.prev[f]
-	h.next[p] = e
-	h.prev[e] = p
-	h.next[e] = f
-	h.prev[f] = e
+	p := h.node[f].prev
+	h.node[p].next = e
+	h.node[e].prev = p
+	h.node[e].next = f
+	h.node[f].prev = e
 }
 
 func (h *UnitHeap) insertAfter(e, l int32) {
-	nx := h.next[l]
-	h.next[l] = e
-	h.prev[e] = l
-	h.next[e] = nx
-	h.prev[nx] = e
+	nx := h.node[l].next
+	h.node[l].next = e
+	h.node[e].prev = l
+	h.node[e].next = nx
+	h.node[nx].prev = e
 }
 
 // detachFromClass fixes the class head/tail pointers before e leaves
 // its current key class.
 func (h *UnitHeap) detachFromClass(e int32) {
-	k := h.key[e]
+	k := h.node[e].key
 	hd, tl := h.head[k], h.tail[k]
 	switch {
 	case hd == e && tl == e:
 		h.head[k], h.tail[k] = noItem, noItem
 	case hd == e:
-		h.head[k] = h.next[e]
+		h.head[k] = h.node[e].next
 	case tl == e:
-		h.tail[k] = h.prev[e]
+		h.tail[k] = h.node[e].prev
 	}
 }
 
@@ -135,10 +138,10 @@ func (h *UnitHeap) decayTop() {
 // tail of the class above.
 func (h *UnitHeap) Inc(item int) {
 	e := int32(item)
-	if !h.inHeap[item] {
+	if !h.node[item].in {
 		panic(fmt.Sprintf("core: Inc of item %d not in heap", item))
 	}
-	k := h.key[e]
+	k := h.node[e].key
 	h.growTo(k + 1)
 	f := h.head[k] // class is non-empty: e belongs to it
 	h.detachFromClass(e)
@@ -146,7 +149,7 @@ func (h *UnitHeap) Inc(item int) {
 		h.unlink(e)
 		h.insertBefore(e, f)
 	}
-	h.key[e] = k + 1
+	h.node[e].key = k + 1
 	if h.head[k+1] == noItem {
 		h.head[k+1] = e
 	}
@@ -161,10 +164,10 @@ func (h *UnitHeap) Inc(item int) {
 // windowed-score regime; decrementing a zero key panics.
 func (h *UnitHeap) Dec(item int) {
 	e := int32(item)
-	if !h.inHeap[item] {
+	if !h.node[item].in {
 		panic(fmt.Sprintf("core: Dec of item %d not in heap", item))
 	}
-	k := h.key[e]
+	k := h.node[e].key
 	if k == 0 {
 		panic(fmt.Sprintf("core: Dec of item %d would make its key negative", item))
 	}
@@ -174,7 +177,7 @@ func (h *UnitHeap) Dec(item int) {
 		h.unlink(e)
 		h.insertAfter(e, l)
 	}
-	h.key[e] = k - 1
+	h.node[e].key = k - 1
 	if h.tail[k-1] == noItem {
 		h.tail[k-1] = e
 	}
@@ -188,7 +191,7 @@ func (h *UnitHeap) Dec(item int) {
 // to the head (as a run of Decs would); delta zero is a no-op. The
 // target key must not be negative.
 func (h *UnitHeap) Add(item int, delta int32) {
-	if !h.inHeap[item] {
+	if !h.node[item].in {
 		panic(fmt.Sprintf("core: Add of item %d not in heap", item))
 	}
 	if delta == 0 {
@@ -214,7 +217,7 @@ func (h *UnitHeap) addFront(e, delta int32) { h.relocate(e, delta, true) }
 // target class; when the target class is empty both coincide: the slot
 // just below the nearest non-empty class above.
 func (h *UnitHeap) relocate(e, delta int32, front bool) {
-	k := h.key[e]
+	k := h.node[e].key
 	nk := k + delta
 	if nk < 0 {
 		panic(fmt.Sprintf("core: Add of item %d would make its key %d negative", e, nk))
@@ -222,7 +225,7 @@ func (h *UnitHeap) relocate(e, delta int32, front bool) {
 	h.growTo(nk)
 	h.detachFromClass(e)
 	h.unlink(e)
-	h.key[e] = nk
+	h.node[e].key = nk
 	if front {
 		if hd := h.head[nk]; hd != noItem {
 			h.insertBefore(e, hd)
@@ -260,28 +263,28 @@ func (h *UnitHeap) relocate(e, delta int32, front bool) {
 // been at the front longest is taken, which makes extraction
 // deterministic.
 func (h *UnitHeap) ExtractMax() (item int, key int32, ok bool) {
-	e := h.next[h.sentHead]
+	e := h.node[h.sentHead].next
 	if e == h.sentTail {
 		return 0, 0, false
 	}
 	h.detachFromClass(e)
 	h.unlink(e)
-	h.inHeap[e] = false
+	h.node[e].in = false
 	h.size--
 	h.decayTop()
-	return int(e), h.key[e], true
+	return int(e), h.node[e].key, true
 }
 
 // Delete removes an arbitrary item from the heap (used to take the
 // ordering's already-placed prefix out of the candidates).
 func (h *UnitHeap) Delete(item int) {
 	e := int32(item)
-	if !h.inHeap[item] {
+	if !h.node[item].in {
 		panic(fmt.Sprintf("core: Delete of item %d not in heap", item))
 	}
 	h.detachFromClass(e)
 	h.unlink(e)
-	h.inHeap[item] = false
+	h.node[e].in = false
 	h.size--
 	h.decayTop()
 }

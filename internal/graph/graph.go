@@ -74,6 +74,22 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	return lo < len(adj) && adj[lo] == v
 }
 
+// HasParallelEdges reports whether some directed edge appears more
+// than once. FromEdges and the edge-list readers keep parallel edges;
+// FromEdgesDedup collapses them. Neighbour lists are sorted, so one
+// pass comparing adjacent entries decides it.
+func (g *Graph) HasParallelEdges() bool {
+	for u := 0; u < g.n; u++ {
+		adj := g.outAdj[g.outIdx[u]:g.outIdx[u+1]]
+		for i := 1; i < len(adj); i++ {
+			if adj[i] == adj[i-1] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Edges calls fn for every directed edge (u, v) in CSR order. It stops
 // early if fn returns false.
 func (g *Graph) Edges(fn func(u, v NodeID) bool) {

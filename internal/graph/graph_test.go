@@ -98,12 +98,22 @@ func TestFromEdgesDedup(t *testing.T) {
 	if len(g.OutNeighbors(0)) != 1 {
 		t.Errorf("out(0) = %v after dedup", g.OutNeighbors(0))
 	}
+	if g.HasParallelEdges() {
+		t.Error("deduped graph reports parallel edges")
+	}
 }
 
 func TestParallelEdgesKept(t *testing.T) {
 	g := FromEdges(2, []Edge{{0, 1}, {0, 1}})
 	if g.NumEdges() != 2 || len(g.OutNeighbors(0)) != 2 {
 		t.Error("FromEdges collapsed parallel edges")
+	}
+	if !g.HasParallelEdges() {
+		t.Error("HasParallelEdges missed a repeated edge")
+	}
+	// Self-loops and the same pair in both directions are not parallel.
+	if FromEdges(2, []Edge{{0, 1}, {1, 0}, {1, 1}}).HasParallelEdges() {
+		t.Error("HasParallelEdges reports a simple graph")
 	}
 }
 

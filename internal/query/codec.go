@@ -94,8 +94,12 @@ func decodeResult(data []byte) (*cachedResult, error) {
 	c.method = r.str()
 	c.optKey = r.str()
 
+	// Counts are checked against the bytes left before they size an
+	// allocation, so a corrupt count cannot allocate past the blob: a
+	// summary entry takes at least 12 bytes (key length and value), a
+	// vector element its width.
 	nsum := int(r.u32())
-	if r.err == nil && nsum > len(data) {
+	if r.err == nil && nsum > r.left()/12 {
 		return nil, fmt.Errorf("result blob: summary count %d exceeds blob", nsum)
 	}
 	c.res.Summary = make(map[string]float64, nsum)
@@ -107,7 +111,11 @@ func decodeResult(data []byte) (*cachedResult, error) {
 	kind := r.byte()
 	if kind != vecNone {
 		n := int(r.u32())
-		if r.err == nil && n > len(data) {
+		width := 8
+		if kind == vecInt32 {
+			width = 4
+		}
+		if r.err == nil && n > r.left()/width {
 			return nil, fmt.Errorf("result blob: vector length %d exceeds blob", n)
 		}
 		switch kind {
@@ -169,6 +177,9 @@ type byteReader struct {
 	err  error
 }
 
+// left returns the number of unread bytes.
+func (r *byteReader) left() int { return len(r.data) - r.off }
+
 func (r *byteReader) take(n int) []byte {
 	if r.err != nil || n < 0 || r.off+n > len(r.data) {
 		if r.err == nil {
@@ -207,7 +218,7 @@ func (r *byteReader) u64() uint64 {
 
 func (r *byteReader) str() string {
 	n := int(r.u32())
-	if r.err == nil && n > len(r.data)-r.off {
+	if r.err == nil && n > r.left() {
 		r.err = fmt.Errorf("result blob: string length %d exceeds blob", n)
 		return ""
 	}

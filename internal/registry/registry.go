@@ -446,6 +446,16 @@ type Observation struct {
 	// report (only the Gorder greedy family does today).
 	HeapOps    int64
 	Placements int64
+	// ScoreF is F(pi) at the run's window, set (HasScoreF) when the run
+	// produced it as a by-product: a completed Gorder run at exact
+	// scores extracts each vertex with its score against the window,
+	// so on a graph without parallel edges the extracted keys sum to
+	// order.Score(g, perm, w). (The greedy counts a parallel edge once
+	// per copy; order.Score counts the pair once.) Callers use it
+	// instead of a second pass over the graph and fall back to
+	// order.Score when HasScoreF is false.
+	ScoreF    int64
+	HasScoreF bool
 }
 
 // ComputeObserved resolves name, runs the ordering under ctx, and
@@ -474,6 +484,9 @@ func ComputeObserved(ctx context.Context, g *graph.Graph, name string, opt Optio
 		Err:        err,
 		HeapOps:    st.HeapOps(),
 		Placements: st.Placements(),
+	}
+	if err == nil && desc.Name == GorderName && opt.HubThreshold <= 0 && !g.HasParallelEdges() {
+		obs.ScoreF, obs.HasScoreF = st.KeySum(), true
 	}
 	return perm, obs, err
 }

@@ -562,7 +562,10 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 			return nil, err
 		}
 		found(perm)
-		f := order.Score(g, perm, w)
+		f := obs.ScoreF
+		if !obs.HasScoreF {
+			f = order.Score(g, perm, w)
+		}
 		if optKey != "" {
 			if err := s.cfg.Store.PutOrder(digest, method, optKey, perm); err != nil {
 				s.log.Warn("persisting ordering artifact failed", "graph", digest,

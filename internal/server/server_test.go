@@ -807,6 +807,80 @@ func TestGreedyWorkMetrics(t *testing.T) {
 	}
 }
 
+// TestOrderJobScoreF holds an order job's score_F, and the quality
+// baseline it seeds, to order.Score of the downloaded permutation.
+// Plain gorder at exact scores reports the greedy's extracted-key sum;
+// gorder with a hub threshold, gorder-partitioned and a graph with
+// parallel edges (where the key sum counts each copy) are scored by
+// order.Score.
+func TestOrderJobScoreF(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 2, QueueDepth: 8}})
+	web := gen.Web(700, gen.DefaultWeb, 5)
+	var edges []graph.Edge
+	web.Edges(func(u, v graph.NodeID) bool {
+		edges = append(edges, graph.Edge{From: u, To: v})
+		if (u+v)%3 == 0 {
+			edges = append(edges, graph.Edge{From: u, To: v})
+		}
+		return true
+	})
+	multi := graph.FromEdges(web.NumNodes(), edges)
+	// Score against the graphs exactly as the server parses them.
+	graphs := map[string]*graph.Graph{}
+	for name, g := range map[string]*graph.Graph{"web": web, "multi": multi} {
+		data := edgeListBytes(t, g)
+		parsed, err := graph.Read(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		postGraph(t, ts, name, data)
+		graphs[name] = parsed
+	}
+	if !graphs["multi"].HasParallelEdges() {
+		t.Fatal("multi graph lost its parallel edges")
+	}
+
+	for _, req := range []JobRequest{
+		{Graph: "web", Method: "gorder"},
+		{Graph: "multi", Method: "gorder"},
+		{Graph: "web", Method: "gorder", Window: 3},
+		{Graph: "web", Method: "gorder", Hub: 8},
+		{Graph: "web", Method: "gorder-partitioned"},
+	} {
+		req.Kind = KindOrder
+		name := fmt.Sprintf("%s/%s/w=%d/hub=%d", req.Graph, req.Method, req.Window, req.Hub)
+		job := postJob(t, ts, req)
+		st := waitJob(t, ts, job.ID)
+		if st.State != StateDone {
+			t.Fatalf("%s: job ended %s (%s)", name, st.State, st.Error)
+		}
+		resp, err := http.Get(ts.URL + "/jobs/" + job.ID + "/permutation")
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm, err := order.ReadPermutation(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		w := req.Window
+		if w == 0 {
+			w = 5
+		}
+		want := order.Score(graphs[req.Graph], perm, w)
+		if got := st.Metrics["score_F"]; got != float64(want) {
+			t.Errorf("%s: score_F = %v, order.Score = %d", name, got, want)
+		}
+		// The first job on each lineage seeds its quality record.
+		if req.Window == 0 && req.Hub == 0 && req.Method == "gorder" {
+			_, q := getLineage(t, ts, req.Graph)
+			if q == nil || q.BaselineF != want || q.ScoreF != want {
+				t.Errorf("%s: quality = %+v, want baseline and score %d", name, q, want)
+			}
+		}
+	}
+}
+
 // TestStoreBackedServerRestart rebuilds the server over the same data
 // directory and expects the full catalog and artifact cache back.
 func TestStoreBackedServerRestart(t *testing.T) {

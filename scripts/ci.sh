@@ -152,6 +152,15 @@ if grep -rnw --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> gofmt gate (every Go file is gofmt-clean)"
+# .bench_build/ holds the benchmark's build cache, not source.
+unformatted=$(gofmt -l ./*.go cmd internal examples benchmark)
+if [ -n "$unformatted" ]; then
+    echo "$unformatted"
+    echo "FAIL: files need gofmt" >&2
+    exit 1
+fi
+
 echo "==> go build ./..."
 go build ./...
 
@@ -164,8 +173,9 @@ echo "==> benchmark module vet + short tests (compiles against internal/query an
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> greedy parity under race (optimized loop == seed reference, bit for bit; incremental == per-bump oracle)"
-go test -race -run 'TestOrderOptimizedMatchesReference|TestIncrementalMatchesReference' -count=1 ./internal/core/
+echo "==> greedy parity under race (optimized loop == seed reference, bit for bit; incremental == per-bump oracle;"
+echo "    log-overflow rescan == both oracles)"
+go test -race -run 'TestOrderOptimizedMatchesReference|TestIncrementalMatchesReference|TestRescanMatchesReference' -count=1 ./internal/core/
 
 echo "==> parallel runtime + kernel parity under race (par fan-out; exec == serial oracles, bit for bit, workers 1/2/4/8)"
 go test -race -count=1 ./internal/par/ ./internal/exec/
