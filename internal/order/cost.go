@@ -65,10 +65,7 @@ func Score(g *graph.Graph, p Permutation, w int) int64 {
 	seq := p.Sequence()
 	var total int64
 	for i := range seq {
-		for j := i - w; j < i; j++ {
-			if j < 0 {
-				continue
-			}
+		for j := max(0, i-w); j < i; j++ {
 			total += PairScore(g, seq[i], seq[j])
 		}
 	}

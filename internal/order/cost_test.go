@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gorder/internal/graph"
 )
@@ -77,6 +78,26 @@ func TestScoreWindow(t *testing.T) {
 	// in(2) = {1}, in(0) = {} → 0). F stays 2.
 	if got := Score(g, Identity(3), 2); got != 2 {
 		t.Errorf("Score w=2 = %d, want 2", got)
+	}
+}
+
+// TestScoreHugeWindowBounded: a window past the vertex count scores
+// every pair, as w = n does, in time independent of w — the inner loop
+// must not walk the negative positions before the sequence start.
+func TestScoreHugeWindowBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	g := randGraph(rng, 64, 256)
+	p := Permutation(randPerm(rng, 64))
+	want := Score(g, p, 64)
+	done := make(chan int64, 1)
+	go func() { done <- Score(g, p, 1<<40) }()
+	select {
+	case got := <-done:
+		if got != want {
+			t.Errorf("Score w=2^40 = %d, want Score w=n = %d", got, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Score w=2^40 still running after 5s on a 64-vertex graph")
 	}
 }
 

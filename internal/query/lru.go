@@ -1,13 +1,17 @@
 package query
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // byteLRU is a byte-budgeted LRU over string keys, shared by the
 // executor's result cache and relabeled-graph cache. It mirrors the
-// store's residency discipline: admit unconditionally, then evict
+// store's residency discipline: admit whatever is put, then evict
 // least-recently-used entries until the budget holds (a single entry
 // larger than the whole budget is still admitted — evicting the thing
-// just computed would only guarantee recomputation).
+// just computed would only guarantee recomputation). Which results are
+// put at all is the executor's doorkeeper's call.
 type byteLRU struct {
 	mu        sync.Mutex
 	budget    int64
@@ -111,4 +115,32 @@ func (c *byteLRU) pushFront(e *lruEntry) {
 	if c.tail == nil {
 		c.tail = e
 	}
+}
+
+// doorkeeperBits sizes the admission doorkeeper: 2^12 slots of one
+// 64-bit hash each, 32 KiB whatever the traffic.
+const doorkeeperBits = 12
+
+// doorkeeper is the result cache's admission filter, after TinyLFU's
+// doorkeeper: a direct-mapped table holding, per slot, the hash of the
+// last key that missed there. A key is admitted when its slot still
+// holds its hash — it missed once before and no key since displaced
+// it — so a result asked for once is never cached, however large the
+// budget. One atomic swap per decision makes it safe, and lock-free,
+// under concurrent queries. The hash is a fixed FNV-1a, so the same
+// query stream makes the same decisions in every process.
+type doorkeeper struct {
+	slots [1 << doorkeeperBits]atomic.Uint64
+}
+
+// admit records a miss on key and reports whether key had missed
+// recently enough to still own its slot.
+func (d *doorkeeper) admit(key string) bool {
+	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
+	}
+	h |= 1 // never 0, the empty slot
+	return d.slots[h>>(64-doorkeeperBits)].Swap(h) == h
 }

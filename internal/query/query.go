@@ -9,6 +9,8 @@
 // graphs and ordering artifacts are pinned through internal/store,
 // and results are cached in an LRU byte budget plus — for whole-graph
 // kernels — materialized as store artifacts that survive restarts.
+// Per-source results (BFS, SP) enter the LRU only on their second
+// miss, so one-off traversals never displace answers that recur.
 // Results always live in the caller's (natural) vertex ID space:
 // sources are mapped forward through the ordering's permutation and
 // result vectors mapped back, so the ordering in use is invisible in
@@ -154,8 +156,9 @@ func errf(status int, code, format string, args ...any) *Error {
 // Executor runs queries. Safe for concurrent use.
 type Executor struct {
 	cfg     Config
-	results *byteLRU // resultKey -> *cachedResult
-	graphs  *byteLRU // graphKey  -> *orderedGraph
+	results *byteLRU   // resultKey -> *cachedResult
+	graphs  *byteLRU   // graphKey  -> *orderedGraph
+	door    doorkeeper // admits per-source results on their second miss
 
 	hubMu sync.Mutex
 	hubs  map[string]int // digest -> hub vertex (natural IDs)
@@ -172,6 +175,8 @@ type Executor struct {
 	relabelBuilds    atomic.Int64
 	relabelCarries   atomic.Int64
 	materializeFails atomic.Int64
+	admitted         atomic.Int64
+	deferred         atomic.Int64
 }
 
 // orderedGraph is a relabeled-graph cache entry: the graph in its
@@ -349,8 +354,8 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 	kname := strings.ToLower(k.Name)
 	resultKey := digest + "|" + kname + "|" + paramKey
 
-	respond := func(c *cachedResult, used OrderingUsed, cacheHit, materialized bool) (*Response, *Error) {
-		values, qerr := shapeValues(&c.res, req.Targets, req.Top)
+	respond := func(rv resultView, used OrderingUsed, cacheHit, materialized bool) (*Response, *Error) {
+		values, qerr := shapeValues(rv, req.Targets, req.Top)
 		if qerr != nil {
 			return nil, qerr
 		}
@@ -361,7 +366,7 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 			Ordering:     used,
 			CacheHit:     cacheHit,
 			Materialized: materialized,
-			Summary:      c.res.Summary,
+			Summary:      rv.res.Summary,
 			Values:       values,
 			ElapsedUs:    time.Since(start).Microseconds(),
 		}, nil
@@ -370,14 +375,14 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 	if v, ok := e.results.get(resultKey); ok {
 		e.cacheHits.Add(1)
 		c := v.(*cachedResult)
-		return respond(c, cachedOrdering(c), true, false)
+		return respond(resultView{res: &c.res}, cachedOrdering(c), true, false)
 	}
 	if k.WholeGraph {
 		if data, ok := e.cfg.Store.GetResult(digest, kname, paramKey); ok {
 			if c, derr := decodeResult(data); derr == nil && c.res.Kernel == k.Name {
 				e.materializedHits.Add(1)
 				e.results.put(resultKey, c, c.memBytes())
-				return respond(c, cachedOrdering(c), true, true)
+				return respond(resultView{res: &c.res}, cachedOrdering(c), true, true)
 			}
 			// Undecodable blob (format drift): fall through and
 			// recompute; the rewrite below replaces it.
@@ -412,6 +417,16 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 		return nil, errf(400, "invalid_params", "%v", kerr)
 	}
 	e.kernelRuns.Add(1)
+	// A per-source result enters the cache only on its second miss: a
+	// one-off answer is served straight off the kernel's vector through
+	// the permutation, never copied into natural IDs or kept.
+	if consumesSource(k) {
+		if !e.door.admit(resultKey) {
+			e.deferred.Add(1)
+			return respond(resultView{res: &res, perm: og.perm}, used, false, false)
+		}
+		e.admitted.Add(1)
+	}
 	mapResultBack(&res, og.perm)
 
 	c := &cachedResult{res: res}
@@ -424,7 +439,7 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 			e.materializeFails.Add(1)
 		}
 	}
-	return respond(c, used, false, false)
+	return respond(resultView{res: &c.res}, used, false, false)
 }
 
 // hubSource resolves (and caches per digest) the default traversal
@@ -649,16 +664,31 @@ func mapResultBack(res *registry.KernelResult, perm order.Permutation) {
 	}
 }
 
+// resultView reads a kernel result in natural vertex IDs: vertex v's
+// value is the vector's entry at perm[v], at v when perm is nil — what
+// mapResultBack would store at v, read without materializing the copy.
+type resultView struct {
+	res  *registry.KernelResult
+	perm order.Permutation
+}
+
+func (rv resultView) value(v int) float64 {
+	if rv.perm != nil {
+		v = int(rv.perm[v])
+	}
+	return rv.res.Value(v)
+}
+
 // shapeValues selects the response's value entries: explicit targets
 // win, else the top-K by value (descending, vertex ID ascending on
 // ties), else none — whole vectors are served from materialized
 // artifacts, not JSON.
-func shapeValues(res *registry.KernelResult, targets []int, top int) ([]Value, *Error) {
-	n := res.VectorLen()
+func shapeValues(rv resultView, targets []int, top int) ([]Value, *Error) {
+	n := rv.res.VectorLen()
 	if len(targets) > 0 {
 		if n == 0 {
 			return nil, errf(400, "invalid_params",
-				"kernel %s has no per-vertex values", res.Kernel)
+				"kernel %s has no per-vertex values", rv.res.Kernel)
 		}
 		out := make([]Value, len(targets))
 		for i, t := range targets {
@@ -666,7 +696,7 @@ func shapeValues(res *registry.KernelResult, targets []int, top int) ([]Value, *
 				return nil, errf(400, "target_out_of_range",
 					"target vertex %d out of range [0, %d)", t, n)
 			}
-			out[i] = Value{Node: t, Value: res.Value(t)}
+			out[i] = Value{Node: t, Value: rv.value(t)}
 		}
 		return out, nil
 	}
@@ -680,7 +710,7 @@ func shapeValues(res *registry.KernelResult, targets []int, top int) ([]Value, *
 	sel := make([]Value, 0, top)
 	minIdx := -1
 	for v := 0; v < n; v++ {
-		val := res.Value(v)
+		val := rv.value(v)
 		if len(sel) < top {
 			sel = append(sel, Value{Node: v, Value: val})
 			if minIdx < 0 || val < sel[minIdx].Value {
@@ -807,6 +837,14 @@ func (e *Executor) HubCacheEntries() int64 {
 	defer e.hubMu.Unlock()
 	return int64(len(e.hubs))
 }
+
+// CacheAdmitted returns per-source result misses the doorkeeper let
+// into the result cache (each key's second recent miss).
+func (e *Executor) CacheAdmitted() int64 { return e.admitted.Load() }
+
+// CacheDeferred returns per-source result misses answered without
+// caching because their key had not missed recently.
+func (e *Executor) CacheDeferred() int64 { return e.deferred.Load() }
 
 // MaterializeFails returns failed result-artifact writes.
 func (e *Executor) MaterializeFails() int64 { return e.materializeFails.Load() }

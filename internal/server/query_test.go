@@ -156,6 +156,40 @@ func TestCachedRelabelingSkipsGraphReload(t *testing.T) {
 	}
 }
 
+// TestAdmissionCountersOnMetrics: /metrics carries the doorkeeper's
+// decisions, one per per-source result miss; whole-graph misses (PR)
+// are admitted without a decision.
+func TestAdmissionCountersOnMetrics(t *testing.T) {
+	_, ts := newStoreServer(t, t.TempDir(), 0)
+	postGraph(t, ts, "ba", edgeListBytes(t, gen.BarabasiAlbert(500, 4, 3)))
+	if st := waitJob(t, ts, postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "ba", Method: "gorder"}).ID); st.State != StateDone {
+		t.Fatalf("order job ended %s (%s)", st.State, st.Error)
+	}
+	var perSourceMisses int64
+	for _, q := range []struct {
+		kernel string
+		source int
+	}{{"BFS", 1}, {"BFS", 2}, {"BFS", 1}, {"BFS", 1}, {"SP", 3}, {"PR", 0}, {"PR", 0}} {
+		src := q.source
+		resp := postQuery(t, ts, query.Request{Graph: "ba", Kernel: q.kernel, Source: &src}, http.StatusOK)
+		if q.kernel != "PR" && !resp.CacheHit {
+			perSourceMisses++
+		}
+	}
+	snap := metricsSnapshot(t, ts)
+	admitted, okA := snap["query_cache_admitted_total"]
+	deferred, okD := snap["query_cache_deferred_total"]
+	if !okA || !okD {
+		t.Fatalf("/metrics lacks the admission counters: %v", snap)
+	}
+	if admitted+deferred != perSourceMisses {
+		t.Errorf("admitted %d + deferred %d, want the %d per-source misses", admitted, deferred, perSourceMisses)
+	}
+	if admitted != 1 || deferred != 3 {
+		t.Errorf("admitted=%d deferred=%d, want 1 (BFS 1 on its second miss) and 3", admitted, deferred)
+	}
+}
+
 // TestReadsNotBlockedByCompute pins the read/compute separation: with
 // every worker busy on a long ordering job, queries and catalog reads
 // still answer immediately.

@@ -412,6 +412,11 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxWindow bounds an order or eval job's window at the widest window
+// the paper's window sweep measures (1024). Scoring costs O(n·w·d), so
+// an unbounded window would be an unbounded job.
+const maxWindow = 1024
+
 // validateJob rejects requests that could never run, so mistakes fail
 // at submit time with a message instead of queueing up a doomed job.
 func (s *Server) validateJob(req *JobRequest) (code, msg string) {
@@ -451,6 +456,9 @@ func (s *Server) validateJob(req *JobRequest) (code, msg string) {
 	}
 	if req.TimeoutMs < 0 {
 		return "bad_timeout", "timeout_ms must be >= 0"
+	}
+	if (req.Kind == KindOrder || req.Kind == KindEval) && req.Window > maxWindow {
+		return "bad_window", fmt.Sprintf("window must be <= %d, got %d", maxWindow, req.Window)
 	}
 	return "", ""
 }

@@ -437,6 +437,33 @@ func TestBadRequestsGetEnvelopes(t *testing.T) {
 	}
 }
 
+// TestJobWindowBounded: order and eval jobs whose window exceeds the
+// paper's widest sweep are refused at submit time, before a worker
+// could spend a scoring pass linear in the window; the bound itself is
+// accepted.
+func TestJobWindowBounded(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
+	postGraph(t, ts, "ba", edgeListBytes(t, gen.BarabasiAlbert(2000, 3, 8)))
+	for _, body := range []string{
+		`{"kind":"order","graph":"ba","method":"rcm","window":1099511627776,"timeout_ms":2000}`,
+		`{"kind":"eval","graph":"ba","window":1025}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := decodeJSON[map[string]apiError](t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || env["error"].Code != "bad_window" {
+			t.Errorf("%s: status %d code %q, want 400 bad_window", body, resp.StatusCode, env["error"].Code)
+		}
+	}
+	st := waitJob(t, ts, postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "ba", Method: "rcm", Window: maxWindow}).ID)
+	if st.State != StateDone {
+		t.Fatalf("window %d order job ended %s (%s)", maxWindow, st.State, st.Error)
+	}
+}
+
 func TestMetricsEndpointCounts(t *testing.T) {
 	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
 	postGraph(t, ts, "ring", edgeListBytes(t, gen.Ring(32)))

@@ -121,6 +121,12 @@ func loadManifest(path string) (*manifest, error) {
 		return nil, fmt.Errorf("store: manifest %s has version %d, this build reads %d",
 			path, m.Version, manifestVersion)
 	}
+	// A null record would dereference as nil deep inside the store;
+	// refuse it here, as the corruption it is.
+	if err := errors.Join(nullRecord(path, "graphs", m.Graphs), nullRecord(path, "orders", m.Orders),
+		nullRecord(path, "results", m.Results), nullRecord(path, "lineages", m.Lineages)); err != nil {
+		return nil, err
+	}
 	if m.Graphs == nil {
 		m.Graphs = make(map[string]*graphRec)
 	}
@@ -142,6 +148,17 @@ func loadManifest(path string) (*manifest, error) {
 	}
 	m.Names = nil
 	return &m, nil
+}
+
+// nullRecord reports a null record in one manifest section as a
+// corrupt manifest.
+func nullRecord[R any](path, section string, recs map[string]*R) error {
+	for key, rec := range recs {
+		if rec == nil {
+			return fmt.Errorf("store: corrupt manifest %s: %s record %q is null", path, section, key)
+		}
+	}
+	return nil
 }
 
 // save writes the manifest atomically.

@@ -209,8 +209,9 @@ echo "==> examples smoke (evolvinggraph runs the extend/monitor/repair loop end-
 go build ./examples/...
 go run ./examples/evolvinggraph >/dev/null
 
-echo "==> query cold/warm smoke (cold computes, warm repeat hits the result cache)"
-go test -race ./internal/query/ -run 'TestQueryColdWarm' -count=1
+echo "==> query cold/warm smoke under race (cold computes, warm repeat hits the result cache;"
+echo "    per-source results are admitted on their second miss through the shared doorkeeper)"
+go test -race ./internal/query/ ./internal/server/ -run 'TestQueryColdWarm|TestAdmission' -count=1
 
 echo "==> ingest benchmark smoke + regression diff (-benchtime=1x, gated by benchdiff)"
 # Single-iteration timings are noisy, so benchdiff's time gate is loose
