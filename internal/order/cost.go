@@ -1,6 +1,7 @@
 package order
 
 import (
+	"context"
 	"math"
 
 	"gorder/internal/graph"
@@ -62,14 +63,33 @@ func Bandwidth(g *graph.Graph, p Permutation) int64 {
 // used to validate and benchmark the greedy algorithm in
 // internal/core, not the algorithm's own bookkeeping.
 func Score(g *graph.Graph, p Permutation, w int) int64 {
+	f, _ := ScoreCtx(context.Background(), g, p, w)
+	return f
+}
+
+// scoreCancelInterval is how many positions ScoreCtx scores between
+// context checks. A position costs up to w pair scores, so at the
+// widest served window (1024) a deadline still interrupts within a
+// few milliseconds on graphs of moderate degree.
+const scoreCancelInterval = 64
+
+// ScoreCtx is Score with cooperative cancellation: it checks ctx every
+// scoreCancelInterval positions and returns ctx.Err() (with a zero
+// score) once the context is done.
+func ScoreCtx(ctx context.Context, g *graph.Graph, p Permutation, w int) (int64, error) {
 	seq := p.Sequence()
 	var total int64
 	for i := range seq {
+		if i%scoreCancelInterval == 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, err
+			}
+		}
 		for j := max(0, i-w); j < i; j++ {
 			total += PairScore(g, seq[i], seq[j])
 		}
 	}
-	return total
+	return total, nil
 }
 
 // CacheBlockEntries is the number of vertex entries per cache block

@@ -1,6 +1,8 @@
 package order
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -98,6 +100,22 @@ func TestScoreHugeWindowBounded(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Score w=2^40 still running after 5s on a 64-vertex graph")
+	}
+}
+
+// ScoreCtx is Score under a live context, and stops with the context's
+// error once it is done.
+func TestScoreCtxHonoursContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	g := randGraph(rng, 300, 1500)
+	p := Permutation(randPerm(rng, 300))
+	if got, err := ScoreCtx(context.Background(), g, p, 8); err != nil || got != Score(g, p, 8) {
+		t.Fatalf("ScoreCtx = %d, %v; want Score's %d", got, err, Score(g, p, 8))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if got, err := ScoreCtx(ctx, g, p, 8); !errors.Is(err, context.Canceled) || got != 0 {
+		t.Fatalf("ScoreCtx on a canceled context = %d, %v; want 0, context.Canceled", got, err)
 	}
 }
 

@@ -563,7 +563,11 @@ func (e *Executor) relabeled(ctx context.Context, ref, digest string, nodes int,
 
 // buildRelabeled runs flight f: read the artifact and the natural
 // graph, relabel, and cache the result while digest is still a tip (a
-// superseded version's relabeling would only crowd out live ones). The
+// superseded version's relabeling would only crowd out live ones). A
+// cached relabeling replaces the natural tip in memory: kernels now run
+// on the copy, so the tip's hub source is recorded from the natural
+// graph in hand and the store evicts the natural CSR, which stays on
+// disk for order jobs, natural-order queries and the next edit. The
 // flight ends, cached entry first, on every path — panics included.
 func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int, method, optKey string, st *groupState) (og *orderedGraph, qerr *Error) {
 	defer func() {
@@ -583,8 +587,18 @@ func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int,
 	}
 	og = &orderedGraph{g: g.Relabel(perm), perm: perm}
 	e.relabelBuilds.Add(1)
-	if e.cfg.Store.IsTip(digest) {
+	// The tip check and the hub record share hubMu: an edit moves the
+	// tip before its DropHub, so a hub recorded here is either seen by
+	// that DropHub or not recorded at all.
+	e.hubMu.Lock()
+	tip := e.cfg.Store.IsTip(digest)
+	if tip && g.NumNodes() > 0 {
+		e.hubs[digest] = int(registry.HubSource(g))
+	}
+	e.hubMu.Unlock()
+	if tip {
 		e.graphs.put(key, og, og.memBytes())
+		e.cfg.Store.Evict(digest)
 	}
 	return og, nil
 }
@@ -775,6 +789,12 @@ func (e *Executor) DropHub(digest string) {
 // cached. Either way the old tip's entry is dropped. Call it before
 // persisting perm under newDigest, so no query sees the new artifact
 // without its relabeling. Reports whether a relabeling was carried.
+//
+// Residency differs by who made the relabeling. A query-built one
+// replaces the natural tip in memory (buildRelabeled evicts it). An
+// edit-carried one sits beside the natural tip, which stays resident:
+// the next edit reads it, and evicting it here would make every edit
+// reload its tip from disk.
 func (e *Executor) CarryOrdering(oldDigest, newDigest, method, optKey string, gNew *graph.Graph, perm order.Permutation, add, del []graph.Edge) bool {
 	oldKey := graphKey(oldDigest, method, optKey)
 	v, ok := e.graphs.get(oldKey)

@@ -434,13 +434,18 @@ func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, name, digest
 	if err != nil {
 		return nil, err
 	}
+	// Scored before anything is persisted, so a repair canceled here
+	// leaves the artifact and the quality record as they were.
+	f, err := order.ScoreCtx(ctx, g, perm, w)
+	if err != nil {
+		return nil, err
+	}
 	found(perm)
 	if err := st.PutOrder(digest, q.Method, q.OptKey, perm); err != nil {
 		return nil, fmt.Errorf("persisting repaired ordering: %w", err)
 	}
 	s.Query.InvalidateOrdering(digest, q.Method, q.OptKey)
 
-	f := order.Score(g, perm, w)
 	q.CurF, q.CurEdges, q.CurPacking = f, g.NumEdges(), order.PackingFactor(g, perm)
 	if full {
 		q.BaseF, q.BaseEdges, q.BasePacking = f, q.CurEdges, q.CurPacking

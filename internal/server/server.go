@@ -555,7 +555,10 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 		if optKey != "" {
 			if perm, ok := s.cfg.Store.GetOrder(digest, method, optKey, g.NumNodes()); ok {
 				found(perm)
-				f := order.Score(g, perm, w)
+				f, err := order.ScoreCtx(ctx, g, perm, w)
+				if err != nil {
+					return nil, err
+				}
 				s.recordOrderingQuality(digest, g, method, optKey, copts, perm, w, f, false)
 				return map[string]float64{
 					"score_F":   float64(f),
@@ -572,7 +575,9 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 		found(perm)
 		f := obs.ScoreF
 		if !obs.HasScoreF {
-			f = order.Score(g, perm, w)
+			if f, err = order.ScoreCtx(ctx, g, perm, w); err != nil {
+				return nil, err
+			}
 		}
 		if optKey != "" {
 			if err := s.cfg.Store.PutOrder(digest, method, optKey, perm); err != nil {
@@ -604,8 +609,12 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 			return nil, fmt.Errorf("permutation from %q covers %d vertices, graph has %d",
 				req.OfJob, len(perm), g.NumNodes())
 		}
+		f, err := order.ScoreCtx(ctx, g, perm, w)
+		if err != nil {
+			return nil, err
+		}
 		metrics := map[string]float64{
-			"score_F":     float64(order.Score(g, perm, w)),
+			"score_F":     float64(f),
 			"bandwidth":   float64(order.Bandwidth(g, perm)),
 			"linear_cost": order.LinearCost(g, perm),
 			"log_cost":    order.LogCost(g, perm),

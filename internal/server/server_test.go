@@ -244,6 +244,30 @@ func TestEvalJobScoresOrderJob(t *testing.T) {
 	}
 }
 
+// TestScoringHonoursJobDeadline: scoring F at the widest window takes
+// seconds on a mid-size graph, and every job path that scores stops at
+// the job's deadline: an eval job, an order job whose method reports no
+// F of its own (rcm), and an order job answered from the artifact cache.
+func TestScoringHonoursJobDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1, QueueDepth: 8}})
+	postGraph(t, ts, "web", edgeListBytes(t, gen.Web(30000, gen.DefaultWeb, 5)))
+	wantCanceled := func(req JobRequest) {
+		t.Helper()
+		if st := waitJob(t, ts, postJob(t, ts, req).ID); st.State != StateCanceled {
+			t.Fatalf("%+v ended %s, want canceled", req, st.State)
+		}
+	}
+	wantCanceled(JobRequest{Kind: KindEval, Graph: "web", Window: maxWindow, TimeoutMs: 100})
+	rcmWide := JobRequest{Kind: KindOrder, Graph: "web", Method: "rcm", Window: maxWindow, TimeoutMs: 100}
+	wantCanceled(rcmWide)
+	// Store an rcm artifact (rcm's key ignores the window), so the next
+	// deadlined rcm job is a cache hit that still scores.
+	if st := waitJob(t, ts, postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "web", Method: "rcm"}).ID); st.State != StateDone {
+		t.Fatalf("rcm job ended %s (%s)", st.State, st.Error)
+	}
+	wantCanceled(rcmWide)
+}
+
 func TestUploadDeduplicatesByContent(t *testing.T) {
 	s, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1}})
 	data := edgeListBytes(t, gen.Ring(64))

@@ -81,6 +81,37 @@ func TestResidencySharedTipStaysResident(t *testing.T) {
 	}
 }
 
+// Evict drops a tip's natural graph from memory, counted as an
+// eviction, and keeps its blob: the next GetGraph reloads it once and
+// re-admits it. Evicting a graph that is not resident changes nothing.
+func TestResidencyEvictKeepsBlob(t *testing.T) {
+	s := open(t, t.TempDir(), 0)
+	g := gen.BarabasiAlbert(200, 3, 4)
+	if _, err := s.AppendVersion("g", "d1", g, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Evict("d1")
+	if s.Resident("d1") || s.ResidentBytes() != 0 || s.Evictions() != 1 {
+		t.Fatalf("after Evict: resident=%v bytes=%d evictions=%d, want false/0/1",
+			s.Resident("d1"), s.ResidentBytes(), s.Evictions())
+	}
+	s.Evict("d1")
+	s.Evict("unknown")
+	if s.Evictions() != 1 {
+		t.Fatalf("evicting nothing counted: evictions=%d", s.Evictions())
+	}
+	for i := 0; i < 2; i++ {
+		got, err := s.GetGraph("d1")
+		if err != nil || !got.Equal(g) {
+			t.Fatalf("GetGraph after Evict: err %v", err)
+		}
+	}
+	if s.Reloads() != 1 || !s.Resident("d1") || s.ResidentBytes() != g.MemoryBytes() {
+		t.Fatalf("reloads=%d resident=%v bytes=%d, want one reload that re-admits the tip",
+			s.Reloads(), s.Resident("d1"), s.ResidentBytes())
+	}
+}
+
 // AppendGraph encodes a new version once and names it by the digest of
 // those bytes — the digest an upload of the same binary encoding gets —
 // with the blob byte-identical to that encoding.

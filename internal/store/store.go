@@ -16,17 +16,30 @@
 // Every graph name is a lineage (v1..vN), and Lookup is the one place
 // a graph reference — digest, name, name@vN, name@latest — resolves.
 //
-// Residency: only tips — the newest version of each lineage — are held
-// in memory, up to a configurable byte budget (graph.MemoryBytes
-// accounting). Appending a version replaces the old tip in memory
-// rather than adding a second copy, so a lineage under sustained edits
-// costs one version, not its history.
-// Least-recently-used tips are evicted first; an evicted graph stays on
-// disk and is transparently reloaded on next use via the fast
-// ReadBinaryBytes path. Superseded versions (name@vK, a query pinned
-// just before an edit) reload on demand and are served without being
-// re-admitted. A graph bigger than the whole budget is served without
-// being cached, so resident bytes never exceed the budget.
+// Residency: the store holds natural-order CSRs, and only of tips — the
+// newest version of each lineage — up to a configurable byte budget
+// (graph.MemoryBytes accounting). Appending a version replaces the old
+// tip in memory rather than adding a second copy, so a lineage under
+// sustained edits costs one version, not its history. Which form of a
+// tip is in memory depends on how it was last served:
+//
+//   - a tip no query has relabeled keeps its natural CSR here;
+//   - a tip whose relabeled copy a query built holds only that copy, in
+//     the query tier's graph cache: the query tier calls Evict once the
+//     copy is cached, because kernels never read the natural layout
+//     again;
+//   - a tip an edit produced keeps its natural CSR here beside the
+//     relabeled copy the edit carried forward, because the next edit
+//     reads the natural form.
+//
+// Least-recently-used tips are evicted first when the budget is
+// exceeded. An evicted graph stays on disk and is transparently
+// reloaded (and re-admitted) on next use via the fast ReadBinaryBytes
+// path. Superseded versions (name@vK, a query pinned just before an
+// edit) reload on demand and are served without being re-admitted. A
+// graph bigger than the whole budget is served without being cached,
+// so resident bytes never exceed the budget. Resident and ResidentBytes
+// count natural CSRs only.
 //
 // All file paths under the store directory are built in this package
 // only; CI enforces that no other package reaches into the data dir.
@@ -320,6 +333,27 @@ func (s *Store) releaseLocked(digest string) {
 	delete(s.resident, digest)
 }
 
+// Evict drops digest's natural graph from residency, counted as an
+// eviction; its blob stays on disk, so the next GetGraph reloads it.
+// The query tier calls it once a tip's relabeled copy is cached, since
+// kernels then run on that copy and the natural layout sits idle.
+func (s *Store) Evict(digest string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.evictLocked(digest)
+}
+
+// evictLocked drops digest from residency, counted as an eviction.
+func (s *Store) evictLocked(digest string) {
+	rg, ok := s.resident[digest]
+	if !ok {
+		return
+	}
+	s.residentBytes -= rg.bytes
+	delete(s.resident, digest)
+	s.evictions.Add(1)
+}
+
 // Resident reports whether digest's graph is currently in memory.
 func (s *Store) Resident(digest string) bool {
 	s.mu.Lock()
@@ -370,9 +404,7 @@ func (s *Store) admitLocked(digest string, g *graph.Graph) {
 		if victim == "" {
 			return
 		}
-		s.residentBytes -= s.resident[victim].bytes
-		delete(s.resident, victim)
-		s.evictions.Add(1)
+		s.evictLocked(victim)
 	}
 }
 
