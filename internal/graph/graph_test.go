@@ -243,6 +243,32 @@ func TestQuickRelabelInvariants(t *testing.T) {
 	}
 }
 
+// Relabel maps the CSR directly; its arrays must equal the ones
+// FromEdges builds from the relabeled edge list — duplicates and
+// self-loops included — on the serial path and the parallel one.
+func TestRelabelMatchesEdgeListBuild(t *testing.T) {
+	defer func() { forcedWorkers = 0 }()
+	for _, workers := range []int{1, 3} {
+		forcedWorkers = workers
+		rng := rand.New(rand.NewSource(int64(workers)))
+		for trial := 0; trial < 40; trial++ {
+			n := 1 + rng.Intn(80)
+			g := randomGraph(rng, n, rng.Intn(6*n))
+			perm := randomPerm(rng, n)
+			var edges []Edge
+			g.Edges(func(u, v NodeID) bool {
+				edges = append(edges, Edge{perm[u], perm[v]})
+				return true
+			})
+			want, got := FromEdges(n, edges), g.Relabel(perm)
+			if !slices.Equal(got.outIdx, want.outIdx) || !slices.Equal(got.outAdj, want.outAdj) ||
+				!slices.Equal(got.inIdx, want.inIdx) || !slices.Equal(got.inAdj, want.inAdj) {
+				t.Fatalf("workers %d, n %d, m %d: Relabel differs from the edge-list build", workers, n, len(edges))
+			}
+		}
+	}
+}
+
 // In-adjacency is exactly the transpose of out-adjacency.
 func TestQuickInOutConsistent(t *testing.T) {
 	f := func(seed int64) bool {

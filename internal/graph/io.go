@@ -179,7 +179,11 @@ func parseBlock(data []byte, workers int) (shards [][]Edge, maxID int64, lines, 
 			end = starts[i+1]
 		}
 		part := data[starts[i]:end]
-		c.edges = make([]Edge, 0, len(part)/16+1)
+		// One edge per line at most: sized by a newline count, the
+		// chunk's edges never regrow (append doubling would allocate
+		// about three times their final size and keep up to half of
+		// it as slack until the CSR is built).
+		c.edges = make([]Edge, 0, bytes.Count(part, []byte{'\n'})+1)
 		for len(part) > 0 {
 			var line []byte
 			line, part = nextLine(part)
@@ -301,16 +305,38 @@ func (g *Graph) WriteBinary(w io.Writer) error {
 	if err := binary.Write(cw, binary.LittleEndian, hdr[:]); err != nil {
 		return err
 	}
-	if err := binary.Write(cw, binary.LittleEndian, g.outIdx); err != nil {
+	if err := writeLE(cw, g.outIdx, 8, func(b []byte, x int64) []byte {
+		return binary.LittleEndian.AppendUint64(b, uint64(x))
+	}); err != nil {
 		return err
 	}
-	if err := binary.Write(cw, binary.LittleEndian, g.outAdj); err != nil {
+	if err := writeLE(cw, g.outAdj, 4, binary.LittleEndian.AppendUint32); err != nil {
 		return err
 	}
 	if err := binary.Write(bw, binary.LittleEndian, sum.Sum32()); err != nil {
 		return err
 	}
 	return bw.Flush()
+}
+
+// writeLE writes xs, size bytes each, through a fixed-size buffer
+// that put appends one value to. binary.Write on the whole slice
+// would first encode it into a copy as large as the array itself.
+func writeLE[T any](w io.Writer, xs []T, size int, put func([]byte, T) []byte) error {
+	const chunk = 8 << 10 // values per write
+	buf := make([]byte, 0, size*min(len(xs), chunk))
+	for len(xs) > 0 {
+		k := min(len(xs), chunk)
+		buf = buf[:0]
+		for _, x := range xs[:k] {
+			buf = put(buf, x)
+		}
+		if _, err := w.Write(buf); err != nil {
+			return err
+		}
+		xs = xs[k:]
+	}
+	return nil
 }
 
 // ReadBinary loads a graph written by WriteBinary (either format

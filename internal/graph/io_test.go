@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"strings"
 	"testing"
@@ -86,6 +87,26 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	if !g.Equal(h) {
 		t.Error("binary round trip changed the graph")
+	}
+}
+
+// WriteBinary streams the arrays through a fixed buffer; the bytes must
+// be the v1 layout exactly — what binary.Write of each whole array
+// gives, then the CRC footer — including across buffer boundaries.
+func TestWriteBinaryLayout(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(3)), 3000, 20000)
+	var want bytes.Buffer
+	want.Write(binaryMagicV1[:])
+	binary.Write(&want, binary.LittleEndian, [2]int64{int64(g.NumNodes()), g.NumEdges()})
+	binary.Write(&want, binary.LittleEndian, g.OutIndex())
+	binary.Write(&want, binary.LittleEndian, g.OutAdjacency())
+	binary.Write(&want, binary.LittleEndian, crc32.ChecksumIEEE(want.Bytes()))
+	var got bytes.Buffer
+	if err := g.WriteBinary(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("WriteBinary wrote %d bytes that differ from the %d-byte v1 layout", got.Len(), want.Len())
 	}
 }
 

@@ -21,6 +21,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -288,12 +289,25 @@ type groupState struct {
 	ogDigest string // og's digest; a cached og is served without natural
 	used     OrderingUsed
 	scratch  *registry.QueryScratch
+	evicted  bool // a relabel build here evicted natural's tip
 }
 
+// release returns the borrowed scratch and lets go of the natural
+// graph. When the group's relabel build evicted that graph from the
+// store, it is garbage from here on, but the collector's heap target
+// may have been set while it and its relabeled copy were both live:
+// twice the heap the tip now needs. release then collects at once, so
+// the eviction frees memory now rather than one GC cycle later, and
+// the process's peak does not depend on where that cycle fell.
 func (st *groupState) release(e *Executor) {
 	if st.scratch != nil {
 		e.scratch.Put(st.scratch)
 		st.scratch = nil
+	}
+	st.natural = nil
+	if st.evicted {
+		st.evicted = false
+		runtime.GC()
 	}
 }
 
@@ -567,8 +581,9 @@ func (e *Executor) relabeled(ctx context.Context, ref, digest string, nodes int,
 // cached relabeling replaces the natural tip in memory: kernels now run
 // on the copy, so the tip's hub source is recorded from the natural
 // graph in hand and the store evicts the natural CSR, which stays on
-// disk for order jobs, natural-order queries and the next edit. The
-// flight ends, cached entry first, on every path — panics included.
+// disk for order jobs, natural-order queries and the next edit (st's
+// release collects it). The flight ends, cached entry first, on every
+// path — panics included.
 func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int, method, optKey string, st *groupState) (og *orderedGraph, qerr *Error) {
 	defer func() {
 		f.og = og
@@ -599,6 +614,7 @@ func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int,
 	if tip {
 		e.graphs.put(key, og, og.memBytes())
 		e.cfg.Store.Evict(digest)
+		st.evicted = true
 	}
 	return og, nil
 }

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"gorder/internal/gen"
@@ -68,5 +69,43 @@ func TestTipResidencyRelabelEvictsNatural(t *testing.T) {
 	}
 	if ex.RelabelBuilds() != 1 {
 		t.Fatalf("relabel builds = %d, want the cached one reused", ex.RelabelBuilds())
+	}
+}
+
+// TestTipResidencyEvictionCollects: the query whose relabel build
+// evicts the natural tip collects once before it returns, so the
+// collector's target drops with the evicted graph; a query served from
+// the cached relabeling, or one that builds nothing, collects nothing.
+func TestTipResidencyEvictionCollects(t *testing.T) {
+	g := gen.BarabasiAlbert(400, 3, 8)
+	st := openTestStore(t)
+	if err := st.PutGraph("d1", "web", g, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutOrder("d1", "gorder", "abcd", reversePerm(g.NumNodes())); err != nil {
+		t.Fatal(err)
+	}
+	ex := New(Config{Source: st, Store: st})
+	forced := func() uint32 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.NumForcedGC
+	}
+	for i, want := range []uint32{1, 0, 0} {
+		src := 5 + i
+		req := Request{Graph: "web", Kernel: "BFS", Source: &src, Targets: []int{0, 399}}
+		if i == 2 {
+			req.Order = "natural"
+		}
+		before := forced()
+		if _, qerr := ex.Run(context.Background(), req); qerr != nil {
+			t.Fatal(qerr)
+		}
+		if got := forced() - before; got != want {
+			t.Fatalf("query %d ran %d forced collections, want %d", i, got, want)
+		}
+	}
+	if st.Evictions() != 1 || ex.RelabelBuilds() != 1 {
+		t.Fatalf("evictions=%d builds=%d, want 1/1", st.Evictions(), ex.RelabelBuilds())
 	}
 }

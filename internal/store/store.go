@@ -451,17 +451,27 @@ func (s *Store) PutOrder(graphDigest, method, optKey string, perm order.Permutat
 	file := orderFileName(graphDigest, method, optKey)
 	var n int64
 	sum := crc32.NewIEEE()
-	err := WriteFileAtomic(filepath.Join(s.dir, ordersDirName, file), 0o644, func(w io.Writer) error {
+	path := filepath.Join(s.dir, ordersDirName, file)
+	// The rename and the manifest record that names the new bytes happen
+	// under one hold of mu, so GetOrder never sees a file and a record
+	// that disagree and takes a replacement for corruption.
+	locked := false
+	err := writeAtomicNamed(filepath.Dir(path), file+".tmp-*", 0o644, func(w io.Writer) error {
 		var err error
 		n, err = perm.WriteTo(io.MultiWriter(w, sum))
 		return err
+	}, func() string {
+		s.mu.Lock()
+		locked = true
+		return path
 	})
+	if locked {
+		defer s.mu.Unlock()
+	}
 	if err != nil {
 		return fmt.Errorf("store: persisting ordering %s: %w", file, err)
 	}
 	now := time.Now().UTC()
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.man.Orders[file] = &orderRec{
 		Graph: graphDigest, Method: method, OptKey: optKey,
 		Bytes: n, CRC32: fmt.Sprintf("%08x", sum.Sum32()),
@@ -475,8 +485,13 @@ func (s *Store) PutOrder(graphDigest, method, optKey string, perm order.Permutat
 // integrity failure silently invalidates the artifact (it will simply
 // be recomputed). The hit/miss counters feed gorderd's
 // store_hits_total / store_misses_total metrics.
+//
+// The file is read without the lock. A failed check is re-run under
+// it before anything is dropped: PutOrder may have replaced the file
+// after the record was read, and under the lock file and record agree.
 func (s *Store) GetOrder(graphDigest, method, optKey string, wantLen int) (order.Permutation, bool) {
 	file := orderFileName(graphDigest, method, optKey)
+	path := filepath.Join(s.dir, ordersDirName, file)
 	s.mu.Lock()
 	rec, ok := s.man.Orders[file]
 	if !ok {
@@ -488,29 +503,41 @@ func (s *Store) GetOrder(graphDigest, method, optKey string, wantLen int) (order
 	wantCRC := rec.CRC32
 	s.mu.Unlock()
 
-	path := filepath.Join(s.dir, ordersDirName, file)
-	data, err := os.ReadFile(path)
-	if err == nil && fmt.Sprintf("%08x", crc32.ChecksumIEEE(data)) != wantCRC {
-		err = errors.New("artifact checksum mismatch")
-	}
-	var perm order.Permutation
-	if err == nil {
-		perm, err = order.ReadPermutation(bytes.NewReader(data))
-	}
-	if err == nil && len(perm) != wantLen {
-		err = fmt.Errorf("artifact covers %d vertices, want %d", len(perm), wantLen)
-	}
+	perm, err := readOrder(path, wantCRC, wantLen)
 	if err != nil {
 		s.mu.Lock()
-		delete(s.man.Orders, file)
-		os.Remove(path)
-		s.saveManifestLocked()
+		if rec, ok = s.man.Orders[file]; ok {
+			if perm, err = readOrder(path, rec.CRC32, wantLen); err != nil {
+				delete(s.man.Orders, file)
+				os.Remove(path)
+				s.saveManifestLocked()
+			}
+		}
 		s.mu.Unlock()
-		s.misses.Add(1)
-		return nil, false
+		if !ok || err != nil {
+			s.misses.Add(1)
+			return nil, false
+		}
 	}
 	s.hits.Add(1)
 	return perm, true
+}
+
+// readOrder reads and checks one permutation artifact: its bytes must
+// match wantCRC and it must cover wantLen vertices.
+func readOrder(path, wantCRC string, wantLen int) (order.Permutation, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	if fmt.Sprintf("%08x", crc32.ChecksumIEEE(data)) != wantCRC {
+		return nil, errors.New("artifact checksum mismatch")
+	}
+	perm, err := order.ReadPermutation(bytes.NewReader(data))
+	if err == nil && len(perm) != wantLen {
+		err = fmt.Errorf("artifact covers %d vertices, want %d", len(perm), wantLen)
+	}
+	return perm, err
 }
 
 // LatestOrder reports the most recently used ordering artifact stored

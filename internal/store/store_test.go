@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -435,5 +436,51 @@ func TestStoreLatestOrder(t *testing.T) {
 	}
 	if _, _, ok := s.LatestOrder("d1", "slashburn"); ok {
 		t.Fatal("method filter leaked another graph's artifact")
+	}
+}
+
+// A PutOrder that replaces an artifact under a reader is not
+// corruption: every GetOrder racing the replacements returns one of the
+// two permutations, and the artifact is never dropped.
+func TestOrderReplaceRacingReads(t *testing.T) {
+	s := open(t, t.TempDir(), 0)
+	const n = 5000
+	a, b := order.Identity(n), order.Identity(n)
+	b[0], b[1] = 1, 0
+	if err := s.PutOrder("d1", "gorder", "abcd", a); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			p := a
+			if i%2 == 0 {
+				p = b
+			}
+			if err := s.PutOrder("d1", "gorder", "abcd", p); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var bad string
+	for reading := true; reading && bad == ""; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		got, ok := s.GetOrder("d1", "gorder", "abcd", n)
+		switch {
+		case !ok:
+			bad = "a replaced artifact was dropped as corrupt"
+		case got[0] != 0 && got[0] != 1:
+			bad = fmt.Sprintf("read a permutation starting %d, neither of the two written", got[0])
+		}
+	}
+	<-done
+	if bad != "" {
+		t.Fatal(bad)
 	}
 }
