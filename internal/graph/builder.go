@@ -43,6 +43,7 @@ func build(n int, shards [][]Edge, dedup bool) *Graph {
 	}
 	workers := csrWorkers(m)
 	validateShards(n, shards, workers)
+	csrBuilds.Add(1)
 	g := &Graph{n: n}
 	if workers > 1 {
 		g.outIdx, g.outAdj = buildCSRParallel(n, shards, false, dedup, workers)
@@ -261,6 +262,7 @@ func dedupAdjacencyParallel(n int, idx []int64, adj []NodeID, workers int) ([]in
 // neighbour must be < n; neighbour lists are sorted in place where
 // needed to restore the package invariant.
 func fromCSR(n int, outIdx []int64, outAdj []NodeID) *Graph {
+	csrBuilds.Add(1)
 	workers := csrWorkers(int64(len(outAdj)))
 	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
 		lo, hi := par.Range(n, workers, c)
@@ -308,6 +310,7 @@ func fromCSR(n int, outIdx []int64, outAdj []NodeID) *Graph {
 // per-vertex-range merge passes — no O(m) edge-list expansion. The
 // closure is symmetric, so the in-CSR aliases the out-CSR.
 func (g *Graph) Undirected() *Graph {
+	csrBuilds.Add(1)
 	n := g.n
 	workers := csrWorkers(2 * int64(len(g.outAdj)))
 	idx := make([]int64, n+1)
@@ -365,6 +368,7 @@ func unionSorted(dst []NodeID, a, b []NodeID) []NodeID {
 
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
+	csrBuilds.Add(1)
 	cp := &Graph{n: g.n}
 	cp.outIdx = append([]int64(nil), g.outIdx...)
 	cp.outAdj = append([]NodeID(nil), g.outAdj...)

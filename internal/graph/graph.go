@@ -9,6 +9,17 @@
 // the paper specifies, and equal graphs have identical representations.
 package graph
 
+import "sync/atomic"
+
+// csrBuilds counts graphs constructed; see CSRBuilds.
+var csrBuilds atomic.Int64
+
+// CSRBuilds returns how many graphs this process has constructed —
+// from edge lists, binary encodings, edits, relabelings, closures or
+// clones — each of which allocates its CSR arrays. Paths that should
+// build few graphs, like an edit of a resident tip, are measured by it.
+func CSRBuilds() int64 { return csrBuilds.Load() }
+
 // NodeID identifies a vertex. IDs are dense: a graph with N vertices
 // uses exactly the IDs 0..N-1.
 type NodeID = uint32

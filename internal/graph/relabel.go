@@ -28,6 +28,7 @@ func (g *Graph) Relabel(perm []NodeID) *Graph {
 		seen[p] = true
 	}
 	workers := csrWorkers(int64(len(g.outAdj)))
+	csrBuilds.Add(1)
 	h := &Graph{n: g.n}
 	h.outIdx, h.outAdj = relabelCSR(g.outIdx, g.outAdj, perm, workers)
 	h.inIdx, h.inAdj = relabelCSR(g.inIdx, g.inAdj, perm, workers)

@@ -103,7 +103,8 @@ const CacheBlockEntries = 16
 // CacheBlockEntries consecutive new IDs. A perfect ordering packs hot
 // vertices densely (factor → CacheBlockEntries); a random ordering
 // scatters them (factor → 1), forcing the working set across many more
-// lines. Returns 0 when the graph has no hot vertices.
+// lines. Returns 0 when the graph has no hot vertices. A nil p means g
+// is already laid out in position order (relabeled by the ordering).
 func PackingFactor(g *graph.Graph, p Permutation) float64 {
 	n := g.NumNodes()
 	if n == 0 {
@@ -116,7 +117,10 @@ func PackingFactor(g *graph.Graph, p Permutation) float64 {
 	counts := make([]int32, numBlocks)
 	for v := 0; v < n; v++ {
 		if float64(g.InDegree(graph.NodeID(v))) > avg {
-			b := int(p[v]) / CacheBlockEntries
+			b := v / CacheBlockEntries
+			if p != nil {
+				b = int(p[v]) / CacheBlockEntries
+			}
 			if counts[b] == 0 {
 				hotBlocks++
 			}

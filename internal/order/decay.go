@@ -21,9 +21,15 @@ import "gorder/internal/graph"
 // one marked endpoint. Edits that were no-ops (adds of present edges,
 // deletes of absent ones) may be passed freely; their pairs rescore to
 // a zero delta.
+//
+// A nil p means both graphs are already laid out in position order,
+// vertex v at position v — as an edit applied to a graph relabeled by
+// the ordering leaves them — with the edits in that ID space. The score
+// is label-invariant, so the delta is the one the natural graphs, edits
+// and p give.
 func ScoreDelta(gOld, gNew *graph.Graph, p Permutation, w int, added, removed []graph.Edge) int64 {
 	nOld, nNew := gOld.NumNodes(), gNew.NumNodes()
-	if len(p) != nNew || w <= 0 {
+	if (p != nil && len(p) != nNew) || w <= 0 {
 		return 0
 	}
 	mark := make([]bool, nNew)
@@ -35,13 +41,19 @@ func ScoreDelta(gOld, gNew *graph.Graph, p Permutation, w int, added, removed []
 			mark[e.From], mark[e.To] = true, true
 		}
 	}
-	seq := p.Sequence()
+	var seq []graph.NodeID
+	if p != nil {
+		seq = p.Sequence()
+	}
 	var delta int64
 	for d := 0; d < nNew; d++ {
 		if !mark[d] {
 			continue
 		}
-		i := int(p[d])
+		i := d
+		if p != nil {
+			i = int(p[d])
+		}
 		lo, hi := i-w, i+w
 		if lo < 0 {
 			lo = 0
@@ -53,7 +65,10 @@ func ScoreDelta(gOld, gNew *graph.Graph, p Permutation, w int, added, removed []
 			if j == i {
 				continue
 			}
-			other := seq[j]
+			other := graph.NodeID(j)
+			if p != nil {
+				other = seq[j]
+			}
 			// Pairs with two marked endpoints are visited twice; keep
 			// the visit from the lower position.
 			if mark[other] && j < i {

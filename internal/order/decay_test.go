@@ -93,3 +93,36 @@ func TestScoreDeltaNoOpEditsTolerated(t *testing.T) {
 		t.Fatalf("no-op edits produced delta %d", d)
 	}
 }
+
+// ScoreDelta and PackingFactor over graphs already relabeled by the
+// ordering (nil p, edits mapped into the relabeled IDs) equal the
+// natural-ID answers: the edit path scores the relabeled copy it holds.
+func TestScoreDeltaRelabeledMatchesNatural(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	mapped := func(es []graph.Edge, p Permutation) []graph.Edge {
+		out := make([]graph.Edge, len(es))
+		for i, e := range es {
+			out[i] = graph.Edge{From: p[e.From], To: p[e.To]}
+		}
+		return out
+	}
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.Intn(60)
+		edges := make([]graph.Edge, rng.Intn(6*n))
+		for i := range edges {
+			edges[i] = graph.Edge{From: graph.NodeID(rng.Intn(n)), To: graph.NodeID(rng.Intn(n))}
+		}
+		g := graph.FromEdgesDedup(n, edges)
+		pOld := randPerm(rng, n)
+		g2, add, del := evolveForDelta(rng, g, rng.Intn(6))
+		p := extendPerm(rng, pOld, g2.NumNodes())
+		w := 1 + rng.Intn(7)
+		want := ScoreDelta(g, g2, p, w, add, del)
+		if got := ScoreDelta(g.Relabel(pOld), g2.Relabel(p), nil, w, mapped(add, p), mapped(del, p)); got != want {
+			t.Fatalf("trial %d: relabeled ScoreDelta %d, natural %d (full %d)", trial, got, want, Score(g2, p, w)-Score(g, pOld, w))
+		}
+		if got, want := PackingFactor(g2.Relabel(p), nil), PackingFactor(g2, p); got != want {
+			t.Fatalf("trial %d: relabeled PackingFactor %v, natural %v", trial, got, want)
+		}
+	}
+}

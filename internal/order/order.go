@@ -32,15 +32,15 @@ func Identity(n int) Permutation {
 
 // Validate returns an error unless p is a permutation of 0..len(p)-1.
 func (p Permutation) Validate() error {
-	seen := make([]bool, len(p))
+	seen := make([]uint64, (len(p)+63)/64) // one bit per value
 	for u, v := range p {
 		if int(v) >= len(p) {
 			return fmt.Errorf("order: perm[%d] = %d out of range", u, v)
 		}
-		if seen[v] {
+		if seen[v/64]&(1<<(v%64)) != 0 {
 			return fmt.Errorf("order: value %d assigned twice", v)
 		}
-		seen[v] = true
+		seen[v/64] |= 1 << (v % 64)
 	}
 	return nil
 }

@@ -58,10 +58,43 @@ func binaryBytes(t *testing.T, g *graph.Graph) []byte {
 	return buf.Bytes()
 }
 
+// mapEdges maps edges through perm, as the edit path maps a batch into
+// a relabeling's ID space.
+func mapEdges(es []graph.Edge, perm order.Permutation) []graph.Edge {
+	out := make([]graph.Edge, len(es))
+	for i, e := range es {
+		out[i] = graph.Edge{From: perm[e.From], To: perm[e.To]}
+	}
+	return out
+}
+
+// carryEdit is one edit as the daemon applies it to a relabeled tip:
+// take the old tip's relabeling, apply the batch mapped through the
+// extended permutation, and carry the result to the new digest. It
+// reports false when no relabeling of oldD under base is cached.
+func carryEdit(t *testing.T, ex *Executor, oldD, newD string, base, perm order.Permutation, addNodes int, add, del []graph.Edge) (graph.EditStats, bool) {
+	t.Helper()
+	rel, ok := ex.Relabeling(oldD, "gorder", "k", base)
+	if !ok {
+		return graph.EditStats{}, false
+	}
+	g, st, err := graph.ApplyEdits(rel, addNodes, mapEdges(add, perm), mapEdges(del, perm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex.CarryOrdering(newD, "gorder", "k", g, perm)
+	ex.InvalidateOrdering(oldD, "gorder", "k")
+	return st, true
+}
+
 // TestCarryOrderingMatchesRelabel is the carry's correctness property:
 // across generators and random batches with deletions and appended
-// vertices, the relabeled graph carried forward edit after edit is,
-// byte for byte and in both directions, the graph Relabel builds.
+// vertices, the relabeled graph carried forward edit after edit — the
+// batch applied once, to the relabeling, mapped through the extended
+// permutation — is, byte for byte and in both directions, the graph
+// Relabel builds from the natural edit; the edit's stats are the
+// natural edit's; and the hub recorded from degrees and permutation is
+// the natural graph's.
 func TestCarryOrderingMatchesRelabel(t *testing.T) {
 	gens := []struct {
 		name string
@@ -81,14 +114,18 @@ func TestCarryOrderingMatchesRelabel(t *testing.T) {
 			for step := 1; step <= 4; step++ {
 				where := fmt.Sprintf("%s seed %d step %d", gc.name, seed, step)
 				addNodes, add, del := randomBatch(rng, g)
-				gNew, _, err := graph.ApplyEdits(g, addNodes, add, del)
+				gNew, wantSt, err := graph.ApplyEdits(g, addNodes, add, del)
 				if err != nil {
 					t.Fatal(err)
 				}
 				permNew := extendPerm(rng, perm, gNew.NumNodes())
 				oldD, newD := fmt.Sprintf("v%d", step-1), fmt.Sprintf("v%d", step)
-				if !ex.CarryOrdering(oldD, newD, "gorder", "k", gNew, permNew, add, del) {
-					t.Fatalf("%s: carry refused an extension-shaped permutation", where)
+				st, ok := carryEdit(t, ex, oldD, newD, perm, permNew, addNodes, add, del)
+				if !ok {
+					t.Fatalf("%s: no relabeling of %s to edit", where, oldD)
+				}
+				if st != wantSt {
+					t.Fatalf("%s: relabeled edit stats %+v, natural %+v", where, st, wantSt)
 				}
 				if _, ok := ex.graphs.get(graphKey(oldD, "gorder", "k")); ok {
 					t.Fatalf("%s: old tip's relabeling still cached", where)
@@ -103,6 +140,9 @@ func TestCarryOrderingMatchesRelabel(t *testing.T) {
 					!slices.Equal(got.g.InAdjacency(), want.InAdjacency()) {
 					t.Fatalf("%s: carried graph differs from Relabel", where)
 				}
+				if hub, want := ex.hubs[newD], int(registry.HubSource(gNew)); hub != want {
+					t.Fatalf("%s: carried hub %d, natural graph's hub %d", where, hub, want)
+				}
 				g, perm = gNew, permNew
 			}
 			if ex.RelabelCarries() != 4 || ex.RelabelBuilds() != 0 {
@@ -113,31 +153,27 @@ func TestCarryOrderingMatchesRelabel(t *testing.T) {
 	}
 }
 
-// A permutation that moves an old vertex breaks the carry's invariant:
-// nothing is carried, and the old tip's entry is dropped anyway.
+// A permutation that moves an old vertex is not the one the cached
+// relabeling was built with, so the relabeling is not handed to an edit
+// under it — nor is one that was never cached.
 func TestCarryOrderingRefusesMovedVertex(t *testing.T) {
 	g := gen.BarabasiAlbert(100, 3, 2)
 	perm := order.Identity(100)
 	ex := New(Config{Source: newFakeSource(), Store: openTestStore(t)})
 	ex.graphs.put(graphKey("v0", "gorder", "k"), &orderedGraph{g: g, perm: perm}, 0)
-	add := []graph.Edge{{From: 100, To: 0}}
-	gNew, _, err := graph.ApplyEdits(g, 1, add, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := order.Identity(101)
+	moved := order.Identity(100)
 	moved[0], moved[1] = 1, 0
-	if ex.CarryOrdering("v0", "v1", "gorder", "k", gNew, moved, add, nil) {
-		t.Fatal("carried under a permutation that moves old vertices")
+	if _, ok := ex.Relabeling("v0", "gorder", "k", moved); ok {
+		t.Fatal("handed out a relabeling under a permutation that moves old vertices")
 	}
-	for _, d := range []string{"v0", "v1"} {
-		if _, ok := ex.graphs.get(graphKey(d, "gorder", "k")); ok {
-			t.Fatalf("relabeling of %s cached after a refused carry", d)
-		}
+	if _, ok := ex.Relabeling("v0", "gorder", "k", order.Identity(101)); ok {
+		t.Fatal("handed out a relabeling under a permutation of another length")
 	}
-	// With nothing cached for the old tip there is nothing to carry.
-	if ex.CarryOrdering("v0", "v1", "gorder", "k", gNew, order.Identity(101), add, nil) {
-		t.Fatal("carried a relabeling that was never cached")
+	if _, ok := ex.Relabeling("v1", "gorder", "k", perm); ok {
+		t.Fatal("handed out a relabeling that was never cached")
+	}
+	if rel, ok := ex.Relabeling("v0", "gorder", "k", order.Identity(100)); !ok || rel != g {
+		t.Fatal("refused the relabeling under the permutation it was built with")
 	}
 }
 
@@ -174,7 +210,7 @@ func TestConcurrentMissesRelabelOnce(t *testing.T) {
 // TestHubMapOneEntryPerLineage: an edit that moves a lineage tip drops
 // the superseded digest's cached hub source (DropHub, as the daemon
 // calls it on every tip move), whether or not the relabeled graph was
-// carried. After K edits on two lineages, each
+// carried — a carry records the new tip's hub. After K edits on two lineages, each
 // edit followed by a hub-source query on the tip, the executor holds
 // one hub entry per lineage, and each answer matches the tip's oracle.
 func TestHubMapOneEntryPerLineage(t *testing.T) {
@@ -198,7 +234,7 @@ func TestHubMapOneEntryPerLineage(t *testing.T) {
 			}
 			permNew := extendPerm(rng, perm, gNew.NumNodes())
 			src.add(name, digest(v), gNew)
-			if carried := ex.CarryOrdering(digest(v-1), digest(v), "gorder", "k", gNew, permNew, add, del); carried != (li == 0) {
+			if _, carried := carryEdit(t, ex, digest(v-1), digest(v), perm, permNew, addNodes, add, del); carried != (li == 0) {
 				t.Fatalf("%s v%d: carried = %v", name, v, carried)
 			}
 			ex.DropHub(digest(v - 1))

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -579,11 +580,11 @@ func (e *Executor) relabeled(ctx context.Context, ref, digest string, nodes int,
 // graph, relabel, and cache the result while digest is still a tip (a
 // superseded version's relabeling would only crowd out live ones). A
 // cached relabeling replaces the natural tip in memory: kernels now run
-// on the copy, so the tip's hub source is recorded from the natural
-// graph in hand and the store evicts the natural CSR, which stays on
-// disk for order jobs, natural-order queries and the next edit (st's
-// release collects it). The flight ends, cached entry first, on every
-// path — panics included.
+// on the copy and edits apply to it (Relabeling, CarryOrdering), so the
+// tip's hub source is recorded from the natural graph in hand and the
+// store evicts the natural CSR, which stays on disk for order jobs and
+// natural-order queries (st's release collects it). The flight ends,
+// cached entry first, on every path — panics included.
 func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int, method, optKey string, st *groupState) (og *orderedGraph, qerr *Error) {
 	defer func() {
 		f.og = og
@@ -792,57 +793,56 @@ func (e *Executor) DropHub(digest string) {
 	e.hubMu.Unlock()
 }
 
-// CarryOrdering moves the cached relabeled graph of one ordering from
-// a lineage's old tip to the version an edit batch derived from it, so
-// the first query on the new version does not relabel. gNew is the
-// batch (add, del) applied to the old tip, and perm the ordering
-// carried forward to it. Carried-forward permutations keep every old
-// vertex where the base put it and place appended vertices in [n, n2),
-// so applying the batch, mapped through perm, to the relabeled old
-// graph yields exactly gNew.Relabel(perm). A perm that moves an old
-// vertex breaks that, and nothing is carried; the new version then
-// relabels lazily, as it does when the old tip's relabeling was not
-// cached. Either way the old tip's entry is dropped. Call it before
-// persisting perm under newDigest, so no query sees the new artifact
-// without its relabeling. Reports whether a relabeling was carried.
-//
-// Residency differs by who made the relabeling. A query-built one
-// replaces the natural tip in memory (buildRelabeled evicts it). An
-// edit-carried one sits beside the natural tip, which stays resident:
-// the next edit reads it, and evicting it here would make every edit
-// reload its tip from disk.
-func (e *Executor) CarryOrdering(oldDigest, newDigest, method, optKey string, gNew *graph.Graph, perm order.Permutation, add, del []graph.Edge) bool {
-	oldKey := graphKey(oldDigest, method, optKey)
-	v, ok := e.graphs.get(oldKey)
+// Relabeling returns digest's cached relabeled graph under (method,
+// optKey) when base is the permutation it was built with. That graph is
+// the tip's resident form, which an edit applies its batch to (mapped
+// through base) instead of loading the natural CSR. A relabeling built
+// from a permutation that a repair has since replaced is not returned.
+func (e *Executor) Relabeling(digest, method, optKey string, base order.Permutation) (*graph.Graph, bool) {
+	v, ok := e.graphs.get(graphKey(digest, method, optKey))
 	if !ok {
-		return false
+		return nil, false
 	}
-	e.graphs.remove(oldKey)
-	old := v.(*orderedGraph)
-	n := old.g.NumNodes()
-	if len(old.perm) != n || len(perm) != gNew.NumNodes() || len(perm) < n {
-		return false
+	og := v.(*orderedGraph)
+	if !slices.Equal(og.perm, base) {
+		return nil, false
 	}
-	for u, p := range old.perm {
-		if perm[u] != p {
-			return false
-		}
-	}
-	mapped := func(es []graph.Edge) []graph.Edge {
-		out := make([]graph.Edge, len(es))
-		for i, ed := range es {
-			out[i] = graph.Edge{From: perm[ed.From], To: perm[ed.To]}
-		}
-		return out
-	}
-	g, _, err := graph.ApplyEdits(old.g, len(perm)-n, mapped(add), mapped(del))
-	if err != nil || g.NumEdges() != gNew.NumEdges() {
-		return false
-	}
+	return og.g, true
+}
+
+// CarryOrdering caches g, the version an edit derived already in the
+// ordering's ID space (relabeled by perm), as newDigest's relabeling
+// under (method, optKey), and records newDigest's hub source from g's
+// out-degrees and perm: the hub a natural-graph lookup would find. The
+// first query on the new version then neither relabels nor reloads.
+// The edit path builds g once, with graph.ApplyEdits on the old tip's
+// relabeling (Relabeling) and the batch mapped through perm, and holds
+// no natural copy. Call it before newDigest becomes a tip and before
+// perm is stored under it, so no query sees either without the other;
+// the old tip's entry is the caller's to drop (InvalidateOrdering) once
+// the tip has moved.
+func (e *Executor) CarryOrdering(newDigest, method, optKey string, g *graph.Graph, perm order.Permutation) {
 	og := &orderedGraph{g: g, perm: perm}
 	e.graphs.put(graphKey(newDigest, method, optKey), og, og.memBytes())
+	if len(perm) > 0 {
+		e.hubMu.Lock()
+		e.hubs[newDigest] = hubOf(g, perm)
+		e.hubMu.Unlock()
+	}
 	e.relabelCarries.Add(1)
-	return true
+}
+
+// hubOf is registry.HubSource of the natural graph that g, relabeled by
+// perm, came from: the vertex of most out-edges, lowest natural ID on
+// ties.
+func hubOf(g *graph.Graph, perm order.Permutation) int {
+	best, bestDeg := 0, -1
+	for u, p := range perm {
+		if d := g.OutDegree(p); d > bestDeg {
+			best, bestDeg = u, d
+		}
+	}
+	return best
 }
 
 // ---- metrics ------------------------------------------------------------
@@ -863,7 +863,7 @@ func (e *Executor) MaterializedHits() int64 { return e.materializedHits.Load() }
 func (e *Executor) RelabelBuilds() int64 { return e.relabelBuilds.Load() }
 
 // RelabelCarries returns how many relabeled graphs an edit carried
-// forward instead of a query rebuilding them.
+// forward (CarryOrdering) instead of a query rebuilding them.
 func (e *Executor) RelabelCarries() int64 { return e.relabelCarries.Load() }
 
 // HubCacheEntries returns how many default traversal sources are

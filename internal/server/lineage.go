@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -168,9 +169,31 @@ func toEdges(specs []edgeSpec) ([]graph.Edge, error) {
 	return out, nil
 }
 
-// applyEdit performs the serialized mutation: resolve tip, apply the
-// batch, advance the lineage, carry orderings forward, update the
-// quality record, and enqueue a repair if the decay signal crossed the
+// tipForm is the form a lineage's tip is held in, and so the graph an
+// edit applies to: the query tier's relabeling of it under orders[i]
+// (its base permutation maps natural IDs in), or, when i < 0, the
+// natural CSR from the store.
+type tipForm struct {
+	g *graph.Graph
+	i int
+}
+
+// carriedOrder is one ordering artifact of the old tip that an edit
+// carries forward.
+type carriedOrder struct {
+	key  store.OrderKey
+	base order.Permutation // the old tip's permutation
+	perm order.Permutation // base extended to the new tip; nil if that failed
+}
+
+// applyEdit performs the serialized mutation, once, on the tip's
+// resident form: validate the batch in natural IDs, extend the tip's
+// orderings, apply the batch — mapped through the resident
+// relabeling's permutation — with one graph.ApplyEdits, patch the
+// natural blob on disk (store.PatchGraph) rather than build a natural
+// CSR, carry the new relabeling and orderings to the new version
+// before it becomes the tip, advance the lineage, update the quality
+// record, and enqueue a repair if the decay signal crossed the
 // threshold.
 func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, addNodes int, add, del []graph.Edge) {
 	s.mutMu.Lock()
@@ -189,28 +212,101 @@ func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, 
 			"mutations apply to a lineage's tip; use the bare name, not %q", name)
 		return
 	}
-	gOld, err := st.GetGraph(tip.Digest)
-	if err != nil {
-		s.writeError(w, http.StatusNotFound, "graph_not_found",
-			"lineage %q's tip is no longer loadable", name)
-		return
-	}
-	gNew, stats, err := graph.ApplyEdits(gOld, addNodes, add, del)
-	if err != nil {
+	if err := graph.CheckEdits(tip.Nodes, addNodes, add, del); err != nil {
 		s.writeError(w, http.StatusBadRequest, "bad_edit", "%v", err)
 		return
 	}
-	digest, _, v, err := st.AppendGraph(name, gNew)
+	var orders []carriedOrder
+	for _, k := range st.OrdersFor(tip.Digest) {
+		if base, ok := st.GetOrder(tip.Digest, k.Method, k.OptKey, tip.Nodes); ok {
+			orders = append(orders, carriedOrder{key: k, base: base})
+		}
+	}
+	form := tipForm{i: -1}
+	for i, o := range orders {
+		if g, ok := s.Query.Relabeling(tip.Digest, o.key.Method, o.key.OptKey, o.base); ok {
+			form = tipForm{g: g, i: i}
+			break
+		}
+	}
+	if form.i < 0 {
+		g, err := st.GetGraph(tip.Digest)
+		if err != nil {
+			s.writeError(w, http.StatusNotFound, "graph_not_found",
+				"lineage %q's tip is no longer loadable", name)
+			return
+		}
+		form.g = g
+	}
+	qual, hasQual := st.GetQuality(name)
+	gNew, stats := s.editForm(r.Context(), name, &form, orders, qual, hasQual, addNodes, add, del)
+
+	digest, _, pstats, err := st.PatchGraph(tip.Digest, name, addNodes, add, del)
+	if err == nil && pstats != stats {
+		err = fmt.Errorf("the stored blob and the resident graph disagree (%+v vs %+v)", pstats, stats)
+	}
+	switch {
+	case errors.Is(err, store.ErrCorrupt):
+		s.writeError(w, http.StatusNotFound, "graph_not_found",
+			"lineage %q's tip is no longer loadable", name)
+		return
+	case err != nil:
+		s.writeError(w, http.StatusInternalServerError, "advance_failed",
+			"persisting version %s@v? failed: %v", name, err)
+		return
+	}
+	// The new version gets its relabeling, hub and orderings before it
+	// becomes the tip, so no query on the name meets it without them.
+	if form.i >= 0 {
+		o := orders[form.i]
+		s.Query.CarryOrdering(digest, o.key.Method, o.key.OptKey, gNew, o.perm)
+	}
+	extended := 0
+	for i, o := range orders {
+		if o.perm == nil {
+			continue
+		}
+		if err := st.PutOrder(digest, o.key.Method, o.key.OptKey, o.perm); err != nil {
+			if i == form.i {
+				s.Query.InvalidateOrdering(digest, o.key.Method, o.key.OptKey)
+			}
+			orders[i].perm = nil
+			s.log.Warn("persisting extended ordering failed", "graph", name,
+				"method", o.key.Method, "err", err)
+			continue
+		}
+		extended++
+	}
+	// A relabeled tip takes no store residency: the query tier holds it.
+	var admit *graph.Graph
+	if form.i < 0 {
+		admit = gNew
+	}
+	v, err := st.AppendVersion(name, digest, admit, 0)
 	if err != nil {
+		if digest != tip.Digest {
+			s.Query.DropHub(digest)
+			for _, o := range orders {
+				s.Query.InvalidateOrdering(digest, o.key.Method, o.key.OptKey)
+			}
+		}
 		s.writeError(w, http.StatusInternalServerError, "advance_failed",
 			"persisting version %s@v? failed: %v", name, err)
 		return
 	}
 	if digest != tip.Digest {
 		s.Query.DropHub(tip.Digest)
+		for _, o := range orders {
+			s.Query.InvalidateOrdering(tip.Digest, o.key.Method, o.key.OptKey)
+		}
 	}
 	info := s.tipInfo(name, digest, v)
-	extended, qual := s.extendOrders(r.Context(), name, tip.Digest, digest, gOld, gNew, add, del)
+	if hasQual {
+		s.trackQuality(&qual, form, orders, gNew, add, del)
+		if err := st.SetQuality(name, qual); err != nil {
+			s.log.Warn("persisting quality record failed", "graph", name, "err", err)
+		}
+	}
 
 	resp := editResponse{
 		Graph:        info,
@@ -238,60 +334,108 @@ func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, 
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// extendOrders carries every ordering artifact of the old tip forward
-// to the new one: each base permutation is extended in place
-// (positions of surviving vertices unchanged, new vertices placed
-// greedily at the suffix) and stored under the new digest with the
-// same method/options key, and the query tier's relabeled graph of the
-// old tip moves with it. The lineage's tracked quality record, if
-// any, rolls its F(pi) forward with ScoreDelta — time proportional to
-// the batch, never a full rescore — and accumulates the churn the
-// suffix repair cannot fix (edits between two old vertices).
-func (s *Server) extendOrders(ctx context.Context, name, oldDigest, newDigest string, gOld, gNew *graph.Graph, add, del []graph.Edge) (int, store.Quality) {
-	st := s.cfg.Store
-	qual, hasQual := st.GetQuality(name)
-	extended := 0
-	for _, k := range st.OrdersFor(oldDigest) {
-		base, ok := st.GetOrder(oldDigest, k.Method, k.OptKey, gOld.NumNodes())
-		if !ok {
+// editForm extends every ordering to the edited graph and applies the
+// (validated) batch to the tip's resident form, returning the edited
+// graph in that form's ID space. An edge-only batch keeps every vertex
+// where its ordering put it — OrderIncrementalCtx with nothing to place
+// returns the base — so it builds one CSR: the batch, mapped through
+// the relabeling's permutation, applied to the relabeling. A batch
+// that appends vertices must place them on the natural graph, which is
+// derived for that (from the relabeling, not from disk) and dropped
+// after. If the resident ordering cannot be extended, the natural
+// graph becomes the form.
+func (s *Server) editForm(ctx context.Context, name string, form *tipForm, orders []carriedOrder, qual store.Quality, hasQual bool, addNodes int, add, del []graph.Edge) (*graph.Graph, graph.EditStats) {
+	var natOld, natNew *graph.Graph
+	var natStats graph.EditStats
+	if addNodes > 0 && len(orders) > 0 {
+		natOld = form.g
+		if form.i >= 0 {
+			natOld = form.g.Relabel(orders[form.i].base.Inverse())
+		}
+		natNew, natStats, _ = graph.ApplyEdits(natOld, addNodes, add, del)
+	}
+	for i := range orders {
+		o := &orders[i]
+		if natNew == nil {
+			o.perm = o.base
 			continue
 		}
-		tracked := hasQual && qual.Method == k.Method && qual.OptKey == k.OptKey
 		var opt core.Options
-		if tracked {
+		if hasQual && qual.Method == o.key.Method && qual.OptKey == o.key.OptKey {
 			ropts, w := qualityOptions(qual)
 			opt = core.Options{Window: w, HubThreshold: ropts.HubThreshold}
 		}
-		perm, err := core.OrderIncrementalCtx(ctx, gNew, base, nil, opt)
+		perm, err := core.OrderIncrementalCtx(ctx, natNew, o.base, nil, opt)
 		if err != nil {
 			s.log.Warn("extending ordering failed", "graph", name,
-				"method", k.Method, "err", err)
+				"method", o.key.Method, "err", err)
 			continue
 		}
-		// Carry the relabeled graph before the artifact becomes visible,
-		// so no query on the new tip relabels from scratch.
-		s.Query.CarryOrdering(oldDigest, newDigest, k.Method, k.OptKey, gNew, perm, add, del)
-		if err := st.PutOrder(newDigest, k.Method, k.OptKey, perm); err != nil {
-			s.Query.InvalidateOrdering(newDigest, k.Method, k.OptKey)
-			s.log.Warn("persisting extended ordering failed", "graph", name,
-				"method", k.Method, "err", err)
-			continue
-		}
-		extended++
-		if tracked {
-			_, w := qualityOptions(qual)
-			qual.CurF += order.ScoreDelta(gOld, gNew, perm, w, add, del)
-			qual.CurEdges = gNew.NumEdges()
-			qual.CurPacking = order.PackingFactor(gNew, perm)
-			accumulateDirty(&qual, add, del)
+		o.perm = perm
+	}
+	if form.i >= 0 && orders[form.i].perm == nil {
+		*form = tipForm{g: natOld, i: -1} // only placing new vertices fails
+	}
+	if form.i < 0 && natNew != nil {
+		return natNew, natStats
+	}
+	var perm order.Permutation
+	if form.i >= 0 {
+		perm = orders[form.i].perm
+	}
+	gNew, stats, _ := graph.ApplyEdits(form.g, addNodes, mapEdges(add, perm), mapEdges(del, perm))
+	return gNew, stats
+}
+
+// trackQuality rolls the lineage's tracked F(pi) forward with
+// ScoreDelta — time proportional to the batch, never a full rescore —
+// and accumulates the churn the suffix repair cannot fix (edits between
+// two old vertices). It scores the graphs the edit holds, in the
+// form's ID space: both scores are label-invariant, so positions are
+// mapped into that space instead of graphs into the natural one.
+// Nothing changes when the tracked ordering was not carried.
+func (s *Server) trackQuality(q *store.Quality, form tipForm, orders []carriedOrder, gNew *graph.Graph, add, del []graph.Edge) {
+	var tracked *carriedOrder
+	for i := range orders {
+		if o := &orders[i]; o.perm != nil && o.key.Method == q.Method && o.key.OptKey == q.OptKey {
+			tracked = o
 		}
 	}
-	if hasQual {
-		if err := st.SetQuality(name, qual); err != nil {
-			s.log.Warn("persisting quality record failed", "graph", name, "err", err)
+	if tracked == nil {
+		return
+	}
+	_, w := qualityOptions(*q)
+	pos, fadd, fdel := tracked.perm, add, del
+	if form.i >= 0 {
+		res := orders[form.i].perm
+		fadd, fdel = mapEdges(add, res), mapEdges(del, res)
+		if tracked == &orders[form.i] {
+			pos = nil // the form is laid out in the tracked ordering
+		} else {
+			seq := res.Inverse()
+			pos = make(order.Permutation, len(seq))
+			for x, u := range seq {
+				pos[x] = tracked.perm[u]
+			}
 		}
 	}
-	return extended, qual
+	q.CurF += order.ScoreDelta(form.g, gNew, pos, w, fadd, fdel)
+	q.CurEdges = gNew.NumEdges()
+	q.CurPacking = order.PackingFactor(gNew, pos)
+	accumulateDirty(q, add, del)
+}
+
+// mapEdges maps edges through perm into a relabeling's ID space; a nil
+// perm leaves them as they are.
+func mapEdges(es []graph.Edge, perm order.Permutation) []graph.Edge {
+	if perm == nil {
+		return es
+	}
+	out := make([]graph.Edge, len(es))
+	for i, e := range es {
+		out[i] = graph.Edge{From: perm[e.From], To: perm[e.To]}
+	}
+	return out
 }
 
 // accumulateDirty records the churn endpoints an incremental suffix

@@ -222,8 +222,9 @@ func randomEdit(rng *gen.RNG, g *graph.Graph) editRequest {
 // TestEditStreamCarriesRelabeling: an edit replaces its lineage's tip
 // in memory instead of adding a version, and carries the relabeled
 // graph forward, so a read-after-edit stream relabels once — on the
-// first query — and holds one version resident, while every answer
-// matches a BFS oracle on the natural graph.
+// first query — and holds one version, as its relabeling alone: no
+// natural bytes stay resident in the store. Every answer matches a BFS
+// oracle on the natural graph.
 func TestEditStreamCarriesRelabeling(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Pool:              PoolConfig{Workers: 1, QueueDepth: 8},
@@ -268,9 +269,13 @@ func TestEditStreamCarriesRelabeling(t *testing.T) {
 			t.Fatalf("edit %d: relabel builds %d -> %d, want the carried relabeling reused",
 				i, builds, snap["query_relabel_builds_total"])
 		}
-		if snap["store_resident_bytes"] != mirror.MemoryBytes() {
-			t.Fatalf("edit %d: %d bytes resident, want one version's %d",
-				i, snap["store_resident_bytes"], mirror.MemoryBytes())
+		if snap["store_resident_bytes"] != 0 {
+			t.Fatalf("edit %d: %d natural bytes resident, want 0", i, snap["store_resident_bytes"])
+		}
+		// One version's relabeling: one graph plus its permutation.
+		if b := snap["query_graph_cache_bytes"]; b < mirror.MemoryBytes() || b >= 2*mirror.MemoryBytes() {
+			t.Fatalf("edit %d: query_graph_cache_bytes = %d, want one version's relabeling (natural CSR is %d)",
+				i, b, mirror.MemoryBytes())
 		}
 	}
 	if c := metricsSnapshot(t, ts)["query_relabel_carries_total"]; c != 30 {
@@ -638,5 +643,17 @@ func TestUploadDuringEditKeepsChain(t *testing.T) {
 			t.Fatalf("round %d: %s@v%d is not its batch applied to v%d (%d nodes): an upload fell off the chain",
 				round, name, v, v-1, prev.NumNodes())
 		}
+	}
+}
+
+// An upload keeps parallel edges, and deleting one removes every copy.
+// Before, the delete tripped ApplyEdits' degree check and panicked the
+// handler, so the client saw its connection drop.
+func TestEditDeletesParallelEdge(t *testing.T) {
+	_, ts := newStoreServer(t, t.TempDir(), 0)
+	postGraph(t, ts, "multi", []byte("0 1\n0 1\n1 2\n2 0\n"))
+	resp := postEdges(t, ts, "multi", editRequest{Del: []edgeSpec{{From: 0, To: 1}}}, http.StatusOK)
+	if resp.EdgesDeleted != 2 || resp.Graph.Edges != 2 {
+		t.Fatalf("deleted %d edges leaving %d, want both copies gone and 2 left", resp.EdgesDeleted, resp.Graph.Edges)
 	}
 }

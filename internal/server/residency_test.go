@@ -13,6 +13,7 @@ import (
 	"gorder/internal/graph"
 	"gorder/internal/query"
 	"gorder/internal/registry"
+	"gorder/internal/store"
 )
 
 // orderedUpload uploads g under name and runs a gorder job on it.
@@ -250,5 +251,77 @@ func TestTipResidencyBuildRacesEdit(t *testing.T) {
 	}
 	if info := getGraphInfo(t, ts, "soc", http.StatusOK); info.Version != 13 {
 		t.Fatalf("tip is v%d, want v13 after 12 edits", info.Version)
+	}
+}
+
+// TestTipResidencyEditAppliesOnce: on an ordered tip a query has
+// relabeled, each edge-only edit applies its batch once — one CSR build,
+// on the relabeling — and patches the natural blob on disk, so no
+// natural bytes become resident and nothing reloads; the version is
+// still named by the upload digest of the natural graph's binary
+// encoding, and a BFS without a source finds the natural hub from the
+// carried relabeling alone.
+func TestTipResidencyEditAppliesOnce(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{
+		Pool:              PoolConfig{Workers: 1, QueueDepth: 8},
+		Store:             st,
+		DisableAutoRepair: true, // a repair reloads the natural tip
+	})
+	g := gen.BarabasiAlbert(2000, 4, 31)
+	orderedUpload(t, ts, "soc", g)
+	checkBFS(t, ts, g, query.Request{Graph: "soc"}, -1)
+	rng := gen.NewRNG(17)
+	mirror := g
+	for i := 1; i <= 12; i++ {
+		n := mirror.NumNodes()
+		var req editRequest
+		for len(req.Add) < 3 {
+			req.Add = append(req.Add, edgeSpec{From: rng.Intn(n), To: rng.Intn(n)})
+		}
+		req.Add = append(req.Add, req.Add[0]) // a duplicate request
+		u := rng.Intn(n)
+		if nb := mirror.OutNeighbors(graph.NodeID(u)); len(nb) > 0 {
+			req.Del = append(req.Del, edgeSpec{From: u, To: int(nb[0])})
+		}
+		before := metricsSnapshot(t, ts)
+		resp := postEdges(t, ts, "soc", req, http.StatusOK)
+		after := metricsSnapshot(t, ts)
+		mirror = applyMirror(t, mirror, req)
+
+		if b := after["graph_csr_builds_total"] - before["graph_csr_builds_total"]; b != 1 {
+			t.Fatalf("edit %d built %d CSRs, want 1", i, b)
+		}
+		if after["store_resident_bytes"] != 0 || after["store_graph_reloads_total"] != 0 {
+			t.Fatalf("edit %d: store_resident_bytes=%d store_graph_reloads_total=%d, want 0 and 0",
+				i, after["store_resident_bytes"], after["store_graph_reloads_total"])
+		}
+		var buf bytes.Buffer
+		if err := mirror.WriteBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h := store.NewDigest()
+		h.Write(buf.Bytes())
+		if resp.Graph.ID != store.DigestSum(h) || resp.Graph.Bytes != int64(buf.Len()) {
+			t.Fatalf("edit %d: version %s of %d bytes, the natural encoding is %s of %d",
+				i, resp.Graph.ID, resp.Graph.Bytes, store.DigestSum(h), buf.Len())
+		}
+		if resp.OrdersExtended != 1 || resp.Graph.Nodes != n || resp.Graph.Edges != mirror.NumEdges() {
+			t.Fatalf("edit %d: %+v", i, resp)
+		}
+
+		res := checkBFS(t, ts, mirror, query.Request{Graph: "soc"}, -1)
+		if res.Ordering.Method != "gorder" || res.Graph != resp.Graph.ID {
+			t.Fatalf("edit %d: hub BFS served %s over %+v", i, res.Graph, res.Ordering)
+		}
+		snap := metricsSnapshot(t, ts)
+		if snap["store_graph_reloads_total"] != 0 || snap["query_relabel_builds_total"] != 1 {
+			t.Fatalf("edit %d: hub BFS reloads=%d relabel builds=%d, want 0 and 1",
+				i, snap["store_graph_reloads_total"], snap["query_relabel_builds_total"])
+		}
 	}
 }

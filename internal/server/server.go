@@ -15,6 +15,7 @@ import (
 	"gorder"
 	"gorder/internal/core"
 	"gorder/internal/fair"
+	"gorder/internal/graph"
 	"gorder/internal/order"
 	"gorder/internal/query"
 	"gorder/internal/registry"
@@ -170,6 +171,7 @@ func New(cfg Config) *Server {
 	m.Func("store_evictions_total", st.Evictions)
 	m.Func("store_resident_bytes", st.ResidentBytes)
 	m.Func("store_graph_reloads_total", st.Reloads)
+	m.Func("graph_csr_builds_total", graph.CSRBuilds)
 	m.Func("store_graphs", st.GraphCount)
 	m.Func("store_orders", st.OrderCount)
 	m.Func("store_results", st.ResultCount)

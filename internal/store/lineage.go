@@ -3,9 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
+	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -101,11 +101,13 @@ type OrderKey struct {
 // AppendVersion persists g as the next version of the named lineage:
 // the blob is stored content-addressed under digest (once — a digest
 // already stored, under any name, keeps its blob), the lineage gains a
-// version entry, and the new tip replaces the old one in memory.
-// Appending the digest already at the tip is a no-op (idempotent
-// replays). The lineage is created if the name is new; a name that
-// reads as a version reference fails with ErrBadName. Returns the
-// 1-based version number now at the tip.
+// version entry, and the new tip replaces the old one in memory. g may
+// be nil when digest is already stored — a version PatchGraph wrote —
+// and the new tip then takes no residency: its holder keeps it in
+// another form. Appending the digest already at the tip is a no-op
+// (idempotent replays). The lineage is created if the name is new; a
+// name that reads as a version reference fails with ErrBadName. Returns
+// the 1-based version number now at the tip.
 func (s *Store) AppendVersion(name, digest string, g *graph.Graph, srcBytes int64) (int, error) {
 	if base, _ := parseRef(name); base != name {
 		return 0, fmt.Errorf("%w: %q", ErrBadName, name)
@@ -115,28 +117,95 @@ func (s *Store) AppendVersion(name, digest string, g *graph.Graph, srcBytes int6
 	if v, ok := s.tipVersionLocked(name, digest); ok {
 		return v, nil
 	}
-	if _, _, err := s.persistGraphLocked(digest, name, g, srcBytes); err != nil {
+	if _, ok := s.man.Graphs[digest]; !ok && g == nil {
+		return 0, fmt.Errorf("%w: %s", ErrUnknownGraph, digest)
+	}
+	if err := s.persistGraphLocked(digest, name, g, srcBytes); err != nil {
 		return 0, err
 	}
 	return s.advanceLocked(name, digest, g)
 }
 
-// AppendGraph is AppendVersion for a graph that has no digest yet — the
-// mutation path. g is encoded once, straight into its blob file, and
-// hashed on the way, so its digest is the one an upload of its binary
-// encoding gets. Returns the digest, the encoded size in bytes, and the
-// version number now at the tip.
-func (s *Store) AppendGraph(name string, g *graph.Graph) (digest string, size int64, version int, err error) {
+// PatchGraph stores the version an edit batch derives from the stored
+// graph parent, without building it: graph.PatchBinary streams parent's
+// blob into the new one, patching the touched rows, so the bytes — and
+// with them the digest, hashed on the way — are those WriteBinary gives
+// the edited graph, and an upload of them deduplicates to the same ID.
+// The stream runs outside the store lock. The new graph joins no
+// lineage and takes no residency: AppendVersion(name, digest, nil, 0)
+// makes it a tip. A batch CheckEdits rejects fails before anything is
+// read; a parent blob that fails its checksum or structure checks is
+// dropped, as GetGraph drops it, and reported as ErrCorrupt, its
+// half-written successor discarded. Returns the digest, the new blob's
+// size, and the batch's stats.
+func (s *Store) PatchGraph(parent, name string, addNodes int, add, del []graph.Edge) (digest string, size int64, st graph.EditStats, err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if digest, size, err = s.persistGraphLocked("", name, g, 0); err != nil {
-		return "", 0, 0, err
+	prec, ok := s.man.Graphs[parent]
+	if !ok {
+		s.mu.Unlock()
+		return "", 0, st, fmt.Errorf("%w: %s", ErrUnknownGraph, parent)
 	}
-	if v, ok := s.tipVersionLocked(name, digest); ok {
-		return digest, size, v, nil
+	prec.LastAccess = time.Now().UTC()
+	nodes, edges := prec.Nodes, prec.Edges
+	s.mu.Unlock()
+	if err := graph.CheckEdits(nodes, addNodes, add, del); err != nil {
+		return "", 0, st, err
 	}
-	version, err = s.advanceLocked(name, digest, g)
-	return digest, size, version, err
+
+	var parentSize int64
+	f, err := os.Open(s.graphPath(parent))
+	if err == nil {
+		defer f.Close()
+		var fi os.FileInfo
+		if fi, err = f.Stat(); err == nil {
+			parentSize = fi.Size()
+		}
+	}
+	if err != nil {
+		s.dropGraph(parent)
+		return "", 0, st, fmt.Errorf("%w: graph %s: %v", ErrCorrupt, parent, err)
+	}
+	sum := crc32.NewIEEE()
+	var patchErr error
+	var cw *countWriter
+	locked := false
+	err = writeAtomicNamed(filepath.Join(s.dir, graphsDirName), "blob.tmp-*", 0o644,
+		func(w io.Writer) error {
+			h := NewDigest()
+			cw = &countWriter{w: io.MultiWriter(w, sum, h)}
+			st, patchErr = graph.PatchBinary(cw, f, parentSize, addNodes, add, del)
+			digest = DigestSum(h)
+			return patchErr
+		},
+		func() string {
+			s.mu.Lock()
+			locked = true
+			if _, ok := s.man.Graphs[digest]; ok {
+				return "" // the edit made content that is already stored
+			}
+			return s.graphPath(digest)
+		})
+	if locked {
+		defer s.mu.Unlock()
+	}
+	switch {
+	case patchErr != nil && cw.err == nil && !errors.Is(patchErr, graph.ErrBadMagic):
+		// The parent failed to read back: bit rot, not a full disk.
+		s.dropGraph(parent)
+		return "", 0, st, fmt.Errorf("%w: graph %s: %v", ErrCorrupt, parent, patchErr)
+	case err != nil:
+		return "", 0, st, fmt.Errorf("store: persisting an edit of %s for %q: %w", parent, name, err)
+	}
+	if _, ok := s.man.Graphs[digest]; !ok {
+		now := time.Now().UTC()
+		s.man.Graphs[digest] = &graphRec{
+			Name: name, Nodes: nodes + addNodes, Edges: edges + int64(st.Added-st.Deleted),
+			SrcBytes: cw.n, FileBytes: cw.n,
+			CRC32: fmt.Sprintf("%08x", sum.Sum32()),
+			Added: now, LastAccess: now,
+		}
+	}
+	return digest, cw.n, st, nil
 }
 
 // tipVersionLocked reports the tip's version number when digest is
@@ -149,7 +218,8 @@ func (s *Store) tipVersionLocked(name, digest string) (int, bool) {
 }
 
 // advanceLocked appends the stored digest to name's lineage (creating
-// it) and swaps g into residency for the tip it supersedes.
+// it) and swaps g, unless nil, into residency for the tip it
+// supersedes.
 func (s *Store) advanceLocked(name, digest string, g *graph.Graph) (int, error) {
 	lin := s.man.Lineages[name]
 	if lin == nil {
@@ -161,7 +231,9 @@ func (s *Store) advanceLocked(name, digest string, g *graph.Graph) (int, error) 
 	if err := s.saveManifestLocked(); err != nil {
 		return 0, err
 	}
-	s.admitLocked(digest, g)
+	if g != nil {
+		s.admitLocked(digest, g)
+	}
 	s.releaseLocked(oldTip)
 	return len(lin.Versions), nil
 }
@@ -340,10 +412,9 @@ func (s *Store) OrdersFor(digest string) []OrderKey {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []OrderKey
-	for _, rec := range s.man.Orders {
-		if rec.Graph == digest {
-			out = append(out, OrderKey{Method: rec.Method, OptKey: rec.OptKey})
-		}
+	for _, file := range s.orders[digest] {
+		rec := s.man.Orders[file]
+		out = append(out, OrderKey{Method: rec.Method, OptKey: rec.OptKey})
 	}
 	slices.SortFunc(out, func(a, b OrderKey) int {
 		if c := strings.Compare(a.Method, b.Method); c != 0 {
@@ -354,51 +425,22 @@ func (s *Store) OrdersFor(digest string) []OrderKey {
 	return out
 }
 
-// persistGraphLocked writes g's CSR blob and manifest record unless
-// digest is already stored — the shared write path of PutGraph,
-// AppendVersion and AppendGraph. An empty digest is derived from the
-// encoding as it streams to disk (srcBytes then becomes the encoded
-// size), so g is encoded exactly once either way. Returns the digest
-// and the encoded size (0 when the blob was already stored).
-func (s *Store) persistGraphLocked(digest, name string, g *graph.Graph, srcBytes int64) (string, int64, error) {
+// persistGraphLocked writes g's CSR blob and manifest record under
+// digest unless it is already stored — the write path of uploads.
+func (s *Store) persistGraphLocked(digest, name string, g *graph.Graph, srcBytes int64) error {
 	if _, ok := s.man.Graphs[digest]; ok {
-		return digest, 0, nil
+		return nil
 	}
-	derive := digest == ""
 	var fileBytes int64
 	sum := crc32.NewIEEE()
-	err := writeAtomicNamed(filepath.Join(s.dir, graphsDirName), "blob.tmp-*", 0o644,
-		func(w io.Writer) error {
-			var h hash.Hash
-			ws := []io.Writer{w, sum}
-			if derive {
-				h = NewDigest()
-				ws = append(ws, h)
-			}
-			cw := &countWriter{w: io.MultiWriter(ws...)}
-			if err := g.WriteBinary(cw); err != nil {
-				return err
-			}
-			fileBytes = cw.n
-			if derive {
-				digest = DigestSum(h)
-			}
-			return nil
-		},
-		func() string {
-			if _, ok := s.man.Graphs[digest]; ok {
-				return "" // derived a digest that is already stored
-			}
-			return s.graphPath(digest)
-		})
+	err := WriteFileAtomic(s.graphPath(digest), 0o644, func(w io.Writer) error {
+		cw := &countWriter{w: io.MultiWriter(w, sum)}
+		err := g.WriteBinary(cw)
+		fileBytes = cw.n
+		return err
+	})
 	if err != nil {
-		return "", 0, fmt.Errorf("store: persisting graph %s of %q: %w", digest, name, err)
-	}
-	if _, ok := s.man.Graphs[digest]; ok {
-		return digest, fileBytes, nil
-	}
-	if derive {
-		srcBytes = fileBytes
+		return fmt.Errorf("store: persisting graph %s of %q: %w", digest, name, err)
 	}
 	now := time.Now().UTC()
 	s.man.Graphs[digest] = &graphRec{
@@ -407,7 +449,7 @@ func (s *Store) persistGraphLocked(digest, name string, g *graph.Graph, srcBytes
 		CRC32: fmt.Sprintf("%08x", sum.Sum32()),
 		Added: now, LastAccess: now,
 	}
-	return digest, fileBytes, nil
+	return nil
 }
 
 // healAllLineagesLocked reconciles every lineage against the graphs

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -112,43 +113,69 @@ func TestResidencyEvictKeepsBlob(t *testing.T) {
 	}
 }
 
-// AppendGraph encodes a new version once and names it by the digest of
-// those bytes — the digest an upload of the same binary encoding gets —
-// with the blob byte-identical to that encoding.
-func TestAppendGraphDigestsItsEncoding(t *testing.T) {
+// PatchGraph writes an edited version without building it, names it by
+// the digest of its bytes — the digest an upload of the same binary
+// encoding gets — and makes it a tip only through AppendVersion, which
+// then admits nothing: the blob is byte-identical to WriteBinary of the
+// edited graph.
+func TestPatchGraphDigestsItsEncoding(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, 0)
 	g := gen.BarabasiAlbert(200, 3, 1)
+	if _, err := s.AppendVersion("g", "d1", g, 0); err != nil {
+		t.Fatal(err)
+	}
+	add, del := []graph.Edge{{From: 200, To: 3}, {From: 5, To: 200}}, []graph.Edge{{From: 0, To: g.OutNeighbors(0)[0]}}
+	want, wantSt, err := graph.ApplyEdits(g, 1, add, del)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
+	if err := want.WriteBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	h := NewDigest()
 	h.Write(buf.Bytes())
 
-	digest, size, v, err := s.AppendGraph("g", g)
-	if err != nil || v != 1 {
-		t.Fatalf("AppendGraph: v%d err %v", v, err)
+	digest, size, st, err := s.PatchGraph("d1", "g", 1, add, del)
+	if err != nil {
+		t.Fatalf("PatchGraph: %v", err)
 	}
-	if digest != DigestSum(h) || size != int64(buf.Len()) {
-		t.Fatalf("digest %s size %d, want %s and %d", digest, size, DigestSum(h), buf.Len())
+	if digest != DigestSum(h) || size != int64(buf.Len()) || st != wantSt {
+		t.Fatalf("digest %s size %d stats %+v, want %s, %d and %+v", digest, size, st, DigestSum(h), buf.Len(), wantSt)
 	}
 	blob, err := os.ReadFile(s.graphPath(digest))
 	if err != nil || !bytes.Equal(blob, buf.Bytes()) {
 		t.Fatalf("blob differs from the binary encoding (err %v)", err)
 	}
-	if !s.Resident(digest) {
-		t.Fatal("new tip not resident")
+	if s.IsTip(digest) {
+		t.Fatal("a patched version is a tip before AppendVersion")
+	}
+	if v, err := s.AppendVersion("g", digest, nil, 0); err != nil || v != 2 {
+		t.Fatalf("AppendVersion of the patched digest: v%d err %v", v, err)
+	}
+	if s.Resident(digest) || s.Resident("d1") || s.ResidentBytes() != 0 {
+		t.Fatalf("resident: new=%v old=%v bytes=%d, want nothing", s.Resident(digest), s.Resident("d1"), s.ResidentBytes())
+	}
+	if meta, ok := s.Lookup("g"); !ok || meta.Digest != digest || meta.Nodes != 201 || meta.Edges != want.NumEdges() {
+		t.Fatalf("tip meta %+v, want %s with 201 nodes and %d edges", meta, digest, want.NumEdges())
 	}
 
-	// The same content again is an idempotent tip replay, and the
-	// discarded second encoding leaves no temp file behind.
-	if d2, _, v2, err := s.AppendGraph("g", g); err != nil || d2 != digest || v2 != 1 {
-		t.Fatalf("replay: %s v%d err %v", d2, v2, err)
+	// The same edit again derives content already stored: the discarded
+	// second blob leaves no temp file behind, and appending it is an
+	// idempotent tip replay.
+	if d2, _, _, err := s.PatchGraph("d1", "g", 1, add, del); err != nil || d2 != digest {
+		t.Fatalf("repeat patch: %s err %v", d2, err)
+	}
+	if v, err := s.AppendVersion("g", digest, nil, 0); err != nil || v != 2 {
+		t.Fatalf("replay: v%d err %v", v, err)
 	}
 	entries, err := os.ReadDir(filepath.Join(dir, graphsDirName))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("graphs dir holds %d entries, want the one blob (err %v)", len(entries), err)
+	if err != nil || len(entries) != 2 {
+		t.Fatalf("graphs dir holds %d entries, want the two blobs (err %v)", len(entries), err)
+	}
+	if _, err := s.AppendVersion("g", "never-stored", nil, 0); err == nil {
+		t.Fatal("appended a digest with neither a blob nor a graph")
 	}
 
 	// The manifest record (size, CRC) matches the blob across a reopen.
@@ -157,7 +184,43 @@ func TestAppendGraphDigestsItsEncoding(t *testing.T) {
 	}
 	s2 := open(t, dir, 0)
 	got, err := s2.GetGraph(digest)
-	if err != nil || !g.Equal(got) {
+	if err != nil || !want.Equal(got) {
 		t.Fatalf("reopened version differs (err %v)", err)
+	}
+}
+
+// A parent blob that fails its checksum is not patched: no new blob is
+// renamed into place, and the parent is dropped like GetGraph drops it,
+// so its lineage heals to the previous version.
+func TestPatchGraphCorruptParent(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, 0)
+	for i, d := range []string{"d1", "d2"} {
+		if _, err := s.AppendVersion("g", d, gen.BarabasiAlbert(300, 3, uint64(4+i)), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob, err := os.ReadFile(s.graphPath("d2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob[len(blob)-40] ^= 0x10 // deep in the adjacency, far from the edit
+	if err := os.WriteFile(s.graphPath("d2"), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, err = s.PatchGraph("d2", "g", 0, []graph.Edge{{From: 1, To: 2}}, nil)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("patching a corrupt parent: err %v, want ErrCorrupt", err)
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, graphsDirName))
+	if err != nil || len(entries) != 1 || entries[0].Name() != "d1" {
+		t.Fatalf("graphs dir after the failed patch: %v (err %v), want only d1", entries, err)
+	}
+	if meta, ok := s.Lookup("g"); !ok || meta.Digest != "d1" {
+		t.Fatalf("lineage tip after the failed patch: %+v, want d1", meta)
+	}
+	// A batch out of range fails before the parent is read.
+	if _, _, _, err := s.PatchGraph("d1", "g", 0, []graph.Edge{{From: 0, To: 300}}, nil); err == nil || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("out-of-range batch: err %v", err)
 	}
 }

@@ -28,9 +28,10 @@
 //     the query tier's graph cache: the query tier calls Evict once the
 //     copy is cached, because kernels never read the natural layout
 //     again;
-//   - a tip an edit produced keeps its natural CSR here beside the
-//     relabeled copy the edit carried forward, because the next edit
-//     reads the natural form.
+//   - a tip an edit derived from a relabeled tip is held only as the
+//     relabeled copy the edit built: its blob is patched on disk from
+//     the parent's (PatchGraph) and AppendVersion admits nothing, since
+//     queries and the next edit both read the relabeled copy.
 //
 // Least-recently-used tips are evicted first when the budget is
 // exceeded. An evicted graph stays on disk and is transparently
@@ -126,6 +127,7 @@ type Store struct {
 
 	mu            sync.Mutex
 	man           *manifest
+	orders        map[string][]string // graph digest -> its files in man.Orders
 	resident      map[string]*residentGraph
 	residentBytes int64
 	lruSeq        int64
@@ -159,6 +161,7 @@ func Open(cfg Config) (*Store, error) {
 		dir:      cfg.Dir,
 		budget:   cfg.MemBudget,
 		man:      man,
+		orders:   make(map[string][]string),
 		resident: make(map[string]*residentGraph),
 	}
 	// Reconcile the manifest against the blob files actually present.
@@ -180,7 +183,9 @@ func Open(cfg Config) (*Store, error) {
 		if statErr != nil || !graphOK {
 			delete(man.Orders, file)
 			dropped = true
+			continue
 		}
+		s.indexOrderLocked(file, rec.Graph)
 	}
 	for file, rec := range man.Results {
 		_, statErr := os.Stat(filepath.Join(s.dir, resultsDirName, file))
@@ -217,7 +222,7 @@ func (s *Store) saveManifestLocked() error {
 }
 
 // NewDigest returns the running hash behind content digests. Uploads
-// hash their body as it streams and AppendGraph hashes a new version's
+// hash their body as it streams and PatchGraph hashes a new version's
 // binary encoding as it is written, so the same bytes get the same
 // digest on either path.
 func NewDigest() hash.Hash { return sha256.New() }
@@ -421,12 +426,11 @@ func (s *Store) dropGraph(digest string) {
 	}
 	delete(s.man.Graphs, digest)
 	s.healLineagesLocked(digest)
-	for file, rec := range s.man.Orders {
-		if rec.Graph == digest {
-			os.Remove(filepath.Join(s.dir, ordersDirName, file))
-			delete(s.man.Orders, file)
-		}
+	for _, file := range s.orders[digest] {
+		os.Remove(filepath.Join(s.dir, ordersDirName, file))
+		delete(s.man.Orders, file)
 	}
+	delete(s.orders, digest)
 	for file, rec := range s.man.Results {
 		if rec.Graph == digest {
 			os.Remove(filepath.Join(s.dir, resultsDirName, file))
@@ -477,6 +481,7 @@ func (s *Store) PutOrder(graphDigest, method, optKey string, perm order.Permutat
 		Bytes: n, CRC32: fmt.Sprintf("%08x", sum.Sum32()),
 		Added: now, LastAccess: now,
 	}
+	s.indexOrderLocked(file, graphDigest)
 	return s.saveManifestLocked()
 }
 
@@ -509,6 +514,7 @@ func (s *Store) GetOrder(graphDigest, method, optKey string, wantLen int) (order
 		if rec, ok = s.man.Orders[file]; ok {
 			if perm, err = readOrder(path, rec.CRC32, wantLen); err != nil {
 				delete(s.man.Orders, file)
+				s.unindexOrderLocked(file, graphDigest)
 				os.Remove(path)
 				s.saveManifestLocked()
 			}
@@ -521,6 +527,27 @@ func (s *Store) GetOrder(graphDigest, method, optKey string, wantLen int) (order
 	}
 	s.hits.Add(1)
 	return perm, true
+}
+
+// indexOrderLocked files an artifact under its graph's digest, once.
+// s.orders mirrors man.Orders by digest, so the per-query LatestOrder
+// and the per-edit OrdersFor read one graph's artifacts instead of
+// scanning every artifact stored; every change to man.Orders passes
+// through here or unindexOrderLocked.
+func (s *Store) indexOrderLocked(file, digest string) {
+	if !slices.Contains(s.orders[digest], file) {
+		s.orders[digest] = append(s.orders[digest], file)
+	}
+}
+
+// unindexOrderLocked removes one artifact from the digest index.
+func (s *Store) unindexOrderLocked(file, digest string) {
+	files := slices.DeleteFunc(s.orders[digest], func(f string) bool { return f == file })
+	if len(files) == 0 {
+		delete(s.orders, digest)
+		return
+	}
+	s.orders[digest] = files
 }
 
 // readOrder reads and checks one permutation artifact: its bytes must
@@ -551,8 +578,9 @@ func (s *Store) LatestOrder(graphDigest, method string) (string, string, bool) {
 	defer s.mu.Unlock()
 	var bestFile string
 	var best *orderRec
-	for file, rec := range s.man.Orders {
-		if rec.Graph != graphDigest || (method != "" && rec.Method != method) {
+	for _, file := range s.orders[graphDigest] {
+		rec := s.man.Orders[file]
+		if method != "" && rec.Method != method {
 			continue
 		}
 		if best == nil ||
@@ -690,14 +718,20 @@ func (s *Store) ResultHits() int64 { return s.resultHits.Load() }
 // ResultMisses returns the materialized-result artifact miss count.
 func (s *Store) ResultMisses() int64 { return s.resultMisses.Load() }
 
-// countWriter counts bytes on their way to w.
+// countWriter counts bytes on their way to w and keeps the first
+// error w returned, so a caller can tell a failed write from a failed
+// read feeding it.
 type countWriter struct {
-	w io.Writer
-	n int64
+	w   io.Writer
+	n   int64
+	err error
 }
 
 func (c *countWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
+	if err != nil && c.err == nil {
+		c.err = err
+	}
 	return n, err
 }

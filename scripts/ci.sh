@@ -200,10 +200,11 @@ go test -race ./internal/store/ -run 'TestStoreColdWarm' -count=1
 
 echo "==> evolving-graph smoke under race (upload, edit batches with deletes, decay repair, query parity on @latest,"
 echo "    tip-only residency, relabeled graph carried across edits, one relabel per concurrent miss,"
-echo "    one hub entry per lineage, every upload name a lineage, uploads racing edits stay on the chain)"
+echo "    one hub entry per lineage, every upload name a lineage, uploads racing edits stay on the chain,"
+echo "    an edited relabeled tip held once with its blob patched on disk, order records indexed by digest)"
 go test -race -count=1 \
-    -run 'TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestAppendGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce|TestHubMapOneEntryPerLineage|TestHubCacheBoundedOnUnorderedLineage|TestAliasUploadIsLineage|TestReuploadOldContentKeepsNameConsistent|TestUploadDuringEditKeepsChain' \
-    ./internal/server/ ./internal/store/ ./internal/query/
+    -run 'TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestPatchGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce|TestHubMapOneEntryPerLineage|TestHubCacheBoundedOnUnorderedLineage|TestAliasUploadIsLineage|TestReuploadOldContentKeepsNameConsistent|TestUploadDuringEditKeepsChain|TestTipResidency|TestEditDeletesParallelEdge|TestOrderIndexMatchesScan|TestPatchBinary|TestApplyEditsDeletesParallelCopies|TestReadPermutation|TestScoreDeltaRelabeledMatchesNatural' \
+    ./internal/server/ ./internal/store/ ./internal/query/ ./internal/graph/ ./internal/order/
 
 echo "==> examples smoke (evolvinggraph runs the extend/monitor/repair loop end-to-end)"
 go build ./examples/...
