@@ -26,6 +26,14 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(valid[:len(valid)-5])
 	f.Add(encodeResult(&cachedResult{res: registry.KernelResult{Kernel: "BFS", Int32s: []int32{0, 1, -1}}}))
 	f.Add(encodeResult(&cachedResult{res: registry.KernelResult{Kernel: "NQ", Int64s: []int64{1 << 40}}}))
+	// Core numbers, written from the result cache's one-byte form (the
+	// blob holds them widened to int32), and a core too deep for a byte.
+	f.Add(encodeResult(&cachedResult{res: registry.KernelResult{
+		Kernel: "Kcore", Summary: map[string]float64{"max_core": 4}, Uint8s: []uint8{4, 4, 3, 1, 0, 0},
+	}}))
+	f.Add(encodeResult(&cachedResult{res: registry.KernelResult{
+		Kernel: "Kcore", Summary: map[string]float64{"max_core": 300}, Int32s: []int32{300, 300, 2, 0},
+	}}))
 	// Inflated counts: a summary count, a vector length and a string
 	// length far beyond the bytes that follow them, and a summary count
 	// below the blob's length that its bytes still cannot back.

@@ -396,6 +396,7 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 		if data, ok := e.cfg.Store.GetResult(digest, kname, paramKey); ok {
 			if c, derr := decodeResult(data); derr == nil && c.res.Kernel == k.Name {
 				e.materializedHits.Add(1)
+				mapResultBack(&c.res, nil)
 				e.results.put(resultKey, c, c.memBytes())
 				return respond(resultView{res: &c.res}, cachedOrdering(c), true, true)
 			}
@@ -668,12 +669,28 @@ func consumesSource(k registry.Kernel) bool {
 }
 
 // mapResultBack relabels res's per-vertex vector from the ordering's
-// ID space back to natural IDs (out[v] = vec[perm[v]]), in place.
+// ID space back to natural IDs (out[v] = vec[perm[v]]; perm nil is the
+// identity), in place, readying it for the result cache. An int32
+// vector whose entries all fit registry.FitsUint8 — hop distances on a
+// small-diameter graph, most core numbers — is written straight into
+// its one-byte form, a quarter of the cache bytes, on the natural-order
+// path too. Other vectors are copied only under a permutation.
 func mapResultBack(res *registry.KernelResult, perm order.Permutation) {
-	if perm == nil {
-		return
-	}
 	switch {
+	case res.Int32s != nil && registry.FitsUint8(res.Int32s):
+		out := make([]uint8, len(res.Int32s))
+		if perm == nil {
+			for v, d := range res.Int32s {
+				out[v] = uint8(d)
+			}
+		} else {
+			for v := range out {
+				out[v] = uint8(res.Int32s[perm[v]])
+			}
+		}
+		res.Int32s, res.Uint8s = nil, out
+	case perm == nil:
+		// Natural order: any other vector is cached as the kernel left it.
 	case res.Int32s != nil:
 		out := make([]int32, len(res.Int32s))
 		for v := range out {
@@ -894,8 +911,35 @@ func (e *Executor) ResultCacheBytes() int64 {
 	return b
 }
 
+// ResultCacheEntries returns how many results the LRU holds.
+func (e *Executor) ResultCacheEntries() int64 {
+	n, _, _ := e.results.stats()
+	return int64(n)
+}
+
+// ResultCacheEvictions returns how many results the LRU has evicted to
+// stay within its budget.
+func (e *Executor) ResultCacheEvictions() int64 {
+	_, _, ev := e.results.stats()
+	return ev
+}
+
 // GraphCacheBytes returns the relabeled-graph LRU's current footprint.
 func (e *Executor) GraphCacheBytes() int64 {
 	_, b, _ := e.graphs.stats()
 	return b
+}
+
+// GraphCacheEntries returns how many relabeled graphs the LRU holds.
+func (e *Executor) GraphCacheEntries() int64 {
+	n, _, _ := e.graphs.stats()
+	return int64(n)
+}
+
+// GraphCacheEvictions returns how many relabeled graphs the LRU has
+// evicted to stay within its budget (InvalidateOrdering's removals are
+// not counted).
+func (e *Executor) GraphCacheEvictions() int64 {
+	_, _, ev := e.graphs.stats()
+	return ev
 }

@@ -369,7 +369,9 @@ func TestResultCodecRoundTrip(t *testing.T) {
 // corrupt store blob is dropped and recomputed.
 func TestMaterializedResultLifecycle(t *testing.T) {
 	// A budget that holds exactly one PR-sized result, so the second
-	// kernel's result evicts the first.
+	// kernel's result evicts the first. The second is NQ, whose int64
+	// vector is as wide as PR's: Kcore's core numbers are cached at one
+	// byte per vertex and would fit beside PR.
 	ex, st, _ := newTestExec(t, Config{ResultBudget: 4000})
 	ctx := context.Background()
 	first, qerr := ex.Run(ctx, Request{Graph: "web", Kernel: "PR", Targets: []int{3}})
@@ -379,7 +381,7 @@ func TestMaterializedResultLifecycle(t *testing.T) {
 	if st.ResultCount() != 1 {
 		t.Fatalf("result artifacts = %d, want 1 after a whole-graph query", st.ResultCount())
 	}
-	if _, qerr := ex.Run(ctx, Request{Graph: "web", Kernel: "Kcore"}); qerr != nil {
+	if _, qerr := ex.Run(ctx, Request{Graph: "web", Kernel: "NQ"}); qerr != nil {
 		t.Fatal(qerr)
 	}
 	// PR was evicted from the LRU; the repeat must be served from the

@@ -34,6 +34,35 @@ type KernelResult struct {
 	Int32s []int32
 	Int64s []int64
 	Floats []float64
+	// Uint8s is an Int32s vector stored at one byte per vertex, which
+	// fits when every entry lies in [-1, 254] (FitsUint8): entry d is
+	// held as uint8(d), so 255 stands for algos.Unreached. No kernel
+	// returns it; the query tier's result cache holds hop distances and
+	// core numbers this way.
+	Uint8s []uint8
+}
+
+// uint8Unreached is algos.Unreached held in a Uint8s vector.
+const uint8Unreached = 255
+
+// FitsUint8 reports whether every entry of vec lies in [-1, 254], so
+// vec can be held as a Uint8s vector.
+func FitsUint8(vec []int32) bool {
+	var or uint32
+	for _, d := range vec {
+		// -1 maps to 0 and 254 to 255; everything else, wrapped
+		// negatives included, sets a bit above the low byte.
+		or |= uint32(d) + 1
+	}
+	return or <= 0xFF
+}
+
+// Uint8Value widens one Uint8s entry back to its int32 value.
+func Uint8Value(b uint8) int32 {
+	if b == uint8Unreached {
+		return algos.Unreached
+	}
+	return int32(b)
 }
 
 // MemBytes estimates the result's in-memory footprint, for the query
@@ -44,6 +73,7 @@ func (r *KernelResult) MemBytes() int64 {
 	b += 4 * int64(len(r.Int32s))
 	b += 8 * int64(len(r.Int64s))
 	b += 8 * int64(len(r.Floats))
+	b += int64(len(r.Uint8s))
 	return b
 }
 
@@ -57,14 +87,20 @@ func (r *KernelResult) VectorLen() int {
 		return len(r.Int64s)
 	case r.Floats != nil:
 		return len(r.Floats)
+	case r.Uint8s != nil:
+		return len(r.Uint8s)
 	}
 	return 0
 }
 
 // Value returns the vector entry for vertex v as a float64 (distances
-// and core numbers widen exactly; NQ sums stay well under 2^53).
+// and core numbers widen exactly; NQ sums stay well under 2^53). The
+// byte form is tested first: it is what cache hits read, vertex by
+// vertex in a top-K scan.
 func (r *KernelResult) Value(v int) float64 {
 	switch {
+	case r.Uint8s != nil:
+		return float64(Uint8Value(r.Uint8s[v]))
 	case r.Int32s != nil:
 		return float64(r.Int32s[v])
 	case r.Int64s != nil:

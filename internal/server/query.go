@@ -66,7 +66,11 @@ func (s *Server) initQuery(m *Metrics) {
 	m.Func("query_relabel_builds_total", s.Query.RelabelBuilds)
 	m.Func("query_relabel_carries_total", s.Query.RelabelCarries)
 	m.Func("query_result_cache_bytes", s.Query.ResultCacheBytes)
+	m.Func("query_result_cache_entries", s.Query.ResultCacheEntries)
+	m.Func("query_result_cache_evictions_total", s.Query.ResultCacheEvictions)
 	m.Func("query_graph_cache_bytes", s.Query.GraphCacheBytes)
+	m.Func("query_graph_cache_entries", s.Query.GraphCacheEntries)
+	m.Func("query_graph_cache_evictions_total", s.Query.GraphCacheEvictions)
 	m.Func("query_hub_cache_entries", s.Query.HubCacheEntries)
 	// Pre-register one counter per queryable kernel so /metrics shows
 	// the full query surface from startup, zeros included.

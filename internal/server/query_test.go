@@ -17,6 +17,7 @@ import (
 	"gorder/internal/gen"
 	"gorder/internal/query"
 	"gorder/internal/registry"
+	"gorder/internal/store"
 )
 
 // postQuery submits one query and returns the decoded response, after
@@ -187,6 +188,53 @@ func TestAdmissionCountersOnMetrics(t *testing.T) {
 	}
 	if admitted != 1 || deferred != 3 {
 		t.Errorf("admitted=%d deferred=%d, want 1 (BFS 1 on its second miss) and 3", admitted, deferred)
+	}
+}
+
+// TestCacheGaugesOnMetrics: /metrics reports how many entries each
+// query cache holds and how many it evicted. Over a result budget a few
+// BFS vectors wide, distinct sources each asked twice are admitted
+// once apiece, so every admitted result is either held or evicted.
+func TestCacheGaugesOnMetrics(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{
+		Pool:              PoolConfig{Workers: 2, QueueDepth: 8},
+		Store:             st,
+		QueryResultBudget: 4096,
+	})
+	postGraph(t, ts, "ba", edgeListBytes(t, gen.BarabasiAlbert(500, 4, 3)))
+	if st := waitJob(t, ts, postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "ba", Method: "gorder"}).ID); st.State != StateDone {
+		t.Fatalf("order job ended %s (%s)", st.State, st.Error)
+	}
+	const sources = 30
+	for src := 0; src < sources; src++ {
+		for range 2 {
+			s := src
+			postQuery(t, ts, query.Request{Graph: "ba", Kernel: "BFS", Source: &s}, http.StatusOK)
+		}
+	}
+	snap := metricsSnapshot(t, ts)
+	for _, name := range []string{"query_result_cache_entries", "query_result_cache_evictions_total",
+		"query_graph_cache_entries", "query_graph_cache_evictions_total"} {
+		if _, ok := snap[name]; !ok {
+			t.Fatalf("/metrics lacks %s", name)
+		}
+	}
+	entries, evictions := snap["query_result_cache_entries"], snap["query_result_cache_evictions_total"]
+	if entries < 1 || evictions < 1 || entries+evictions != snap["query_cache_admitted_total"] {
+		t.Errorf("result cache: %d entries + %d evictions, want >= 1 each summing to the %d admitted",
+			entries, evictions, snap["query_cache_admitted_total"])
+	}
+	// One 500-vertex BFS entry is about 700 bytes at one byte per vertex.
+	if b := snap["query_result_cache_bytes"]; b > 4096+1024 {
+		t.Errorf("query_result_cache_bytes = %d, over the 4096-byte budget plus one entry", b)
+	}
+	if n, ev := snap["query_graph_cache_entries"], snap["query_graph_cache_evictions_total"]; n != 1 || ev != 0 {
+		t.Errorf("graph cache: %d entries, %d evictions; want the one gorder relabeling, none evicted", n, ev)
 	}
 }
 

@@ -212,8 +212,9 @@ go run ./examples/evolvinggraph >/dev/null
 
 echo "==> query cold/warm smoke under race (cold computes, warm repeat hits the result cache;"
 echo "    per-source results are admitted on their second miss through the shared doorkeeper;"
-echo "    a query-built relabeling replaces the natural tip in memory, also while edits race it)"
-go test -race ./internal/query/ ./internal/server/ -run 'TestQueryColdWarm|TestAdmission|TestTipResidency' -count=1
+echo "    a query-built relabeling replaces the natural tip in memory, also while edits race it;"
+echo "    cached hop distances and core numbers are held at one byte per vertex within the budget)"
+go test -race ./internal/query/ ./internal/server/ -run 'TestQueryColdWarm|TestAdmission|TestTipResidency|TestCompactRangeEdges|TestResultCodecByteFormMatchesInt32|TestResultCacheWithinBudget|TestByteCacheAnswersMatchOracle|TestCacheGaugesOnMetrics' -count=1
 
 echo "==> ingest benchmark smoke + regression diff (-benchtime=1x, gated by benchdiff)"
 # Single-iteration timings are noisy, so benchdiff's time gate is loose
