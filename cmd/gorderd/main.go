@@ -20,6 +20,10 @@
 //	GET  /healthz                  liveness
 //	GET  /metrics                  counters and gauges
 //
+// With -debug-addr, net/http/pprof's /debug/pprof/ handlers (heap,
+// CPU and goroutine profiles) are served on that address, on a
+// listener of their own; the API address never serves them.
+//
 // Queries execute registry kernels (BFS, SP, PR, Kcore, NQ, Tri) over
 // the best stored ordering for the graph — explicit "order", else the
 // latest ordering artifact, else natural order; the response reports
@@ -66,6 +70,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -101,6 +106,7 @@ func main() {
 		fullBelow = flag.Float64("repair-full-below", 0, "repair by full recompute when decay is below this ratio (0 = 0.85)")
 		maxRep    = flag.Int("max-repairs", 0, "suffix repairs between full recomputes (0 = 3)")
 		noRepair  = flag.Bool("no-auto-repair", false, "track ordering decay but never enqueue repair jobs automatically")
+		debugAddr = flag.String("debug-addr", "", "listen address for the net/http/pprof profiling handlers, apart from -addr ('' = off)")
 		verbose   = flag.Bool("v", false, "debug logging")
 	)
 	flag.Parse()
@@ -202,6 +208,24 @@ func main() {
 	// (and the smoke test) can find a :0-assigned port.
 	fmt.Printf("gorderd listening on %s\n", ln.Addr())
 	log.Info("gorderd up", "addr", ln.Addr().String(), "workers", *workers, "queue", *queue)
+
+	if *debugAddr != "" {
+		dln, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			fatal("debug listen failed", "addr", *debugAddr, "err", err)
+		}
+		// Announced after the API address, which scripts read first.
+		fmt.Printf("gorderd debug server on %s\n", dln.Addr())
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		debugSrv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+		go debugSrv.Serve(dln)
+		defer debugSrv.Close()
+	}
 
 	httpSrv := &http.Server{
 		Handler:           srv.Handler(),

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -30,6 +31,15 @@ func startGorderd(t *testing.T, extraArgs ...string) (string, *exec.Cmd) {
 // daemon started without -data-dir puts its temporary store.
 func startGorderdIn(t *testing.T, tmpDir string, extraArgs ...string) (string, *exec.Cmd) {
 	t.Helper()
+	base, _, cmd := launchGorderd(t, tmpDir, extraArgs...)
+	return base, cmd
+}
+
+// launchGorderd is startGorderdIn that also returns the base URL of
+// the debug server, which the daemon announces after its API address
+// when started with -debug-addr ("" without it).
+func launchGorderd(t *testing.T, tmpDir string, extraArgs ...string) (string, string, *exec.Cmd) {
+	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0", "-grace", "10s"}, extraArgs...)
 	cmd := exec.Command(filepath.Join(binDir, "gorderd"), args...)
 	cmd.Dir = t.TempDir() // keep any default manifest writes out of the repo
@@ -49,22 +59,32 @@ func startGorderdIn(t *testing.T, tmpDir string, extraArgs ...string) (string, *
 		}
 	})
 	sc := bufio.NewScanner(stdout)
-	addrCh := make(chan string, 1)
+	addrCh, debugCh := make(chan string, 1), make(chan string, 1)
 	go func() {
 		for sc.Scan() {
 			line := sc.Text()
 			if rest, ok := strings.CutPrefix(line, "gorderd listening on "); ok {
-				addrCh <- rest
+				addrCh <- "http://" + rest
+			}
+			if rest, ok := strings.CutPrefix(line, "gorderd debug server on "); ok {
+				debugCh <- "http://" + rest
 			}
 		}
 	}()
+	var base, debug string
 	select {
-	case addr := <-addrCh:
-		return "http://" + addr, cmd
+	case base = <-addrCh:
 	case <-time.After(30 * time.Second):
 		t.Fatal("gorderd never announced its address")
-		return "", nil
 	}
+	if slices.Contains(extraArgs, "-debug-addr") {
+		select {
+		case debug = <-debugCh:
+		case <-time.After(30 * time.Second):
+			t.Fatal("gorderd -debug-addr never announced its debug server")
+		}
+	}
+	return base, debug, cmd
 }
 
 func httpJSON[T any](t *testing.T, method, url, contentType string, body io.Reader) (int, T) {
@@ -180,6 +200,29 @@ func TestGorderdSmoke(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("gorderd ignored SIGTERM")
+	}
+}
+
+// TestGorderdDebugAddrServesPprof: with -debug-addr the daemon serves
+// net/http/pprof's heap profile on that listener, announced after the
+// API address, and the API address does not serve it.
+func TestGorderdDebugAddrServesPprof(t *testing.T) {
+	get := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	base, debug, _ := launchGorderd(t, t.TempDir(), "-debug-addr", "127.0.0.1:0")
+	if code := get(debug + "/debug/pprof/heap"); code != http.StatusOK {
+		t.Fatalf("debug server /debug/pprof/heap: status %d, want 200", code)
+	}
+	if code := get(base + "/debug/pprof/heap"); code != http.StatusNotFound {
+		t.Fatalf("API address /debug/pprof/heap: status %d, want 404", code)
 	}
 }
 

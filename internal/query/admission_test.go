@@ -57,20 +57,48 @@ func TestAdmissionSecondMissAdmits(t *testing.T) {
 	}
 }
 
-// TestAdmissionWholeGraphBypassesDoorkeeper: whole-graph results are
-// admitted on their first miss and never consult the doorkeeper.
-func TestAdmissionWholeGraphBypassesDoorkeeper(t *testing.T) {
-	ex, _, _ := newTestExec(t, Config{})
-	for range 2 {
-		if _, qerr := ex.Run(context.Background(), Request{Graph: "web", Kernel: "PR"}); qerr != nil {
+// TestAdmissionWholeGraphSecondUseAdmits: a whole-graph result goes
+// through the doorkeeper too. Its first miss runs the kernel and
+// materializes the result without caching it; the second use is a
+// materialized hit, which caches it; the third is an in-memory hit. The
+// kernel runs once, and all three answers are the same.
+func TestAdmissionWholeGraphSecondUseAdmits(t *testing.T) {
+	ex, st, _ := newTestExec(t, Config{})
+	var got [3]*Response
+	for i := range got {
+		resp, qerr := ex.Run(context.Background(), Request{Graph: "web", Kernel: "PR", Top: 10})
+		if qerr != nil {
 			t.Fatal(qerr)
 		}
+		got[i] = resp
+		switch i {
+		case 0:
+			if resp.CacheHit || ex.ResultCacheBytes() != 0 || st.ResultCount() != 1 {
+				t.Fatalf("first PR: hit=%v, result cache %d bytes, %d materialized; want a miss, 0, 1",
+					resp.CacheHit, ex.ResultCacheBytes(), st.ResultCount())
+			}
+		case 1:
+			if !resp.CacheHit || !resp.Materialized || ex.ResultCacheEntries() != 1 {
+				t.Fatalf("second PR: hit=%v materialized=%v, %d cached; want a materialized hit that caches it",
+					resp.CacheHit, resp.Materialized, ex.ResultCacheEntries())
+			}
+		case 2:
+			if !resp.CacheHit || resp.Materialized || ex.CacheHits() != 1 {
+				t.Fatalf("third PR: hit=%v materialized=%v, %d in-memory hits; want an in-memory hit",
+					resp.CacheHit, resp.Materialized, ex.CacheHits())
+			}
+		}
 	}
-	if ex.KernelRuns() != 1 || ex.CacheHits() != 1 {
-		t.Errorf("PR repeat: runs=%d hits=%d, want 1 and 1", ex.KernelRuns(), ex.CacheHits())
+	if ex.KernelRuns() != 1 || ex.MaterializedHits() != 1 {
+		t.Errorf("PR x3: runs=%d materialized hits=%d, want 1 and 1", ex.KernelRuns(), ex.MaterializedHits())
 	}
-	if ex.CacheDeferred() != 0 || ex.CacheAdmitted() != 0 {
-		t.Errorf("PR consulted the doorkeeper: deferred=%d admitted=%d", ex.CacheDeferred(), ex.CacheAdmitted())
+	if ex.CacheDeferred() != 1 || ex.CacheAdmitted() != 0 {
+		t.Errorf("PR x3: deferred=%d admitted=%d, want 1 and 0", ex.CacheDeferred(), ex.CacheAdmitted())
+	}
+	for i := 1; i < 3; i++ {
+		if !reflect.DeepEqual(got[i].Values, got[0].Values) || !reflect.DeepEqual(got[i].Summary, got[0].Summary) {
+			t.Errorf("PR answer %d differs from the first", i+1)
+		}
 	}
 }
 

@@ -178,10 +178,17 @@ func TestCarryOrderingRefusesMovedVertex(t *testing.T) {
 }
 
 // TestConcurrentMissesRelabelOnce: queries that miss the relabeled-graph
-// cache on the same ordering at the same time share one Relabel.
+// cache on the same ordering at the same time share one Relabel. A
+// first query builds the relabeling without caching it, so the
+// concurrent ones are its second sighting: their shared build caches
+// it, and any query arriving after that build is served from the cache.
 func TestConcurrentMissesRelabelOnce(t *testing.T) {
 	g := gen.Web(30000, gen.DefaultWeb, 3)
 	ex, _ := execOver(t, Config{}, g)
+	first := 0
+	if _, qerr := ex.Run(context.Background(), Request{Graph: "web", Kernel: "BFS", Source: &first, Order: "gorder"}); qerr != nil {
+		t.Fatal(qerr)
+	}
 	start := make(chan struct{})
 	errs := make([]*Error, 8)
 	var wg sync.WaitGroup
@@ -202,8 +209,9 @@ func TestConcurrentMissesRelabelOnce(t *testing.T) {
 			t.Fatalf("query %d: %+v", i, qerr)
 		}
 	}
-	if ex.RelabelBuilds() != 1 {
-		t.Fatalf("8 concurrent first queries built %d relabelings, want 1", ex.RelabelBuilds())
+	if ex.RelabelBuilds() != 2 || ex.GraphCacheAdmitted() != 1 {
+		t.Fatalf("a first query and 8 concurrent second ones built %d relabelings (%d cached), want 2 (1)",
+			ex.RelabelBuilds(), ex.GraphCacheAdmitted())
 	}
 }
 

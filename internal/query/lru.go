@@ -10,8 +10,10 @@ import (
 // store's residency discipline: admit whatever is put, then evict
 // least-recently-used entries until the budget holds (a single entry
 // larger than the whole budget is still admitted — evicting the thing
-// just computed would only guarantee recomputation). Which results are
-// put at all is the executor's doorkeeper's call.
+// just computed would only guarantee recomputation). What is put at
+// all is the executor's call, under one rule for every kind of entry:
+// an entry is put on its second use, per its cache's doorkeeper, so
+// nothing used once is ever held.
 type byteLRU struct {
 	mu        sync.Mutex
 	budget    int64
@@ -121,11 +123,11 @@ func (c *byteLRU) pushFront(e *lruEntry) {
 // 64-bit hash each, 32 KiB whatever the traffic.
 const doorkeeperBits = 12
 
-// doorkeeper is the result cache's admission filter, after TinyLFU's
+// doorkeeper is a cache's admission filter, after TinyLFU's
 // doorkeeper: a direct-mapped table holding, per slot, the hash of the
 // last key that missed there. A key is admitted when its slot still
 // holds its hash — it missed once before and no key since displaced
-// it — so a result asked for once is never cached, however large the
+// it — so an entry asked for once is never cached, however large the
 // budget. One atomic swap per decision makes it safe, and lock-free,
 // under concurrent queries. The hash is a fixed FNV-1a, so the same
 // query stream makes the same decisions in every process.
@@ -136,11 +138,21 @@ type doorkeeper struct {
 // admit records a miss on key and reports whether key had missed
 // recently enough to still own its slot.
 func (d *doorkeeper) admit(key string) bool {
+	h := doorHash(key)
+	return d.slots[h>>(64-doorkeeperBits)].Swap(h) == h
+}
+
+// record marks key as seen, so that its next miss is admitted.
+func (d *doorkeeper) record(key string) {
+	h := doorHash(key)
+	d.slots[h>>(64-doorkeeperBits)].Store(h)
+}
+
+func doorHash(key string) uint64 {
 	h := uint64(14695981039346656037) // FNV-1a 64 offset basis
 	for i := 0; i < len(key); i++ {
 		h ^= uint64(key[i])
 		h *= 1099511628211
 	}
-	h |= 1 // never 0, the empty slot
-	return d.slots[h>>(64-doorkeeperBits)].Swap(h) == h
+	return h | 1 // never 0, the empty slot
 }

@@ -9,8 +9,10 @@
 // graphs and ordering artifacts are pinned through internal/store,
 // and results are cached in an LRU byte budget plus — for whole-graph
 // kernels — materialized as store artifacts that survive restarts.
-// Per-source results (BFS, SP) enter the LRU only on their second
-// miss, so one-off traversals never displace answers that recur.
+// Every kind of entry the executor keeps in memory — relabeled graphs,
+// per-source results (BFS, SP) and whole-graph results — enters its
+// LRU only on its second use, so a graph or an answer asked for once
+// holds no memory and never displaces entries that recur.
 // Results always live in the caller's (natural) vertex ID space:
 // sources are mapped forward through the ordering's permutation and
 // result vectors mapped back, so the ordering in use is invisible in
@@ -160,7 +162,11 @@ type Executor struct {
 	cfg     Config
 	results *byteLRU   // resultKey -> *cachedResult
 	graphs  *byteLRU   // graphKey  -> *orderedGraph
-	door    doorkeeper // admits per-source results on their second miss
+	door    doorkeeper // admits results on their second miss
+	// graphDoor admits relabelings on their second build. It is not
+	// door: a flood of one-off result keys would push a tip's first
+	// sighting out of shared slots.
+	graphDoor doorkeeper
 
 	hubMu sync.Mutex
 	hubs  map[string]int // digest -> hub vertex (natural IDs)
@@ -179,6 +185,8 @@ type Executor struct {
 	materializeFails atomic.Int64
 	admitted         atomic.Int64
 	deferred         atomic.Int64
+	graphAdmitted    atomic.Int64
+	graphDeferred    atomic.Int64
 }
 
 // orderedGraph is a relabeled-graph cache entry: the graph in its
@@ -295,11 +303,12 @@ type groupState struct {
 
 // release returns the borrowed scratch and lets go of the natural
 // graph. When the group's relabel build evicted that graph from the
-// store, it is garbage from here on, but the collector's heap target
-// may have been set while it and its relabeled copy were both live:
-// twice the heap the tip now needs. release then collects at once, so
-// the eviction frees memory now rather than one GC cycle later, and
-// the process's peak does not depend on where that cycle fell.
+// store, it is garbage from here on (and so is the relabeled copy, on
+// its first build), but the collector's heap target may have been set
+// while both were live: twice the heap the tip needs. release then
+// collects at once, so the eviction frees memory now rather than one GC
+// cycle later, and the process's peak does not depend on where that
+// cycle fell.
 func (st *groupState) release(e *Executor) {
 	if st.scratch != nil {
 		e.scratch.Put(st.scratch)
@@ -395,6 +404,8 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 	if k.WholeGraph {
 		if data, ok := e.cfg.Store.GetResult(digest, kname, paramKey); ok {
 			if c, derr := decodeResult(data); derr == nil && c.res.Kernel == k.Name {
+				// A materialized result was computed before: this is at
+				// least its second use, so it is cached.
 				e.materializedHits.Add(1)
 				mapResultBack(&c.res, nil)
 				e.results.put(resultKey, c, c.memBytes())
@@ -433,15 +444,19 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 		return nil, errf(400, "invalid_params", "%v", kerr)
 	}
 	e.kernelRuns.Add(1)
-	// A per-source result enters the cache only on its second miss: a
-	// one-off answer is served straight off the kernel's vector through
-	// the permutation, never copied into natural IDs or kept.
-	if consumesSource(k) {
-		if !e.door.admit(resultKey) {
-			e.deferred.Add(1)
+	// A result enters the cache only on its second miss. A one-off
+	// per-source answer is served straight off the kernel's vector
+	// through the permutation, never copied into natural IDs or kept; a
+	// whole-graph one is still materialized, so its second use is a
+	// materialized hit, which admits it.
+	admit := e.door.admit(resultKey)
+	if admit {
+		e.admitted.Add(1)
+	} else {
+		e.deferred.Add(1)
+		if !k.WholeGraph {
 			return respond(resultView{res: &res, perm: og.perm}, used, false, false)
 		}
-		e.admitted.Add(1)
 	}
 	mapResultBack(&res, og.perm)
 
@@ -449,7 +464,9 @@ func (e *Executor) runOne(ctx context.Context, req Request, st *groupState) (*Re
 	if used.Method != "natural" {
 		c.method, c.optKey = used.Method, used.Key
 	}
-	e.results.put(resultKey, c, c.memBytes())
+	if admit {
+		e.results.put(resultKey, c, c.memBytes())
+	}
 	if k.WholeGraph {
 		if err := e.cfg.Store.PutResult(digest, kname, paramKey, encodeResult(c)); err != nil {
 			e.materializeFails.Add(1)
@@ -481,21 +498,19 @@ func (e *Executor) hubSource(ref, digest string, st *groupState) (int, *Error) {
 	return hub, nil
 }
 
-// naturalGraph resolves the natural-order graph into st. The digest
-// was pinned at admission; if a concurrent edit advanced ref to a
-// newer version since, the pinned version is still registered under
-// its immutable ID, so fall back to resolving by digest — each query
-// serves a consistent snapshot instead of 404ing mid-edit.
+// naturalGraph resolves the natural-order graph into st, by the digest
+// pinned at admission rather than by ref: if a concurrent edit advanced
+// ref to a newer version since, the pinned version is still registered
+// under its immutable ID, so each query serves a consistent snapshot
+// instead of 404ing mid-edit, and the new tip is not loaded from disk
+// only to be discarded.
 func (e *Executor) naturalGraph(ref, digest string, st *groupState) (*graph.Graph, *Error) {
 	if st.natural != nil && st.digest == digest {
 		return st.natural, nil
 	}
-	g, d, ok := e.cfg.Source.Resolve(ref)
+	g, d, ok := e.cfg.Source.Resolve(digest)
 	if !ok || d != digest {
-		g, d, ok = e.cfg.Source.Resolve(digest)
-		if !ok || d != digest {
-			return nil, errf(404, "unknown_graph", "graph %q is no longer loadable", ref)
-		}
+		return nil, errf(404, "unknown_graph", "graph %q is no longer loadable", ref)
 	}
 	st.natural, st.digest = g, digest
 	return g, nil
@@ -578,14 +593,17 @@ func (e *Executor) relabeled(ctx context.Context, ref, digest string, nodes int,
 }
 
 // buildRelabeled runs flight f: read the artifact and the natural
-// graph, relabel, and cache the result while digest is still a tip (a
-// superseded version's relabeling would only crowd out live ones). A
-// cached relabeling replaces the natural tip in memory: kernels now run
-// on the copy and edits apply to it (Relabeling, CarryOrdering), so the
-// tip's hub source is recorded from the natural graph in hand and the
-// store evicts the natural CSR, which stays on disk for order jobs and
-// natural-order queries (st's release collects it). The flight ends,
-// cached entry first, on every path — panics included.
+// graph and relabel. While digest is still a tip, the relabeling
+// replaces the natural tip in memory: kernels run on the copy and edits
+// apply to it (Relabeling, CarryOrdering), so the tip's hub source is
+// recorded from the natural graph in hand and the store evicts the
+// natural CSR, which stays on disk for order jobs and natural-order
+// queries (st's release collects it). The relabeling itself is cached
+// only on its key's second build (graphDoor): a tip queried once then
+// holds no memory, and the next miss reloads its blob. A superseded
+// version's relabeling is never cached; it would only crowd out live
+// ones. The flight ends, cached entry first, on every path — panics
+// included.
 func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int, method, optKey string, st *groupState) (og *orderedGraph, qerr *Error) {
 	defer func() {
 		f.og = og
@@ -614,7 +632,12 @@ func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int,
 	}
 	e.hubMu.Unlock()
 	if tip {
-		e.graphs.put(key, og, og.memBytes())
+		if e.graphDoor.admit(key) {
+			e.graphAdmitted.Add(1)
+			e.graphs.put(key, og, og.memBytes())
+		} else {
+			e.graphDeferred.Add(1)
+		}
 		e.cfg.Store.Evict(digest)
 		st.evicted = true
 	}
@@ -790,12 +813,16 @@ func shapeValues(rv resultView, targets []int, top int) ([]Value, *Error) {
 // ordering artifact. The daemon calls it after a repair job replaces
 // the stored permutation for (digest, method, optKey): subsequent
 // queries naming that ordering rebuild the relabeled graph from the
-// repaired artifact instead of serving the superseded layout. Cached
+// repaired artifact instead of serving the superseded layout, and a
+// dropped entry counts as seen, so its first rebuild is cached. Cached
 // results need no invalidation — result keys carry no ordering and
 // result vectors live in natural vertex IDs, so they are correct under
 // any permutation of the same digest.
 func (e *Executor) InvalidateOrdering(digest, method, optKey string) {
-	e.graphs.remove(graphKey(digest, method, optKey))
+	key := graphKey(digest, method, optKey)
+	if e.graphs.remove(key) {
+		e.graphDoor.record(key)
+	}
 }
 
 // DropHub forgets digest's cached default traversal source. Call it
@@ -831,7 +858,9 @@ func (e *Executor) Relabeling(digest, method, optKey string, base order.Permutat
 // ordering's ID space (relabeled by perm), as newDigest's relabeling
 // under (method, optKey), and records newDigest's hub source from g's
 // out-degrees and perm: the hub a natural-graph lookup would find. The
-// first query on the new version then neither relabels nor reloads.
+// first query on the new version then neither relabels nor reloads, and
+// the key counts as seen: were the entry dropped, its first rebuild
+// would be cached.
 // The edit path builds g once, with graph.ApplyEdits on the old tip's
 // relabeling (Relabeling) and the batch mapped through perm, and holds
 // no natural copy. Call it before newDigest becomes a tip and before
@@ -840,7 +869,9 @@ func (e *Executor) Relabeling(digest, method, optKey string, base order.Permutat
 // the tip has moved.
 func (e *Executor) CarryOrdering(newDigest, method, optKey string, g *graph.Graph, perm order.Permutation) {
 	og := &orderedGraph{g: g, perm: perm}
-	e.graphs.put(graphKey(newDigest, method, optKey), og, og.memBytes())
+	key := graphKey(newDigest, method, optKey)
+	e.graphDoor.record(key)
+	e.graphs.put(key, og, og.memBytes())
 	if len(perm) > 0 {
 		e.hubMu.Lock()
 		e.hubs[newDigest] = hubOf(g, perm)
@@ -891,13 +922,22 @@ func (e *Executor) HubCacheEntries() int64 {
 	return int64(len(e.hubs))
 }
 
-// CacheAdmitted returns per-source result misses the doorkeeper let
-// into the result cache (each key's second recent miss).
+// CacheAdmitted returns result misses the doorkeeper let into the
+// result cache (each key's second recent miss). Materialized hits,
+// which enter it too, are MaterializedHits.
 func (e *Executor) CacheAdmitted() int64 { return e.admitted.Load() }
 
-// CacheDeferred returns per-source result misses answered without
-// caching because their key had not missed recently.
+// CacheDeferred returns result misses answered without caching because
+// their key had not missed recently.
 func (e *Executor) CacheDeferred() int64 { return e.deferred.Load() }
+
+// GraphCacheAdmitted returns relabelings of a tip built on their key's
+// second use (or after it was held before) and so cached.
+func (e *Executor) GraphCacheAdmitted() int64 { return e.graphAdmitted.Load() }
+
+// GraphCacheDeferred returns relabelings of a tip that served their
+// query without being cached, their key's first build.
+func (e *Executor) GraphCacheDeferred() int64 { return e.graphDeferred.Load() }
 
 // MaterializeFails returns failed result-artifact writes.
 func (e *Executor) MaterializeFails() int64 { return e.materializeFails.Load() }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"gorder/internal/gen"
@@ -20,9 +22,11 @@ import (
 // tests use it to advance a name to a new version mid-request, the
 // interleave a concurrent edit produces.
 type fakeSource struct {
-	graphs map[string]*graph.Graph // digest -> graph
-	names  map[string]string       // name -> digest
-	onStat func()
+	graphs   map[string]*graph.Graph // digest -> graph
+	names    map[string]string       // name -> digest
+	onStat   func()
+	mu       sync.Mutex
+	resolved []string // the digest of every Resolve, in order
 }
 
 func newFakeSource() *fakeSource {
@@ -57,6 +61,9 @@ func (f *fakeSource) Stat(ref string) (string, int, bool) {
 
 func (f *fakeSource) Resolve(ref string) (*graph.Graph, string, bool) {
 	d, g, ok := f.resolve(ref)
+	f.mu.Lock()
+	f.resolved = append(f.resolved, d)
+	f.mu.Unlock()
 	return g, d, ok
 }
 
@@ -466,8 +473,9 @@ func TestTopKSelection(t *testing.T) {
 
 // TestQueryServesPinnedVersionDuringEdit: runOne pins a digest via
 // Stat at admission; if a concurrent edit advances the name before
-// the graph loads, the query must fall back to the pinned version's
-// immutable ID and answer from that snapshot instead of 404ing.
+// the graph loads, the query must load the pinned version by its
+// immutable ID and answer from that snapshot instead of 404ing — and
+// never load the new version, which it would only discard.
 func TestQueryServesPinnedVersionDuringEdit(t *testing.T) {
 	g1 := gen.BarabasiAlbert(300, 3, 5)
 	g2 := gen.BarabasiAlbert(400, 3, 6)
@@ -486,6 +494,9 @@ func TestQueryServesPinnedVersionDuringEdit(t *testing.T) {
 	}
 	if resp.Graph != "d1" {
 		t.Fatalf("served digest %q, want the pinned version d1", resp.Graph)
+	}
+	if !slices.Equal(src.resolved, []string{"d1"}) {
+		t.Fatalf("the pinned query resolved %v, want only the pinned d1", src.resolved)
 	}
 
 	// The next request resolves the advanced name up front and serves

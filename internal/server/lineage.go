@@ -541,7 +541,7 @@ func (s *Server) recordOrderingQuality(digest string, g *graph.Graph, method, op
 // repairs since the last full ordering → full recompute, which is the
 // only step that re-baselines. name is the lineage the job names
 // (validateJob checks that it is one), and g and digest its tip.
-func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, name, digest string, found func(order.Permutation)) (map[string]float64, error) {
+func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, name, digest string, found foundFunc) (map[string]float64, error) {
 	st := s.cfg.Store
 	q, ok := st.GetQuality(name)
 	if !ok || q.Method == "" {
@@ -584,10 +584,10 @@ func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, name, digest
 	if err != nil {
 		return nil, err
 	}
-	found(perm)
 	if err := st.PutOrder(digest, q.Method, q.OptKey, perm); err != nil {
 		return nil, fmt.Errorf("persisting repaired ordering: %w", err)
 	}
+	found(perm, newOrderArtifact(digest, q.Method, q.OptKey, perm))
 	s.Query.InvalidateOrdering(digest, q.Method, q.OptKey)
 
 	q.CurF, q.CurEdges, q.CurPacking = f, g.NumEdges(), order.PackingFactor(g, perm)

@@ -221,8 +221,9 @@ func randomEdit(rng *gen.RNG, g *graph.Graph) editRequest {
 
 // TestEditStreamCarriesRelabeling: an edit replaces its lineage's tip
 // in memory instead of adding a version, and carries the relabeled
-// graph forward, so a read-after-edit stream relabels once — on the
-// first query — and holds one version, as its relabeling alone: no
+// graph forward, so a read-after-edit stream relabels twice — on the
+// first query, and on the second, which caches the relabeling — and
+// holds one version, as its relabeling alone: no
 // natural bytes stay resident in the store. Every answer matches a BFS
 // oracle on the natural graph.
 func TestEditStreamCarriesRelabeling(t *testing.T) {
@@ -258,7 +259,11 @@ func TestEditStreamCarriesRelabeling(t *testing.T) {
 		}
 	}
 	check(0)
+	check(0)
 	builds := metricsSnapshot(t, ts)["query_relabel_builds_total"]
+	if builds != 2 {
+		t.Fatalf("two queries on the tip built %d relabelings, want 2", builds)
+	}
 	for i := 1; i <= 30; i++ {
 		req := randomEdit(rng, mirror)
 		tipID = postEdges(t, ts, "soc", req, http.StatusOK).Graph.ID

@@ -60,6 +60,8 @@ func (s *Server) initQuery(m *Metrics) {
 	m.Func("query_cache_misses_total", s.Query.CacheMisses)
 	m.Func("query_cache_admitted_total", s.Query.CacheAdmitted)
 	m.Func("query_cache_deferred_total", s.Query.CacheDeferred)
+	m.Func("query_graph_cache_admitted_total", s.Query.GraphCacheAdmitted)
+	m.Func("query_graph_cache_deferred_total", s.Query.GraphCacheDeferred)
 	m.Func("query_materialized_hits_total", s.Query.MaterializedHits)
 	m.Func("query_materialize_fails_total", s.Query.MaterializeFails)
 	m.Func("query_kernel_runs_total", s.Query.KernelRuns)

@@ -42,9 +42,10 @@ func postQuery(t *testing.T, ts *httptest.Server, req query.Request, wantStatus 
 }
 
 // TestQueryEndToEnd is the acceptance flow: upload → order → query
-// (BFS + PageRank) with registry parity, repeat-query cache hit with
-// zero kernel recomputation, and a materialized PageRank surviving a
-// daemon restart.
+// (BFS + PageRank) with registry parity, repeat queries served without
+// kernel recomputation — the second from the materialized result, which
+// admits it, the third from memory — and a materialized PageRank
+// surviving a daemon restart.
 func TestQueryEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.BarabasiAlbert(500, 4, 21)
@@ -93,18 +94,27 @@ func TestQueryEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Repeat PR query: a cache hit with zero new kernel runs.
+	// Repeat PR queries: a materialized hit, then an in-memory one, with
+	// zero new kernel runs and the first answer's values.
 	runs := metricsSnapshot(t, ts)["query_kernel_runs_total"]
-	again := postQuery(t, ts, query.Request{Graph: "ba", Kernel: "PR", Targets: targets}, http.StatusOK)
-	if !again.CacheHit {
-		t.Fatal("repeat PR query missed the result cache")
+	for i, wantMaterialized := range []bool{true, false} {
+		again := postQuery(t, ts, query.Request{Graph: "ba", Kernel: "PR", Targets: targets}, http.StatusOK)
+		if !again.CacheHit || again.Materialized != wantMaterialized {
+			t.Fatalf("repeat PR query %d: hit=%v materialized=%v, want a hit, materialized %v",
+				i+1, again.CacheHit, again.Materialized, wantMaterialized)
+		}
+		for j, v := range again.Values {
+			if v != pr.Values[j] {
+				t.Fatalf("repeat PR query %d value %d = %+v, want %+v", i+1, j, v, pr.Values[j])
+			}
+		}
 	}
 	snap := metricsSnapshot(t, ts)
 	if snap["query_kernel_runs_total"] != runs {
 		t.Fatalf("repeat query recomputed: kernel runs %d -> %d",
 			runs, snap["query_kernel_runs_total"])
 	}
-	if snap["query_cache_hits_total"] < 1 || snap["query_total_pr"] < 2 {
+	if snap["query_cache_hits_total"] != 1 || snap["query_materialized_hits_total"] != 1 || snap["query_total_pr"] != 3 {
 		t.Fatalf("query metrics after repeat: %v", snap)
 	}
 	ts.Close()
@@ -135,22 +145,23 @@ func TestQueryEndToEnd(t *testing.T) {
 }
 
 // TestCachedRelabelingSkipsGraphReload: with a 1-byte budget nothing is
-// resident, yet a query whose relabeling is cached runs without
-// reloading the natural graph from disk.
+// resident, yet a query whose relabeling is cached — from the second
+// query on, which caches it — runs without reloading the natural graph
+// from disk.
 func TestCachedRelabelingSkipsGraphReload(t *testing.T) {
 	_, ts := newStoreServer(t, t.TempDir(), 1)
 	postGraph(t, ts, "ba", edgeListBytes(t, gen.BarabasiAlbert(500, 4, 3)))
 	if st := waitJob(t, ts, postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "ba", Method: "gorder"}).ID); st.State != StateDone {
 		t.Fatalf("order job ended %s (%s)", st.State, st.Error)
 	}
-	for src := 1; src <= 3; src++ {
+	for src := 1; src <= 4; src++ {
 		before := metricsSnapshot(t, ts)
 		resp := postQuery(t, ts, query.Request{Graph: "ba", Kernel: "BFS", Source: &src}, http.StatusOK)
 		if resp.Ordering.Method != "gorder" || resp.CacheHit {
 			t.Fatalf("source %d: served over %+v (cache hit %v), want a gorder kernel run", src, resp.Ordering, resp.CacheHit)
 		}
 		after := metricsSnapshot(t, ts)
-		if src > 1 && after["store_graph_reloads_total"] != before["store_graph_reloads_total"] {
+		if src > 2 && after["store_graph_reloads_total"] != before["store_graph_reloads_total"] {
 			t.Fatalf("source %d: reloads %d -> %d with the relabeling cached", src,
 				before["store_graph_reloads_total"], after["store_graph_reloads_total"])
 		}
@@ -158,23 +169,23 @@ func TestCachedRelabelingSkipsGraphReload(t *testing.T) {
 }
 
 // TestAdmissionCountersOnMetrics: /metrics carries the doorkeeper's
-// decisions, one per per-source result miss; whole-graph misses (PR)
-// are admitted without a decision.
+// decisions, one per result miss, whole-graph misses (PR) included; the
+// repeat PR is a materialized hit, not a miss.
 func TestAdmissionCountersOnMetrics(t *testing.T) {
 	_, ts := newStoreServer(t, t.TempDir(), 0)
 	postGraph(t, ts, "ba", edgeListBytes(t, gen.BarabasiAlbert(500, 4, 3)))
 	if st := waitJob(t, ts, postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "ba", Method: "gorder"}).ID); st.State != StateDone {
 		t.Fatalf("order job ended %s (%s)", st.State, st.Error)
 	}
-	var perSourceMisses int64
+	var misses int64
 	for _, q := range []struct {
 		kernel string
 		source int
 	}{{"BFS", 1}, {"BFS", 2}, {"BFS", 1}, {"BFS", 1}, {"SP", 3}, {"PR", 0}, {"PR", 0}} {
 		src := q.source
 		resp := postQuery(t, ts, query.Request{Graph: "ba", Kernel: q.kernel, Source: &src}, http.StatusOK)
-		if q.kernel != "PR" && !resp.CacheHit {
-			perSourceMisses++
+		if !resp.CacheHit {
+			misses++
 		}
 	}
 	snap := metricsSnapshot(t, ts)
@@ -183,11 +194,14 @@ func TestAdmissionCountersOnMetrics(t *testing.T) {
 	if !okA || !okD {
 		t.Fatalf("/metrics lacks the admission counters: %v", snap)
 	}
-	if admitted+deferred != perSourceMisses {
-		t.Errorf("admitted %d + deferred %d, want the %d per-source misses", admitted, deferred, perSourceMisses)
+	if admitted+deferred != misses {
+		t.Errorf("admitted %d + deferred %d, want the %d misses", admitted, deferred, misses)
 	}
-	if admitted != 1 || deferred != 3 {
-		t.Errorf("admitted=%d deferred=%d, want 1 (BFS 1 on its second miss) and 3", admitted, deferred)
+	if admitted != 1 || deferred != 4 {
+		t.Errorf("admitted=%d deferred=%d, want 1 (BFS 1 on its second miss) and 4", admitted, deferred)
+	}
+	if snap["query_materialized_hits_total"] != 1 {
+		t.Errorf("query_materialized_hits_total = %d, want the repeat PR", snap["query_materialized_hits_total"])
 	}
 }
 
@@ -239,21 +253,20 @@ func TestCacheGaugesOnMetrics(t *testing.T) {
 }
 
 // TestReadsNotBlockedByCompute pins the read/compute separation: with
-// every worker busy on a long ordering job, queries and catalog reads
-// still answer immediately.
+// every worker busy on an ordering job and more queued behind it,
+// queries and catalog reads still answer immediately.
 func TestReadsNotBlockedByCompute(t *testing.T) {
-	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1, QueueDepth: 8}})
+	ts, held, release := newHeldServer(t, Config{Pool: PoolConfig{Workers: 1, QueueDepth: 8}})
 	postGraph(t, ts, "small", edgeListBytes(t, gen.BarabasiAlbert(200, 3, 4)))
-	big := gen.BarabasiAlbert(30000, 8, 7)
-	postGraph(t, ts, "big", edgeListBytes(t, big))
+	postGraph(t, ts, "big", edgeListBytes(t, gen.BarabasiAlbert(3000, 8, 7)))
 
-	// Saturate the only worker with a stream of annealing jobs — each
-	// runs a few hundred milliseconds, so the pool stays busy for the
-	// whole read window.
+	// The only worker holds the first job until release, so the pool
+	// stays busy for the whole read window.
 	jobs := make([]string, 8)
 	for i := range jobs {
-		jobs[i] = postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "big", Method: "minloga"}).ID
+		jobs[i] = postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "big", Method: "rcm"}).ID
 	}
+	<-held
 
 	// Reads must complete while the worker is pinned.
 	done := make(chan struct{})
@@ -291,11 +304,14 @@ func TestReadsNotBlockedByCompute(t *testing.T) {
 			unfinished++
 		}
 	}
-	if unfinished == 0 {
-		t.Fatal("every compute job finished before the reads; the test raced the pool")
+	if unfinished != len(jobs) {
+		t.Fatalf("%d of %d compute jobs finished while the worker was held", len(jobs)-unfinished, len(jobs))
 	}
+	release()
 	for _, id := range jobs {
-		waitJob(t, ts, id)
+		if st := waitJob(t, ts, id); st.State != StateDone {
+			t.Fatalf("job %s ended %s (%s)", id, st.State, st.Error)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -88,11 +89,38 @@ type JobStatus struct {
 }
 
 // job is the pool's internal record. Fields after the embedded status
-// are guarded by the pool mutex; perm is written once by the worker
-// before the state flips to done and read only afterwards.
+// are guarded by the pool mutex; perm and art are written once by the
+// worker before the state flips to done and read only afterwards.
 type job struct {
 	status JobStatus
-	perm   order.Permutation
+	// perm is the job's permutation while no store artifact holds it.
+	// Once one does, the job keeps only art, which names it: a finished
+	// job holds no permutation bytes.
+	perm order.Permutation
+	art  *OrderArtifact
+}
+
+// OrderArtifact names the store artifact a job's permutation was
+// persisted as, plus the CRC-32 of the permutation's encoding
+// (order.Permutation.WriteTo), which tells the job's own permutation
+// from a later replacement under the same key.
+type OrderArtifact struct {
+	Digest, Method, OptKey string
+	Nodes                  int
+	CRC                    uint32
+}
+
+// newOrderArtifact names perm, persisted under (digest, method, optKey).
+func newOrderArtifact(digest, method, optKey string, perm order.Permutation) *OrderArtifact {
+	return &OrderArtifact{Digest: digest, Method: method, OptKey: optKey, Nodes: len(perm), CRC: permCRC(perm)}
+}
+
+// permCRC is the CRC-32 (IEEE) of perm's encoding, as the store
+// checksums an ordering artifact.
+func permCRC(perm order.Permutation) uint32 {
+	sum := crc32.NewIEEE()
+	perm.WriteTo(sum) // a hash.Hash never fails a write
+	return sum.Sum32()
 }
 
 // ErrQueueFull is returned by Submit when the pending queue is at its
@@ -131,7 +159,7 @@ type PoolConfig struct {
 // still-pending requests back for manifest persistence.
 type Pool struct {
 	cfg  PoolConfig
-	exec func(ctx context.Context, req JobRequest, found func(order.Permutation)) (map[string]float64, error)
+	exec func(ctx context.Context, req JobRequest, found foundFunc) (map[string]float64, error)
 	log  *slog.Logger
 
 	baseCtx    context.Context
@@ -162,12 +190,17 @@ type Pool struct {
 	busy      *Gauge
 }
 
+// foundFunc reports the permutation a job produced. art names the
+// store artifact that holds it, or is nil when none does; the job then
+// keeps art alone.
+type foundFunc func(perm order.Permutation, art *OrderArtifact)
+
 // NewPool builds a pool wired to m. exec runs one job: it receives the
-// job's context and request, calls found with the permutation as soon
-// as one exists (order jobs), and returns the job's metrics. Call
-// Start to launch the workers.
+// job's context and request, calls found with the permutation it
+// produced (order and repair jobs), and returns the job's metrics.
+// Call Start to launch the workers.
 func NewPool(cfg PoolConfig, m *Metrics, logger *slog.Logger,
-	exec func(ctx context.Context, req JobRequest, found func(order.Permutation)) (map[string]float64, error)) *Pool {
+	exec func(ctx context.Context, req JobRequest, found foundFunc) (map[string]float64, error)) *Pool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -280,15 +313,17 @@ func (p *Pool) Get(id string) (JobStatus, bool) {
 	return j.snapshotLocked(), true
 }
 
-// Permutation returns a completed order job's permutation.
-func (p *Pool) Permutation(id string) (order.Permutation, JobStatus, bool) {
+// Permutation returns what a job keeps of its permutation: the
+// permutation itself, or the store artifact that holds it (both nil
+// while it has none).
+func (p *Pool) Permutation(id string) (order.Permutation, *OrderArtifact, JobStatus, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	j, ok := p.jobs[id]
 	if !ok {
-		return nil, JobStatus{}, false
+		return nil, nil, JobStatus{}, false
 	}
-	return j.perm, j.snapshotLocked(), true
+	return j.perm, j.art, j.snapshotLocked(), true
 }
 
 // List returns every job in submission order.
@@ -351,9 +386,12 @@ func (p *Pool) runJob(j *job) {
 	defer cancel()
 
 	start := time.Now()
-	metrics, err := p.exec(ctx, j.status.Request, func(perm order.Permutation) {
+	metrics, err := p.exec(ctx, j.status.Request, func(perm order.Permutation, art *OrderArtifact) {
+		if art != nil {
+			perm = nil // the artifact holds it
+		}
 		p.mu.Lock()
-		j.perm = perm
+		j.perm, j.art = perm, art
 		p.mu.Unlock()
 	})
 	elapsed := time.Since(start)

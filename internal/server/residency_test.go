@@ -54,9 +54,11 @@ func checkBFS(t *testing.T, ts *httptest.Server, g *graph.Graph, req query.Reque
 	return resp
 }
 
-// TestTipResidencyHeldOnce: once a query relabels an ordered tip, the
-// tip is held once — as the query tier's relabeled copy — and its
-// natural CSR leaves store residency while its blob stays on disk.
+// TestTipResidencyHeldOnce: the first query that relabels an ordered
+// tip drops its natural CSR from store residency and keeps no
+// relabeling, so the tip holds no memory; its blob stays on disk. The
+// second query reloads the blob once and caches the relabeling, and the
+// tip is then held once, as the query tier's relabeled copy.
 func TestTipResidencyHeldOnce(t *testing.T) {
 	_, ts := newStoreServer(t, t.TempDir(), 0)
 	g := gen.BarabasiAlbert(2000, 4, 21)
@@ -65,24 +67,32 @@ func TestTipResidencyHeldOnce(t *testing.T) {
 		t.Fatalf("before any query: %d bytes resident, want the natural tip's %d",
 			snap["store_resident_bytes"], g.MemoryBytes())
 	}
-	for _, src := range []int{3, 900, 1999} {
+	for i, src := range []int{3, 900, 1999} {
 		src := src
 		if resp := checkBFS(t, ts, g, query.Request{Graph: "soc", Source: &src}, src); resp.Ordering.Method != "gorder" {
 			t.Fatalf("served over %+v, want gorder", resp.Ordering)
 		}
+		if i > 0 {
+			continue
+		}
+		snap := metricsSnapshot(t, ts)
+		if snap["store_resident_bytes"] != 0 || snap["query_graph_cache_bytes"] != 0 || snap["query_graph_cache_deferred_total"] != 1 {
+			t.Fatalf("after one query: store_resident_bytes=%d query_graph_cache_bytes=%d deferred=%d, want 0, 0 and 1",
+				snap["store_resident_bytes"], snap["query_graph_cache_bytes"], snap["query_graph_cache_deferred_total"])
+		}
 	}
 	snap := metricsSnapshot(t, ts)
-	if snap["store_resident_bytes"] != 0 || snap["store_evictions_total"] != 1 {
-		t.Fatalf("after the relabel: store_resident_bytes=%d store_evictions_total=%d, want 0 and 1",
+	if snap["store_resident_bytes"] != 0 || snap["store_evictions_total"] != 2 {
+		t.Fatalf("after the relabels: store_resident_bytes=%d store_evictions_total=%d, want 0 and 2",
 			snap["store_resident_bytes"], snap["store_evictions_total"])
 	}
 	// The relabeled copy is one graph plus its permutation.
 	if b := snap["query_graph_cache_bytes"]; b < g.MemoryBytes() || b >= 2*g.MemoryBytes() {
 		t.Fatalf("query_graph_cache_bytes = %d, want one relabeled graph (natural CSR is %d)", b, g.MemoryBytes())
 	}
-	if snap["query_relabel_builds_total"] != 1 || snap["store_graph_reloads_total"] != 0 {
-		t.Fatalf("builds=%d reloads=%d, want 1 and 0",
-			snap["query_relabel_builds_total"], snap["store_graph_reloads_total"])
+	if snap["query_relabel_builds_total"] != 2 || snap["store_graph_reloads_total"] != 1 || snap["query_graph_cache_admitted_total"] != 1 {
+		t.Fatalf("builds=%d reloads=%d admitted=%d, want 2, 1 and 1", snap["query_relabel_builds_total"],
+			snap["store_graph_reloads_total"], snap["query_graph_cache_admitted_total"])
 	}
 	if info := getGraphInfo(t, ts, "soc", http.StatusOK); info.Resident || !info.OnDisk {
 		t.Fatalf("GET /graphs/soc: resident=%v on_disk=%v, want false/true", info.Resident, info.OnDisk)
@@ -91,16 +101,20 @@ func TestTipResidencyHeldOnce(t *testing.T) {
 
 // TestTipResidencyHubWithoutReload: the relabel build records the
 // tip's hub source from the natural graph it already holds, so a BFS
-// without a source after the natural CSR left memory finds the
-// natural-graph hub without reloading it.
+// without a source after the natural CSR left memory — once a second
+// query has cached the relabeling — finds the natural-graph hub
+// without reloading it.
 func TestTipResidencyHubWithoutReload(t *testing.T) {
 	_, ts := newStoreServer(t, t.TempDir(), 0)
 	g := gen.BarabasiAlbert(2000, 4, 22)
 	orderedUpload(t, ts, "soc", g)
 	postQuery(t, ts, query.Request{Graph: "soc", Kernel: "PR"}, http.StatusOK)
+	src := 5
+	checkBFS(t, ts, g, query.Request{Graph: "soc", Source: &src}, src)
 	before := metricsSnapshot(t, ts)
-	if before["store_resident_bytes"] != 0 {
-		t.Fatalf("PR query left %d natural bytes resident", before["store_resident_bytes"])
+	if before["store_resident_bytes"] != 0 || before["query_graph_cache_entries"] != 1 {
+		t.Fatalf("PR and BFS queries left %d natural bytes resident and %d relabelings cached, want 0 and 1",
+			before["store_resident_bytes"], before["query_graph_cache_entries"])
 	}
 	resp := checkBFS(t, ts, g, query.Request{Graph: "soc"}, -1)
 	if v := resp.Values[len(resp.Values)-1]; v.Value != 0 {
@@ -254,8 +268,8 @@ func TestTipResidencyBuildRacesEdit(t *testing.T) {
 	}
 }
 
-// TestTipResidencyEditAppliesOnce: on an ordered tip a query has
-// relabeled, each edge-only edit applies its batch once — one CSR build,
+// TestTipResidencyEditAppliesOnce: on an ordered tip whose relabeling
+// a second query cached, each edge-only edit applies its batch once — one CSR build,
 // on the relabeling — and patches the natural blob on disk, so no
 // natural bytes become resident and nothing reloads; the version is
 // still named by the upload digest of the natural graph's binary
@@ -275,6 +289,7 @@ func TestTipResidencyEditAppliesOnce(t *testing.T) {
 	g := gen.BarabasiAlbert(2000, 4, 31)
 	orderedUpload(t, ts, "soc", g)
 	checkBFS(t, ts, g, query.Request{Graph: "soc"}, -1)
+	checkBFS(t, ts, g, query.Request{Graph: "soc"}, -1) // reloads once, caches the relabeling
 	rng := gen.NewRNG(17)
 	mirror := g
 	for i := 1; i <= 12; i++ {
@@ -296,8 +311,8 @@ func TestTipResidencyEditAppliesOnce(t *testing.T) {
 		if b := after["graph_csr_builds_total"] - before["graph_csr_builds_total"]; b != 1 {
 			t.Fatalf("edit %d built %d CSRs, want 1", i, b)
 		}
-		if after["store_resident_bytes"] != 0 || after["store_graph_reloads_total"] != 0 {
-			t.Fatalf("edit %d: store_resident_bytes=%d store_graph_reloads_total=%d, want 0 and 0",
+		if after["store_resident_bytes"] != 0 || after["store_graph_reloads_total"] != 1 {
+			t.Fatalf("edit %d: store_resident_bytes=%d store_graph_reloads_total=%d, want 0 and 1",
 				i, after["store_resident_bytes"], after["store_graph_reloads_total"])
 		}
 		var buf bytes.Buffer
@@ -319,8 +334,8 @@ func TestTipResidencyEditAppliesOnce(t *testing.T) {
 			t.Fatalf("edit %d: hub BFS served %s over %+v", i, res.Graph, res.Ordering)
 		}
 		snap := metricsSnapshot(t, ts)
-		if snap["store_graph_reloads_total"] != 0 || snap["query_relabel_builds_total"] != 1 {
-			t.Fatalf("edit %d: hub BFS reloads=%d relabel builds=%d, want 0 and 1",
+		if snap["store_graph_reloads_total"] != 1 || snap["query_relabel_builds_total"] != 2 {
+			t.Fatalf("edit %d: hub BFS reloads=%d relabel builds=%d, want 1 and 2",
 				i, snap["store_graph_reloads_total"], snap["query_relabel_builds_total"])
 		}
 	}

@@ -483,15 +483,20 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		}
 		s.writeJSON(w, http.StatusOK, status)
 	case sub == "permutation":
-		perm, status, ok := s.Pool.Permutation(id)
+		perm, art, status, ok := s.Pool.Permutation(id)
 		if !ok {
 			s.writeError(w, http.StatusNotFound, "job_not_found", "no job %q", id)
 			return
 		}
-		if status.State != StateDone || perm == nil {
+		if status.State != StateDone || (perm == nil && art == nil) {
 			s.writeError(w, http.StatusConflict, "not_ready",
 				"job %s is %s; a permutation is only available from a done order job",
 				id, status.State)
+			return
+		}
+		perm, err := s.jobPermutation(perm, art)
+		if err != nil {
+			s.writeError(w, http.StatusGone, "permutation_replaced", "job %s: %v", id, err)
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -501,6 +506,24 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.writeError(w, http.StatusNotFound, "not_found", "no such route %s", r.URL.Path)
 	}
+}
+
+// errPermReplaced reports that a done job's ordering artifact no
+// longer holds the job's permutation.
+var errPermReplaced = errors.New("its ordering artifact has since been replaced or removed (a repair job replaces it); re-run the order job")
+
+// jobPermutation returns a done job's permutation: perm when the job
+// holds it, else art's store artifact read back, provided it is still
+// the job's — never a replacement.
+func (s *Server) jobPermutation(perm order.Permutation, art *OrderArtifact) (order.Permutation, error) {
+	if art == nil {
+		return perm, nil
+	}
+	p, ok := s.cfg.Store.GetOrder(art.Digest, art.Method, art.OptKey, art.Nodes)
+	if !ok || permCRC(p) != art.CRC {
+		return nil, errPermReplaced
+	}
+	return p, nil
 }
 
 // ---- job execution ------------------------------------------------------
@@ -526,7 +549,7 @@ func (s *Server) observeOrdering(obs registry.Observation) {
 // execute is the pool's executor: it resolves the graph, runs the
 // ordering or evaluation with the job's context, and returns the
 // metrics that end up in the job status.
-func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.Permutation)) (map[string]float64, error) {
+func (s *Server) execute(ctx context.Context, req JobRequest, found foundFunc) (map[string]float64, error) {
 	g, digest, ok := s.cfg.Store.Resolve(req.Graph)
 	if !ok {
 		// The graph was known at submit time but may since have been
@@ -556,7 +579,7 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 		}
 		if optKey != "" {
 			if perm, ok := s.cfg.Store.GetOrder(digest, method, optKey, g.NumNodes()); ok {
-				found(perm)
+				found(perm, newOrderArtifact(digest, method, optKey, perm))
 				f, err := order.ScoreCtx(ctx, g, perm, w)
 				if err != nil {
 					return nil, err
@@ -574,23 +597,25 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 		if err != nil {
 			return nil, err
 		}
-		found(perm)
 		f := obs.ScoreF
 		if !obs.HasScoreF {
 			if f, err = order.ScoreCtx(ctx, g, perm, w); err != nil {
 				return nil, err
 			}
 		}
+		var art *OrderArtifact
 		if optKey != "" {
 			if err := s.cfg.Store.PutOrder(digest, method, optKey, perm); err != nil {
 				s.log.Warn("persisting ordering artifact failed", "graph", digest,
 					"method", method, "err", err)
 			} else {
+				art = newOrderArtifact(digest, method, optKey, perm)
 				// A fresh full computation is the quality monitor's ground
 				// truth: (re-)baseline any lineage this graph tips.
 				s.recordOrderingQuality(digest, g, method, optKey, copts, perm, w, f, true)
 			}
 		}
+		found(perm, art)
 		return map[string]float64{
 			"score_F":   float64(f),
 			"bandwidth": float64(order.Bandwidth(g, perm)),
@@ -598,12 +623,16 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found func(order.P
 	case KindEval:
 		perm := order.Identity(g.NumNodes())
 		if req.OfJob != "" {
-			p, status, ok := s.Pool.Permutation(req.OfJob)
+			p, art, status, ok := s.Pool.Permutation(req.OfJob)
 			if !ok {
 				return nil, fmt.Errorf("of_job %q does not exist", req.OfJob)
 			}
-			if status.State != StateDone || p == nil {
+			if status.State != StateDone || (p == nil && art == nil) {
 				return nil, fmt.Errorf("of_job %q is %s, not a done order job", req.OfJob, status.State)
+			}
+			p, err := s.jobPermutation(p, art)
+			if err != nil {
+				return nil, fmt.Errorf("of_job %q: %w", req.OfJob, err)
 			}
 			perm = p
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,6 +49,41 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		s.DrainAndPersist(5*time.Second, "")
 	})
 	return s, ts
+}
+
+// newHeldServer is newTestServer whose pool holds the first job it
+// runs: that job's worker blocks, before running it, until the test
+// calls release, so the test knows the worker is busy for as long as it
+// needs. started is closed once the worker holds the job. Cleanup
+// releases it too.
+func newHeldServer(t *testing.T, cfg Config) (ts *httptest.Server, started <-chan struct{}, release func()) {
+	t.Helper()
+	if cfg.Store == nil {
+		cfg.Store = openTestStore(t)
+	}
+	s := New(cfg)
+	held, gate := make(chan struct{}), make(chan struct{})
+	var first, opened sync.Once
+	release = func() { opened.Do(func() { close(gate) }) }
+	run := s.Pool.exec
+	s.Pool.exec = func(ctx context.Context, req JobRequest, found foundFunc) (map[string]float64, error) {
+		first.Do(func() {
+			close(held)
+			select {
+			case <-gate:
+			case <-ctx.Done():
+			}
+		})
+		return run(ctx, req, found)
+	}
+	s.Start()
+	ts = httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		release()
+		ts.Close()
+		s.DrainAndPersist(5*time.Second, "")
+	})
+	return ts, held, release
 }
 
 // edgeListBytes renders g as an uploadable text edge list.
@@ -378,36 +415,31 @@ func TestUploadSizeLimit(t *testing.T) {
 }
 
 func TestQueueDepthLimitRejects(t *testing.T) {
-	// One worker pinned on a slow job; a depth-1 queue accepts one more
+	// One worker held on the first job; a depth-1 queue accepts one more
 	// and rejects the third with 429.
-	_, ts := newTestServer(t, Config{Pool: PoolConfig{Workers: 1, QueueDepth: 1, DefaultTimeout: 30 * time.Second}})
-	g := gen.BarabasiAlbert(20000, 8, 1)
-	postGraph(t, ts, "slow", edgeListBytes(t, g))
+	ts, held, release := newHeldServer(t, Config{Pool: PoolConfig{Workers: 1, QueueDepth: 1, DefaultTimeout: 30 * time.Second}})
+	postGraph(t, ts, "g", edgeListBytes(t, gen.BarabasiAlbert(500, 4, 1)))
 
-	postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "slow", Method: "gorder"})
-	// Give the worker a moment to pick up the first job; then fill the
-	// queue slot and overflow it. Each job asks for a different window,
-	// so none is answered from the artifact cache in an instant — at
-	// GOMAXPROCS=1 the first job can finish before the loop runs.
-	deadline := time.Now().Add(5 * time.Second)
-	var gotFull bool
-	for w := 2; time.Now().Before(deadline) && !gotFull; w++ {
-		body, _ := json.Marshal(JobRequest{Kind: KindOrder, Graph: "slow", Method: "gorder", Window: w})
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			env := decodeJSON[map[string]apiError](t, resp.Body)
-			if env["error"].Code != "queue_full" {
-				t.Fatalf("429 envelope = %+v", env)
-			}
-			gotFull = true
-		}
-		resp.Body.Close()
+	first := postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "g", Method: "gorder"})
+	<-held
+	queued := postJob(t, ts, JobRequest{Kind: KindOrder, Graph: "g", Method: "gorder", Window: 2})
+	body, _ := json.Marshal(JobRequest{Kind: KindOrder, Graph: "g", Method: "gorder", Window: 3})
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !gotFull {
-		t.Fatal("queue never reported full")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third job with the worker busy and the queue full: status %d, want 429", resp.StatusCode)
+	}
+	if env := decodeJSON[map[string]apiError](t, resp.Body); env["error"].Code != "queue_full" {
+		t.Fatalf("429 envelope = %+v", env)
+	}
+	release()
+	for _, id := range []string{first.ID, queued.ID} {
+		if st := waitJob(t, ts, id); st.State != StateDone {
+			t.Fatalf("job %s ended %s (%s)", id, st.State, st.Error)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"gorder/internal/gen"
-	"gorder/internal/order"
 	"gorder/internal/query"
 )
 
@@ -185,7 +184,7 @@ func TestFairDequeueAcrossTenants(t *testing.T) {
 	var mu sync.Mutex
 	var ran []string
 	step := make(chan struct{})
-	exec := func(ctx context.Context, req JobRequest, found func(order.Permutation)) (map[string]float64, error) {
+	exec := func(ctx context.Context, req JobRequest, found foundFunc) (map[string]float64, error) {
 		mu.Lock()
 		ran = append(ran, req.Graph)
 		mu.Unlock()

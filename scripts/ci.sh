@@ -201,9 +201,10 @@ go test -race ./internal/store/ -run 'TestStoreColdWarm' -count=1
 echo "==> evolving-graph smoke under race (upload, edit batches with deletes, decay repair, query parity on @latest,"
 echo "    tip-only residency, relabeled graph carried across edits, one relabel per concurrent miss,"
 echo "    one hub entry per lineage, every upload name a lineage, uploads racing edits stay on the chain,"
-echo "    an edited relabeled tip held once with its blob patched on disk, order records indexed by digest)"
+echo "    an edited relabeled tip held once with its blob patched on disk, order records indexed by digest,"
+echo "    a done job's permutation read back from its artifact and refused once a repair replaced it)"
 go test -race -count=1 \
-    -run 'TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestPatchGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce|TestHubMapOneEntryPerLineage|TestHubCacheBoundedOnUnorderedLineage|TestAliasUploadIsLineage|TestReuploadOldContentKeepsNameConsistent|TestUploadDuringEditKeepsChain|TestTipResidency|TestEditDeletesParallelEdge|TestOrderIndexMatchesScan|TestPatchBinary|TestApplyEditsDeletesParallelCopies|TestReadPermutation|TestScoreDeltaRelabeledMatchesNatural' \
+    -run 'TestJobPermutation|TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestPatchGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce|TestHubMapOneEntryPerLineage|TestHubCacheBoundedOnUnorderedLineage|TestAliasUploadIsLineage|TestReuploadOldContentKeepsNameConsistent|TestUploadDuringEditKeepsChain|TestTipResidency|TestEditDeletesParallelEdge|TestOrderIndexMatchesScan|TestPatchBinary|TestApplyEditsDeletesParallelCopies|TestReadPermutation|TestScoreDeltaRelabeledMatchesNatural' \
     ./internal/server/ ./internal/store/ ./internal/query/ ./internal/graph/ ./internal/order/
 
 echo "==> examples smoke (evolvinggraph runs the extend/monitor/repair loop end-to-end)"
@@ -211,10 +212,11 @@ go build ./examples/...
 go run ./examples/evolvinggraph >/dev/null
 
 echo "==> query cold/warm smoke under race (cold computes, warm repeat hits the result cache;"
-echo "    per-source results are admitted on their second miss through the shared doorkeeper;"
+echo "    results and relabelings are cached on their second use, a tip queried once holds nothing;"
 echo "    a query-built relabeling replaces the natural tip in memory, also while edits race it;"
-echo "    cached hop distances and core numbers are held at one byte per vertex within the budget)"
-go test -race ./internal/query/ ./internal/server/ -run 'TestQueryColdWarm|TestAdmission|TestTipResidency|TestCompactRangeEdges|TestResultCodecByteFormMatchesInt32|TestResultCacheWithinBudget|TestByteCacheAnswersMatchOracle|TestCacheGaugesOnMetrics' -count=1
+echo "    cached hop distances and core numbers are held at one byte per vertex within the budget;"
+echo "    finished jobs hold no permutation; a full queue answers 429 and reads answer while the pool is held)"
+go test -race ./internal/query/ ./internal/server/ -run 'TestQueryColdWarm|TestAdmission|TestTipResidency|TestCompactRangeEdges|TestResultCodecByteFormMatchesInt32|TestResultCacheWithinBudget|TestByteCacheAnswersMatchOracle|TestCacheGaugesOnMetrics|TestJobPermutation|TestQueueDepthLimitRejects|TestReadsNotBlockedByCompute' -count=1
 
 echo "==> ingest benchmark smoke + regression diff (-benchtime=1x, gated by benchdiff)"
 # Single-iteration timings are noisy, so benchdiff's time gate is loose
