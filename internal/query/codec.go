@@ -66,13 +66,15 @@ func encodeResult(c *cachedResult) []byte {
 		for _, v := range c.res.Int32s {
 			writeU32(&buf, uint32(v))
 		}
-	case c.res.Uint8s != nil:
-		// The byte form is the cache's, not the format's: it is written
-		// widened, as the int32 vector it stands for, and decodes as one.
+	case c.res.Packed != nil:
+		// The packed form is the cache's, not the format's: it is
+		// written widened, as the int32 vector it stands for, and
+		// decodes as one.
+		p := c.res.Packed
 		buf.WriteByte(vecInt32)
-		writeU32(&buf, uint32(len(c.res.Uint8s)))
-		for _, b := range c.res.Uint8s {
-			writeU32(&buf, uint32(registry.Uint8Value(b)))
+		writeU32(&buf, uint32(p.Len))
+		for i := 0; i < p.Len; i++ {
+			writeU32(&buf, uint32(p.At(i)))
 		}
 	case c.res.Int64s != nil:
 		buf.WriteByte(vecInt64)

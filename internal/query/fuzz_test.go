@@ -12,7 +12,11 @@ import (
 // reads materialized results back from the store: it must return an
 // error or a result, never panic or allocate much more than the blob
 // holds (a corrupt count must not size an allocation), and an accepted
-// result must survive an encode/decode round trip unchanged.
+// result must survive an encode/decode round trip unchanged. A decoded
+// int32 vector that packs must re-encode from its packed form to the
+// bytes of its int32 form: the input itself whenever the input was
+// written canonically (summary keys sorted), as every blob the store
+// holds was.
 func FuzzDecodeResult(f *testing.F) {
 	valid := encodeResult(&cachedResult{
 		res: registry.KernelResult{
@@ -26,13 +30,18 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(valid[:len(valid)-5])
 	f.Add(encodeResult(&cachedResult{res: registry.KernelResult{Kernel: "BFS", Int32s: []int32{0, 1, -1}}}))
 	f.Add(encodeResult(&cachedResult{res: registry.KernelResult{Kernel: "NQ", Int64s: []int64{1 << 40}}}))
-	// Core numbers, written from the result cache's one-byte form (the
-	// blob holds them widened to int32), and a core too deep for a byte.
+	// Core numbers, written from the result cache's packed form (the
+	// blob holds them widened to int32), one at the 16-bit edge, and one
+	// too deep to pack.
 	f.Add(encodeResult(&cachedResult{res: registry.KernelResult{
-		Kernel: "Kcore", Summary: map[string]float64{"max_core": 4}, Uint8s: []uint8{4, 4, 3, 1, 0, 0},
+		Kernel: "Kcore", Summary: map[string]float64{"max_core": 4},
+		Packed: registry.PackInt32s([]int32{4, 4, 3, 1, 0, 0}, nil),
 	}}))
 	f.Add(encodeResult(&cachedResult{res: registry.KernelResult{
-		Kernel: "Kcore", Summary: map[string]float64{"max_core": 300}, Int32s: []int32{300, 300, 2, 0},
+		Kernel: "Kcore", Summary: map[string]float64{"max_core": 65534}, Int32s: []int32{65534, 300, 2, 0, -1},
+	}}))
+	f.Add(encodeResult(&cachedResult{res: registry.KernelResult{
+		Kernel: "Kcore", Summary: map[string]float64{"max_core": 65535}, Int32s: []int32{65535, 300, 2, 0},
 	}}))
 	// Inflated counts: a summary count, a vector length and a string
 	// length far beyond the bytes that follow them, and a summary count
@@ -75,6 +84,14 @@ func FuzzDecodeResult(f *testing.F) {
 			return
 		}
 		enc := encodeResult(c)
+		if c.res.Int32s != nil {
+			packed := *c
+			packed.res.Int32s = append([]int32(nil), c.res.Int32s...)
+			mapResultBack(&packed.res, nil)
+			if packed.res.Packed != nil && !bytes.Equal(encodeResult(&packed), enc) {
+				t.Fatalf("%d-bit packed form encodes differently from the int32 form", packed.res.Packed.Bits)
+			}
+		}
 		again, err := decodeResult(enc)
 		if err != nil {
 			t.Fatalf("re-encoded result rejected: %v", err)

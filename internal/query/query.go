@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -694,45 +693,37 @@ func consumesSource(k registry.Kernel) bool {
 // mapResultBack relabels res's per-vertex vector from the ordering's
 // ID space back to natural IDs (out[v] = vec[perm[v]]; perm nil is the
 // identity), in place, readying it for the result cache. An int32
-// vector whose entries all fit registry.FitsUint8 — hop distances on a
-// small-diameter graph, most core numbers — is written straight into
-// its one-byte form, a quarter of the cache bytes, on the natural-order
-// path too. Other vectors are copied only under a permutation.
+// vector whose entries all lie in [-1, 65534] — hop distances, core
+// numbers — is written straight into its packed form at the narrowest
+// width that holds it (registry.PackInt32s), on the natural-order path
+// too: 4 bits per vertex for distances up to 14. Other vectors are
+// copied only under a permutation.
 func mapResultBack(res *registry.KernelResult, perm order.Permutation) {
-	switch {
-	case res.Int32s != nil && registry.FitsUint8(res.Int32s):
-		out := make([]uint8, len(res.Int32s))
-		if perm == nil {
-			for v, d := range res.Int32s {
-				out[v] = uint8(d)
-			}
-		} else {
-			for v := range out {
-				out[v] = uint8(res.Int32s[perm[v]])
-			}
+	if res.Int32s != nil {
+		if p := registry.PackInt32s(res.Int32s, perm); p != nil {
+			res.Int32s, res.Packed = nil, p
+			return
 		}
-		res.Int32s, res.Uint8s = nil, out
+	}
+	switch {
 	case perm == nil:
 		// Natural order: any other vector is cached as the kernel left it.
 	case res.Int32s != nil:
-		out := make([]int32, len(res.Int32s))
-		for v := range out {
-			out[v] = res.Int32s[perm[v]]
-		}
-		res.Int32s = out
+		res.Int32s = permuted(res.Int32s, perm)
 	case res.Int64s != nil:
-		out := make([]int64, len(res.Int64s))
-		for v := range out {
-			out[v] = res.Int64s[perm[v]]
-		}
-		res.Int64s = out
+		res.Int64s = permuted(res.Int64s, perm)
 	case res.Floats != nil:
-		out := make([]float64, len(res.Floats))
-		for v := range out {
-			out[v] = res.Floats[perm[v]]
-		}
-		res.Floats = out
+		res.Floats = permuted(res.Floats, perm)
 	}
+}
+
+// permuted returns vec read through perm: out[v] = vec[perm[v]].
+func permuted[T any](vec []T, perm order.Permutation) []T {
+	out := make([]T, len(vec))
+	for v := range out {
+		out[v] = vec[perm[v]]
+	}
+	return out
 }
 
 // resultView reads a kernel result in natural vertex IDs: vertex v's
@@ -741,13 +732,6 @@ func mapResultBack(res *registry.KernelResult, perm order.Permutation) {
 type resultView struct {
 	res  *registry.KernelResult
 	perm order.Permutation
-}
-
-func (rv resultView) value(v int) float64 {
-	if rv.perm != nil {
-		v = int(rv.perm[v])
-	}
-	return rv.res.Value(v)
 }
 
 // shapeValues selects the response's value entries: explicit targets
@@ -761,13 +745,10 @@ func shapeValues(rv resultView, targets []int, top int) ([]Value, *Error) {
 			return nil, errf(400, "invalid_params",
 				"kernel %s has no per-vertex values", rv.res.Kernel)
 		}
-		out := make([]Value, len(targets))
-		for i, t := range targets {
-			if t >= n {
-				return nil, errf(400, "target_out_of_range",
-					"target vertex %d out of range [0, %d)", t, n)
-			}
-			out[i] = Value{Node: t, Value: rv.value(t)}
+		out, bad := readTargets(rv, targets)
+		if out == nil {
+			return nil, errf(400, "target_out_of_range",
+				"target vertex %d out of range [0, %d)", bad, n)
 		}
 		return out, nil
 	}
@@ -777,36 +758,16 @@ func shapeValues(rv resultView, targets []int, top int) ([]Value, *Error) {
 	if top > n {
 		top = n
 	}
-	// O(n·K) selection: K is capped small, n can be millions.
-	sel := make([]Value, 0, top)
-	minIdx := -1
-	for v := 0; v < n; v++ {
-		val := rv.value(v)
-		if len(sel) < top {
-			sel = append(sel, Value{Node: v, Value: val})
-			if minIdx < 0 || val < sel[minIdx].Value {
-				minIdx = len(sel) - 1
-			}
-			continue
-		}
-		if val <= sel[minIdx].Value {
-			continue
-		}
-		sel[minIdx] = Value{Node: v, Value: val}
-		minIdx = 0
-		for i := 1; i < len(sel); i++ {
-			if sel[i].Value < sel[minIdx].Value {
-				minIdx = i
-			}
-		}
+	switch r := rv.res; {
+	case r.Packed != nil:
+		return topPacked(r.Packed, rv.perm, top), nil
+	case r.Int32s != nil:
+		return topHeap(r.Int32s, rv.perm, top), nil
+	case r.Int64s != nil:
+		return topHeap(r.Int64s, rv.perm, top), nil
+	default:
+		return topHeap(r.Floats, rv.perm, top), nil
 	}
-	sort.Slice(sel, func(i, j int) bool {
-		if sel[i].Value != sel[j].Value {
-			return sel[i].Value > sel[j].Value
-		}
-		return sel[i].Node < sel[j].Node
-	})
-	return sel, nil
 }
 
 // InvalidateOrdering drops the relabeled-graph cache entry for one

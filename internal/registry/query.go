@@ -22,8 +22,9 @@ import (
 // KernelResult is the value a queryable kernel produces: a scalar
 // summary plus at most one per-vertex vector, indexed by the vertex
 // IDs of the graph the kernel ran on. The query tier relabels vectors
-// back to the caller's ID space, caches them, and materializes
-// whole-graph results as store artifacts.
+// back to the caller's ID space, packing int32 ones whose entries fit
+// (PackInt32s), caches them, and materializes whole-graph results as
+// store artifacts.
 type KernelResult struct {
 	// Kernel is the canonical kernel name ("BFS", "PR", ...).
 	Kernel string
@@ -34,35 +35,10 @@ type KernelResult struct {
 	Int32s []int32
 	Int64s []int64
 	Floats []float64
-	// Uint8s is an Int32s vector stored at one byte per vertex, which
-	// fits when every entry lies in [-1, 254] (FitsUint8): entry d is
-	// held as uint8(d), so 255 stands for algos.Unreached. No kernel
-	// returns it; the query tier's result cache holds hop distances and
-	// core numbers this way.
-	Uint8s []uint8
-}
-
-// uint8Unreached is algos.Unreached held in a Uint8s vector.
-const uint8Unreached = 255
-
-// FitsUint8 reports whether every entry of vec lies in [-1, 254], so
-// vec can be held as a Uint8s vector.
-func FitsUint8(vec []int32) bool {
-	var or uint32
-	for _, d := range vec {
-		// -1 maps to 0 and 254 to 255; everything else, wrapped
-		// negatives included, sets a bit above the low byte.
-		or |= uint32(d) + 1
-	}
-	return or <= 0xFF
-}
-
-// Uint8Value widens one Uint8s entry back to its int32 value.
-func Uint8Value(b uint8) int32 {
-	if b == uint8Unreached {
-		return algos.Unreached
-	}
-	return int32(b)
+	// Packed is an Int32s vector held at the narrowest bit width its
+	// entries need (PackInt32s). No kernel returns it; the query tier's
+	// result cache holds hop distances and core numbers this way.
+	Packed *PackedVector
 }
 
 // MemBytes estimates the result's in-memory footprint, for the query
@@ -73,7 +49,9 @@ func (r *KernelResult) MemBytes() int64 {
 	b += 4 * int64(len(r.Int32s))
 	b += 8 * int64(len(r.Int64s))
 	b += 8 * int64(len(r.Floats))
-	b += int64(len(r.Uint8s))
+	if r.Packed != nil {
+		b += 48 + 8*int64(len(r.Packed.Words))
+	}
 	return b
 }
 
@@ -87,20 +65,18 @@ func (r *KernelResult) VectorLen() int {
 		return len(r.Int64s)
 	case r.Floats != nil:
 		return len(r.Floats)
-	case r.Uint8s != nil:
-		return len(r.Uint8s)
+	case r.Packed != nil:
+		return r.Packed.Len
 	}
 	return 0
 }
 
 // Value returns the vector entry for vertex v as a float64 (distances
-// and core numbers widen exactly; NQ sums stay well under 2^53). The
-// byte form is tested first: it is what cache hits read, vertex by
-// vertex in a top-K scan.
+// and core numbers widen exactly; NQ sums stay well under 2^53).
 func (r *KernelResult) Value(v int) float64 {
 	switch {
-	case r.Uint8s != nil:
-		return float64(Uint8Value(r.Uint8s[v]))
+	case r.Packed != nil:
+		return float64(r.Packed.At(v))
 	case r.Int32s != nil:
 		return float64(r.Int32s[v])
 	case r.Int64s != nil:

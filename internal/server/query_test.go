@@ -243,7 +243,7 @@ func TestCacheGaugesOnMetrics(t *testing.T) {
 		t.Errorf("result cache: %d entries + %d evictions, want >= 1 each summing to the %d admitted",
 			entries, evictions, snap["query_cache_admitted_total"])
 	}
-	// One 500-vertex BFS entry is about 700 bytes at one byte per vertex.
+	// One 500-vertex BFS entry packs to well under 1 KB.
 	if b := snap["query_result_cache_bytes"]; b > 4096+1024 {
 		t.Errorf("query_result_cache_bytes = %d, over the 4096-byte budget plus one entry", b)
 	}

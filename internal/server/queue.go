@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"os"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -93,6 +92,7 @@ type JobStatus struct {
 // worker before the state flips to done and read only afterwards.
 type job struct {
 	status JobStatus
+	seq    int // submission order
 	// perm is the job's permutation while no store artifact holds it.
 	// Once one does, the job keeps only art, which names it: a finished
 	// job holds no permutation bytes.
@@ -135,6 +135,12 @@ var ErrTenantQueueFull = errors.New("server: tenant job queue full")
 // ErrShuttingDown is returned by Submit after Shutdown has begun.
 var ErrShuttingDown = errors.New("server: shutting down")
 
+// maxFinishedJobs bounds the finished job records a pool keeps: past
+// it, the oldest finished job is forgotten (GET /jobs/{id} answers
+// 404). Queued and running jobs are never forgotten, and the queue
+// depth bounds those.
+const maxFinishedJobs = 1024
+
 // PoolConfig sizes the worker pool.
 type PoolConfig struct {
 	Workers        int           // concurrent jobs; <= 0 means 1
@@ -170,8 +176,10 @@ type Pool struct {
 	cond    *sync.Cond
 	pending *fair.MultiQueue[*job]
 	jobs    map[string]*job
-	orderOf []string // submission order, for listing
-	seq     int
+	// finished holds the IDs of the finished jobs in jobs, in the order
+	// they finished; at most maxFinishedJobs.
+	finished []string
+	seq      int
 
 	closed bool
 
@@ -272,14 +280,13 @@ func (p *Pool) Submit(req JobRequest) (JobStatus, error) {
 		return JobStatus{}, ErrTenantQueueFull
 	}
 	p.seq++
-	j := &job{status: JobStatus{
+	j := &job{seq: p.seq, status: JobStatus{
 		ID:      fmt.Sprintf("job-%06d", p.seq),
 		Request: req,
 		State:   StateQueued,
 		Created: time.Now().UTC(),
 	}}
 	p.jobs[j.status.ID] = j
-	p.orderOf = append(p.orderOf, j.status.ID)
 	p.pending.Push(req.Tenant, j)
 	p.depth.Set(int64(p.pending.Len()))
 	p.submitted.Inc()
@@ -326,15 +333,30 @@ func (p *Pool) Permutation(id string) (order.Permutation, *OrderArtifact, JobSta
 	return j.perm, j.art, j.snapshotLocked(), true
 }
 
-// List returns every job in submission order.
+// List returns every job the pool keeps, in submission order.
 func (p *Pool) List() []JobStatus {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]JobStatus, 0, len(p.orderOf))
-	for _, id := range p.orderOf {
-		out = append(out, p.jobs[id].snapshotLocked())
+	jobs := make([]*job, 0, len(p.jobs))
+	for _, j := range p.jobs {
+		jobs = append(jobs, j)
+	}
+	slices.SortFunc(jobs, func(a, b *job) int { return a.seq - b.seq })
+	out := make([]JobStatus, len(jobs))
+	for i, j := range jobs {
+		out[i] = j.snapshotLocked()
 	}
 	return out
+}
+
+// finishLocked records that j reached a terminal state, forgetting the
+// oldest finished job once more than maxFinishedJobs are kept.
+func (p *Pool) finishLocked(j *job) {
+	p.finished = append(p.finished, j.status.ID)
+	if len(p.finished) > maxFinishedJobs {
+		delete(p.jobs, p.finished[0])
+		p.finished = p.finished[1:]
+	}
 }
 
 // snapshotLocked deep-copies the mutable status parts so callers can
@@ -416,6 +438,7 @@ func (p *Pool) runJob(j *job) {
 		p.failed.Inc()
 	}
 	state := j.status.State
+	p.finishLocked(j)
 	p.mu.Unlock()
 
 	p.log.Info("job finished",
@@ -443,13 +466,12 @@ func (p *Pool) Shutdown(ctx context.Context) []JobRequest {
 		j.status.Error = "server shut down before the job started"
 		j.status.Finished = &now
 		p.canceled.Inc()
+		p.finishLocked(j)
 		drained = append(drained, j)
 	}
 	// The fair queue drains in stride order; the manifest should replay
-	// in submission order, which the zero-padded IDs sort by.
-	slices.SortFunc(drained, func(a, b *job) int {
-		return strings.Compare(a.status.ID, b.status.ID)
-	})
+	// in submission order.
+	slices.SortFunc(drained, func(a, b *job) int { return a.seq - b.seq })
 	var queued []JobRequest
 	for _, j := range drained {
 		queued = append(queued, j.status.Request)

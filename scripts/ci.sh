@@ -214,9 +214,11 @@ go run ./examples/evolvinggraph >/dev/null
 echo "==> query cold/warm smoke under race (cold computes, warm repeat hits the result cache;"
 echo "    results and relabelings are cached on their second use, a tip queried once holds nothing;"
 echo "    a query-built relabeling replaces the natural tip in memory, also while edits race it;"
-echo "    cached hop distances and core numbers are held at one byte per vertex within the budget;"
-echo "    finished jobs hold no permutation; a full queue answers 429 and reads answer while the pool is held)"
-go test -race ./internal/query/ ./internal/server/ -run 'TestQueryColdWarm|TestAdmission|TestTipResidency|TestCompactRangeEdges|TestResultCodecByteFormMatchesInt32|TestResultCacheWithinBudget|TestByteCacheAnswersMatchOracle|TestCacheGaugesOnMetrics|TestJobPermutation|TestQueueDepthLimitRejects|TestReadsNotBlockedByCompute' -count=1
+echo "    cached hop distances and core numbers are packed at the narrowest width within the budget,"
+echo "    encode as their int32 form at every width, and answer top-K as a full sort would;"
+echo "    finished jobs hold no permutation and at most a fixed number are kept;"
+echo "    a full queue answers 429 and reads answer while the pool is held)"
+go test -race ./internal/query/ ./internal/server/ ./internal/registry/ -run 'TestQueryColdWarm|TestAdmission|TestTipResidency|TestCompactRangeEdges|TestPackInt32sWidthEdges|TestResultCodecByteFormMatchesInt32|TestResultCodecIdentityEveryWidth|TestTopKMatchesSortOracle|TestResultCacheWithinBudget|TestByteCacheAnswersMatchOracle|TestCacheGaugesOnMetrics|TestJobPermutation|TestJobTableBounded|TestQueueDepthLimitRejects|TestReadsNotBlockedByCompute' -count=1
 
 echo "==> ingest benchmark smoke + regression diff (-benchtime=1x, gated by benchdiff)"
 # Single-iteration timings are noisy, so benchdiff's time gate is loose
