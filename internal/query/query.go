@@ -23,7 +23,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -31,6 +30,7 @@ import (
 	"time"
 
 	"gorder/internal/graph"
+	"gorder/internal/memstat"
 	"gorder/internal/order"
 	"gorder/internal/registry"
 	"gorder/internal/store"
@@ -82,6 +82,9 @@ type Config struct {
 	// Workers is applied after cache keying and never splits the
 	// result caches.
 	Workers int
+	// Collector forces and counts the collection after a relabel build
+	// evicts the natural tip; nil means a collector of the executor's own.
+	Collector *memstat.Collector
 }
 
 // Request is one kernel query.
@@ -226,6 +229,9 @@ func New(cfg Config) *Executor {
 	if cfg.ResultBudget <= 0 {
 		cfg.ResultBudget = DefaultResultBudget
 	}
+	if cfg.Collector == nil {
+		cfg.Collector = new(memstat.Collector)
+	}
 	return &Executor{
 		cfg:     cfg,
 		results: newByteLRU(cfg.ResultBudget),
@@ -307,7 +313,8 @@ type groupState struct {
 // while both were live: twice the heap the tip needs. release then
 // collects at once, so the eviction frees memory now rather than one GC
 // cycle later, and the process's peak does not depend on where that
-// cycle fell.
+// cycle fell. The collection counts as the relabel stage's
+// (memstat.Relabel).
 func (st *groupState) release(e *Executor) {
 	if st.scratch != nil {
 		e.scratch.Put(st.scratch)
@@ -316,7 +323,7 @@ func (st *groupState) release(e *Executor) {
 	st.natural = nil
 	if st.evicted {
 		st.evicted = false
-		runtime.GC()
+		e.cfg.Collector.Collect(memstat.Relabel)
 	}
 }
 
@@ -536,10 +543,14 @@ func (e *Executor) orderedGraphFor(ctx context.Context, req Request, digest stri
 			}
 			og = &orderedGraph{g: g}
 		} else {
-			if og, qerr = e.relabeled(ctx, req.Graph, digest, nodes, method, optKey, st); qerr != nil {
+			var natural bool
+			og, natural, qerr = e.relabeled(ctx, req.Graph, digest, nodes, method, optKey, srcTag == "latest", st)
+			if qerr != nil {
 				return nil, OrderingUsed{}, qerr
 			}
-			if og == nil {
+			if natural {
+				method, optKey, srcTag = "natural", "", "natural"
+			} else if og == nil {
 				// A repair job can replace the latest artifact between
 				// chooseOrdering listing it and the read; re-choose once
 				// against the current latest before giving up.
@@ -561,12 +572,15 @@ func (e *Executor) orderedGraphFor(ctx context.Context, req Request, digest stri
 // nil when the ordering artifact is gone. A cached relabeling is served
 // without resolving the natural graph, which may be evicted or
 // superseded and cost a disk reload. Concurrent misses on one key share
-// a single build: the first relabels, the rest wait for it.
-func (e *Executor) relabeled(ctx context.Context, ref, digest string, nodes int, method, optKey string, st *groupState) (*orderedGraph, *Error) {
+// a single build: the first relabels, the rest wait for it. latest
+// marks a read that took (method, optKey) as digest's latest artifact
+// rather than naming it: if digest is no longer a tip when it would be
+// relabeled, such a read gets the natural graph instead (natural true).
+func (e *Executor) relabeled(ctx context.Context, ref, digest string, nodes int, method, optKey string, latest bool, st *groupState) (og *orderedGraph, natural bool, qerr *Error) {
 	key := graphKey(digest, method, optKey)
 	for {
 		if v, ok := e.graphs.get(key); ok {
-			return v.(*orderedGraph), nil
+			return v.(*orderedGraph), false, nil
 		}
 		e.flightMu.Lock()
 		f, building := e.flights[key]
@@ -576,15 +590,15 @@ func (e *Executor) relabeled(ctx context.Context, ref, digest string, nodes int,
 		}
 		e.flightMu.Unlock()
 		if !building {
-			return e.buildRelabeled(f, key, ref, digest, nodes, method, optKey, st)
+			return e.buildRelabeled(f, key, ref, digest, nodes, method, optKey, latest, st)
 		}
 		select {
 		case <-f.done:
 		case <-ctx.Done():
-			return nil, errf(504, "query_timeout", "query deadline exceeded waiting for the relabeled graph")
+			return nil, false, errf(504, "query_timeout", "query deadline exceeded waiting for the relabeled graph")
 		}
 		if f.og != nil {
-			return f.og, nil
+			return f.og, false, nil
 		}
 		// The build failed or found no artifact: retry, as the builder
 		// if no one else is.
@@ -601,11 +615,16 @@ func (e *Executor) relabeled(ctx context.Context, ref, digest string, nodes int,
 // only on its key's second build (graphDoor): a tip queried once then
 // holds no memory, and the next miss reloads its blob. A superseded
 // version's relabeling is never cached; it would only crowd out live
-// ones. The flight ends, cached entry first, on every path — panics
-// included.
-func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int, method, optKey string, st *groupState) (og *orderedGraph, qerr *Error) {
+// ones. So a latest read (see relabeled) of a version that is no longer
+// a tip — one that lost the race to an edit — runs on the natural graph
+// it has just resolved rather than paying a relabel no one will reuse.
+// The flight ends, cached entry first, on every path — panics included;
+// a natural answer is not the flight's, so waiters build or decide anew.
+func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int, method, optKey string, latest bool, st *groupState) (og *orderedGraph, natural bool, qerr *Error) {
 	defer func() {
-		f.og = og
+		if !natural {
+			f.og = og
+		}
 		e.flightMu.Lock()
 		delete(e.flights, key)
 		e.flightMu.Unlock()
@@ -613,11 +632,14 @@ func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int,
 	}()
 	perm, ok := e.cfg.Store.GetOrder(digest, method, optKey, nodes)
 	if !ok {
-		return nil, nil
+		return nil, false, nil
 	}
 	g, qerr := e.naturalGraph(ref, digest, st)
 	if qerr != nil {
-		return nil, qerr
+		return nil, false, qerr
+	}
+	if latest && !e.cfg.Store.IsTip(digest) {
+		return &orderedGraph{g: g}, true, nil
 	}
 	og = &orderedGraph{g: g.Relabel(perm), perm: perm}
 	e.relabelBuilds.Add(1)
@@ -640,7 +662,7 @@ func (e *Executor) buildRelabeled(f *flight, key, ref, digest string, nodes int,
 		e.cfg.Store.Evict(digest)
 		st.evicted = true
 	}
-	return og, nil
+	return og, false, nil
 }
 
 // chooseOrdering implements the ordering-selection policy: explicit

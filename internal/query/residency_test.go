@@ -10,8 +10,10 @@ import (
 
 	"gorder/internal/gen"
 	"gorder/internal/graph"
+	"gorder/internal/memstat"
 	"gorder/internal/order"
 	"gorder/internal/registry"
+	"gorder/internal/store"
 )
 
 // TestTipResidencyRelabelEvictsNatural: over the store as its graph
@@ -106,7 +108,8 @@ func TestTipResidencyEvictionCollects(t *testing.T) {
 	if err := st.PutOrder("d1", "gorder", "abcd", reversePerm(g.NumNodes())); err != nil {
 		t.Fatal(err)
 	}
-	ex := New(Config{Source: st, Store: st})
+	gc := new(memstat.Collector)
+	ex := New(Config{Source: st, Store: st, Collector: gc})
 	forced := func() uint32 {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
@@ -126,8 +129,9 @@ func TestTipResidencyEvictionCollects(t *testing.T) {
 			t.Fatalf("query %d ran %d forced collections, want %d", i, got, want)
 		}
 	}
-	if st.Evictions() != 2 || ex.RelabelBuilds() != 2 {
-		t.Fatalf("evictions=%d builds=%d, want 2/2", st.Evictions(), ex.RelabelBuilds())
+	if st.Evictions() != 2 || ex.RelabelBuilds() != 2 || gc.Count(memstat.Relabel) != 2 {
+		t.Fatalf("evictions=%d builds=%d relabel collections=%d, want 2/2/2",
+			st.Evictions(), ex.RelabelBuilds(), gc.Count(memstat.Relabel))
 	}
 }
 
@@ -259,5 +263,75 @@ func TestTipResidencySeenKeysAdmitOnFirstRebuild(t *testing.T) {
 	v, _ := ex.graphs.get(key)
 	if og := v.(*orderedGraph); !slices.Equal(og.perm, perm) {
 		t.Fatal("the rebuilt relabeling is not the repaired permutation's")
+	}
+}
+
+// editingSource is the store as the executor's graph source, except that
+// a Stat runs the pending edit, once, after resolving its ref: the query
+// keeps the digest it was admitted with while the edit moves the
+// lineage's tip past it, as a read that loses the race to an edit does.
+type editingSource struct {
+	*store.Store
+	pending func()
+}
+
+func (s *editingSource) Stat(ref string) (string, int, bool) {
+	d, n, ok := s.Store.Stat(ref)
+	if edit := s.pending; edit != nil {
+		s.pending = nil
+		edit()
+	}
+	return d, n, ok
+}
+
+// TestStragglerReadSkipsRelabel: a read that resolves a lineage's tip,
+// then loses the race to an edit, runs on the natural graph of the
+// version it was admitted with rather than relabeling that dead version
+// (which nothing would cache), and says so in its provenance; its
+// answer is the natural oracle's. A read that names the ordering still
+// relabels, and a superseded version's relabeling is not cached.
+func TestStragglerReadSkipsRelabel(t *testing.T) {
+	g1, g2 := gen.BarabasiAlbert(400, 3, 8), gen.BarabasiAlbert(420, 3, 9)
+	st := openTestStore(t)
+	if err := st.PutGraph("d1", "web", g1, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutOrder("d1", "gorder", "abcd", reversePerm(g1.NumNodes())); err != nil {
+		t.Fatal(err)
+	}
+	src := &editingSource{Store: st}
+	ex := New(Config{Source: src, Store: st})
+	src.pending = func() {
+		if _, err := st.AppendVersion("web", "d2", g2, 1); err != nil {
+			t.Error(err)
+		}
+	}
+	run := func(req Request, want OrderingUsed) {
+		t.Helper()
+		s := 17
+		req.Kernel, req.Source, req.Targets = "BFS", &s, []int{0, 7, 199, 399}
+		resp, qerr := ex.Run(context.Background(), req)
+		if qerr != nil {
+			t.Fatal(qerr)
+		}
+		if resp.Graph != "d1" || resp.Ordering != want {
+			t.Fatalf("%+v: served %s over %+v, want d1 over %+v", req, resp.Graph, resp.Ordering, want)
+		}
+		oracle := directResult(t, g1, "BFS", registry.KernelParams{SPSource: s})
+		for _, v := range resp.Values {
+			if v.Value != oracle.Value(v.Node) {
+				t.Fatalf("%+v: BFS to %d = %v, oracle %v", req, v.Node, v.Value, oracle.Value(v.Node))
+			}
+		}
+	}
+
+	run(Request{Graph: "web"}, OrderingUsed{Method: "natural", Source: "natural"})
+	if st.IsTip("d1") || ex.RelabelBuilds() != 0 {
+		t.Fatalf("straggler read: d1 tip=%v, %d relabel builds, want false and 0", st.IsTip("d1"), ex.RelabelBuilds())
+	}
+	run(Request{Graph: "d1", Order: "gorder"}, OrderingUsed{Method: "gorder", Key: "abcd", Source: "explicit"})
+	if ex.RelabelBuilds() != 1 || ex.GraphCacheEntries() != 0 {
+		t.Fatalf("explicit read of a superseded version: %d builds, %d cached relabelings, want 1 and 0",
+			ex.RelabelBuilds(), ex.GraphCacheEntries())
 	}
 }

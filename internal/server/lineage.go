@@ -11,6 +11,7 @@ import (
 
 	"gorder/internal/core"
 	"gorder/internal/graph"
+	"gorder/internal/memstat"
 	"gorder/internal/order"
 	"gorder/internal/registry"
 	"gorder/internal/store"
@@ -575,6 +576,7 @@ func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, name, digest
 		perm, err = core.OrderIncrementalCtx(ctx, g, base, dirty,
 			core.Options{Window: w, HubThreshold: ropts.HubThreshold})
 	}
+	s.gc.Collect(memstat.Repair)
 	if err != nil {
 		return nil, err
 	}

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"gorder/internal/memstat"
 )
 
 // Counter is a monotonically increasing int64 metric, safe for
@@ -122,4 +124,29 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "}\n")
 	return err
+}
+
+// initMemory registers the memory metrics; called from New. They answer
+// "what is resident" from the daemon alone: the forced collections by
+// stage (gc_forced_<stage>_total), the live heap and the collector's
+// goal, its cycles (forced ones too, the stage ones among them), and the
+// process's resident-set high-water mark where /proc exposes it.
+func (s *Server) initMemory(m *Metrics) {
+	for _, stage := range memstat.Stages() {
+		m.Func("gc_forced_"+stage.String()+"_total", func() int64 { return s.gc.Count(stage) })
+	}
+	for name, sample := range map[string]string{
+		"go_heap_objects_bytes": memstat.HeapObjects,
+		"go_heap_goal_bytes":    memstat.HeapGoal,
+		"go_gc_cycles_total":    memstat.GCCycles,
+		"go_gc_forced_total":    memstat.GCForced,
+	} {
+		m.Func(name, func() int64 { return memstat.Read(sample) })
+	}
+	if _, ok := memstat.PeakRSS(); ok {
+		m.Func("process_peak_rss_bytes", func() int64 {
+			b, _ := memstat.PeakRSS()
+			return b
+		})
+	}
 }

@@ -42,6 +42,7 @@ func (s *Server) initQuery(m *Metrics) {
 		Store:        s.cfg.Store,
 		ResultBudget: s.cfg.QueryResultBudget,
 		Workers:      s.cfg.KernelWorkers,
+		Collector:    s.gc,
 	})
 	conc := s.cfg.QueryConcurrency
 	if conc <= 0 {

@@ -16,6 +16,7 @@ import (
 	"gorder/internal/core"
 	"gorder/internal/fair"
 	"gorder/internal/graph"
+	"gorder/internal/memstat"
 	"gorder/internal/order"
 	"gorder/internal/query"
 	"gorder/internal/registry"
@@ -85,6 +86,11 @@ type Server struct {
 	// versions form a chain, so two must not both extend the same tip.
 	mutMu sync.Mutex
 
+	// gc forces the collection at the end of every stage that drops a
+	// graph-sized transient — ingest, order and repair jobs here, relabel
+	// builds in the query tier — and counts them by stage.
+	gc *memstat.Collector
+
 	httpRequests *Counter
 	httpErrors   *Counter
 
@@ -152,6 +158,7 @@ func New(cfg Config) *Server {
 		Metrics:      m,
 		httpRequests: m.Counter("http_requests_total"),
 		httpErrors:   m.Counter("http_errors_total"),
+		gc:           new(memstat.Collector),
 
 		ingests:       m.Counter("ingest_total"),
 		ingestMillis:  m.Counter("ingest_ms_total"),
@@ -177,6 +184,7 @@ func New(cfg Config) *Server {
 	m.Func("store_results", st.ResultCount)
 	m.Func("store_result_hits_total", st.ResultHits)
 	m.Func("store_result_misses_total", st.ResultMisses)
+	s.initMemory(m)
 	s.initQuery(m)
 	s.initTraffic(m)
 	// Pre-register one counter triple per catalog ordering so /metrics
@@ -593,6 +601,9 @@ func (s *Server) execute(ctx context.Context, req JobRequest, found foundFunc) (
 			}
 		}
 		perm, obs, err := registry.ComputeObserved(ctx, g, req.Method, opts)
+		// The greedy's heap, live lists and counters are garbage now,
+		// before the first query relabels the graph.
+		s.gc.Collect(memstat.Order)
 		s.observeOrdering(obs)
 		if err != nil {
 			return nil, err

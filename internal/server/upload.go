@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gorder/internal/graph"
+	"gorder/internal/memstat"
 	"gorder/internal/store"
 )
 
@@ -119,6 +120,9 @@ func (s *Server) ingest(name string, r io.Reader) (GraphInfo, bool, error) {
 		s.Query.DropHub(oldTip)
 	}
 	s.mutMu.Unlock()
+	// The parse buffer and the edge shards are garbage now, and so is the
+	// parsed CSR when its content was already stored.
+	s.gc.Collect(memstat.Ingest)
 	if err != nil {
 		return GraphInfo{}, false, err
 	}

@@ -217,8 +217,11 @@ echo "    a query-built relabeling replaces the natural tip in memory, also whil
 echo "    cached hop distances and core numbers are packed at the narrowest width within the budget,"
 echo "    encode as their int32 form at every width, and answer top-K as a full sort would;"
 echo "    finished jobs hold no permutation and at most a fixed number are kept;"
-echo "    a full queue answers 429 and reads answer while the pool is held)"
-go test -race ./internal/query/ ./internal/server/ ./internal/registry/ -run 'TestQueryColdWarm|TestAdmission|TestTipResidency|TestCompactRangeEdges|TestPackInt32sWidthEdges|TestResultCodecByteFormMatchesInt32|TestResultCodecIdentityEveryWidth|TestTopKMatchesSortOracle|TestResultCacheWithinBudget|TestByteCacheAnswersMatchOracle|TestCacheGaugesOnMetrics|TestJobPermutation|TestJobTableBounded|TestQueueDepthLimitRejects|TestReadsNotBlockedByCompute' -count=1
+echo "    a full queue answers 429 and reads answer while the pool is held;"
+echo "    ingest and order jobs collect at their end, so the heap holds the stored graph, counted by stage;"
+echo "    a read that lost the race to an edit runs on the natural graph instead of relabeling a dead version;"
+echo "    /metrics reports the live heap, the collector's goal and cycles, and the peak resident set)"
+go test -race ./internal/query/ ./internal/server/ ./internal/registry/ -run 'TestQueryColdWarm|TestAdmission|TestTipResidency|TestCompactRangeEdges|TestPackInt32sWidthEdges|TestResultCodecByteFormMatchesInt32|TestResultCodecIdentityEveryWidth|TestTopKMatchesSortOracle|TestResultCacheWithinBudget|TestByteCacheAnswersMatchOracle|TestCacheGaugesOnMetrics|TestJobPermutation|TestJobTableBounded|TestQueueDepthLimitRejects|TestReadsNotBlockedByCompute|TestStageEndCollection|TestStragglerReadSkipsRelabel|TestMemoryMetrics' -count=1
 
 echo "==> ingest benchmark smoke + regression diff (-benchtime=1x, gated by benchdiff)"
 # Single-iteration timings are noisy, so benchdiff's time gate is loose
