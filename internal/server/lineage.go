@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"net/http"
+	"sync"
 	"time"
 
 	"gorder/internal/core"
@@ -114,9 +116,7 @@ type editResponse struct {
 }
 
 // handleGraphEdges serves POST /graphs/{name}/edges: build version
-// N+1 of the lineage from its tip. One mutation runs at a time
-// (s.mutMu): versions form a chain, so concurrent edits and uploads
-// must serialize on the tip they extend.
+// N+1 of the lineage from its tip.
 func (s *Server) handleGraphEdges(w http.ResponseWriter, r *http.Request, name string) {
 	if r.Method != http.MethodPost {
 		s.methodNotAllowed(w, r, http.MethodPost)
@@ -187,18 +187,18 @@ type carriedOrder struct {
 	perm order.Permutation // base extended to the new tip; nil if that failed
 }
 
-// applyEdit performs the serialized mutation, once, on the tip's
-// resident form: validate the batch in natural IDs, extend the tip's
-// orderings, apply the batch — mapped through the resident
-// relabeling's permutation — with one graph.ApplyEdits, patch the
-// natural blob on disk (store.PatchGraph) rather than build a natural
-// CSR, carry the new relabeling and orderings to the new version
-// before it becomes the tip, advance the lineage, update the quality
-// record, and enqueue a repair if the decay signal crossed the
-// threshold.
+// applyEdit performs the mutation, once, on the tip's resident form,
+// holding the lineage's lock from the tip read to the response:
+// validate the batch in natural IDs, extend the tip's orderings, apply
+// the batch — mapped through the resident relabeling's permutation —
+// with one graph.ApplyEdits, patch the natural blob on disk
+// (store.PatchGraph) rather than build a natural CSR, commit the new
+// version with writeLineage, and enqueue a repair if the decay signal
+// crossed the threshold.
 func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, addNodes int, add, del []graph.Edge) {
-	s.mutMu.Lock()
-	defer s.mutMu.Unlock()
+	mu := s.lineageLock(name)
+	mu.Lock()
+	defer mu.Unlock()
 
 	st := s.cfg.Store
 	tip, ok := st.Lookup(name)
@@ -246,68 +246,38 @@ func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, 
 	if err == nil && pstats != stats {
 		err = fmt.Errorf("the stored blob and the resident graph disagree (%+v vs %+v)", pstats, stats)
 	}
-	switch {
-	case errors.Is(err, store.ErrCorrupt):
+	if errors.Is(err, store.ErrCorrupt) {
 		s.writeError(w, http.StatusNotFound, "graph_not_found",
 			"lineage %q's tip is no longer loadable", name)
 		return
-	case err != nil:
-		s.writeError(w, http.StatusInternalServerError, "advance_failed",
-			"persisting version %s@v? failed: %v", name, err)
-		return
-	}
-	// The new version gets its relabeling, hub and orderings before it
-	// becomes the tip, so no query on the name meets it without them.
-	if form.i >= 0 {
-		o := orders[form.i]
-		s.Query.CarryOrdering(digest, o.key.Method, o.key.OptKey, gNew, o.perm)
-	}
-	extended := 0
-	for i, o := range orders {
-		if o.perm == nil {
-			continue
-		}
-		if err := st.PutOrder(digest, o.key.Method, o.key.OptKey, o.perm); err != nil {
-			if i == form.i {
-				s.Query.InvalidateOrdering(digest, o.key.Method, o.key.OptKey)
-			}
-			orders[i].perm = nil
-			s.log.Warn("persisting extended ordering failed", "graph", name,
-				"method", o.key.Method, "err", err)
-			continue
-		}
-		extended++
 	}
 	// A relabeled tip takes no store residency: the query tier holds it.
-	var admit *graph.Graph
-	if form.i < 0 {
-		admit = gNew
+	lw := &lineageWrite{name: name, from: tip.Digest, to: digest, orders: orders, g: gNew}
+	if form.i >= 0 {
+		lw.carried, lw.relabeled, lw.g = &orders[form.i], gNew, nil
 	}
-	v, err := st.AppendVersion(name, digest, admit, 0)
-	if err != nil {
-		if digest != tip.Digest {
-			s.Query.DropHub(digest)
-			for _, o := range orders {
-				s.Query.InvalidateOrdering(digest, o.key.Method, o.key.OptKey)
-			}
+	if hasQual {
+		lw.quality = func() store.Quality {
+			s.trackQuality(&qual, form, orders, gNew, add, del)
+			return qual
 		}
+	}
+	v := 0
+	if err == nil {
+		v, err = s.writeLineage(lw)
+	}
+	if v == 0 {
 		s.writeError(w, http.StatusInternalServerError, "advance_failed",
 			"persisting version %s@v? failed: %v", name, err)
 		return
 	}
-	if digest != tip.Digest {
-		s.Query.DropHub(tip.Digest)
-		for _, o := range orders {
-			s.Query.InvalidateOrdering(tip.Digest, o.key.Method, o.key.OptKey)
+	extended := 0
+	for _, o := range orders {
+		if o.perm != nil {
+			extended++
 		}
 	}
 	info := s.tipInfo(name, digest, v)
-	if hasQual {
-		s.trackQuality(&qual, form, orders, gNew, add, del)
-		if err := st.SetQuality(name, qual); err != nil {
-			s.log.Warn("persisting quality record failed", "graph", name, "err", err)
-		}
-	}
 
 	resp := editResponse{
 		Graph:        info,
@@ -333,6 +303,88 @@ func (s *Server) applyEdit(w http.ResponseWriter, r *http.Request, name string, 
 		"nodes", info.Nodes, "edges", info.Edges,
 		"added", stats.Added, "deleted", stats.Deleted, "orders_extended", extended)
 	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// errTipMoved reports a lineage write computed on a version that is no
+// longer the lineage's tip; writeLineage wrote nothing.
+var errTipMoved = errors.New("lineage tip moved")
+
+// lineageLock returns the named lineage's write lock, one of a fixed
+// array picked by a hash of the name.
+func (s *Server) lineageLock(name string) *sync.Mutex {
+	return &s.lineageMu[maphash.String(s.lineageSeed, name)%uint64(len(s.lineageMu))]
+}
+
+// lineageWrite moves a lineage's tip from the version it was computed
+// on to version to (to == from keeps it, as repairs and baselines do).
+type lineageWrite struct {
+	name, from, to string
+	g              *graph.Graph   // to's natural CSR for the store; nil when held in another form
+	srcBytes       int64          // upload size recorded with a new blob
+	orders         []carriedOrder // stored under to; a failed put sets perm nil
+	carried        *carriedOrder  // the one whose relabeling of to, relabeled, the query tier takes
+	relabeled      *graph.Graph
+	quality        func() store.Quality // to's record; nil writes none (a moved tip has none)
+}
+
+// writeLineage commits w with lineageLock(w.name) held, in one order:
+// check that from is the tip (else errTipMoved, nothing written); carry
+// the relabeling and store the orderings under to, dropping the
+// relabeling a replaced ordering of a kept tip was built with; append
+// to; drop what the query tier holds of a version that tips no lineage
+// now (from, or to if the append failed); record the quality. It
+// returns the tip's version, 0 if the write failed; a failed quality
+// write is logged and returned beside the version.
+func (s *Server) writeLineage(w *lineageWrite) (int, error) {
+	st := s.cfg.Store
+	tip, _, v, _ := st.ResolveVersion(w.name, 0)
+	if tip != w.from {
+		return 0, errTipMoved
+	}
+	keep := w.to == w.from
+	if c := w.carried; c != nil {
+		s.Query.CarryOrdering(w.to, c.key.Method, c.key.OptKey, w.relabeled, c.perm)
+	}
+	for i := range w.orders {
+		o := &w.orders[i]
+		if o.perm == nil {
+			continue
+		}
+		err := st.PutOrder(w.to, o.key.Method, o.key.OptKey, o.perm)
+		if err != nil || keep && o != w.carried {
+			s.Query.InvalidateOrdering(w.to, o.key.Method, o.key.OptKey)
+		}
+		if err != nil {
+			if keep {
+				return 0, err // nothing else to write
+			}
+			o.perm = nil
+			s.log.Warn("persisting ordering failed", "graph", w.name, "method", o.key.Method, "err", err)
+		}
+	}
+	if !keep {
+		var err error
+		v, err = st.AppendVersion(w.name, w.to, w.g, w.srcBytes)
+		for _, d := range []string{w.from, w.to} {
+			if d != "" && !st.IsTip(d) {
+				s.Query.DropHub(d)
+				for _, k := range st.OrdersFor(d) {
+					s.Query.InvalidateOrdering(d, k.Method, k.OptKey)
+				}
+			}
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	if w.quality == nil {
+		return v, nil
+	}
+	if err := st.SetQuality(w.name, w.to, w.quality()); err != nil {
+		s.log.Warn("persisting quality record failed", "graph", w.name, "err", err)
+		return v, err
+	}
+	return v, nil
 }
 
 // editForm extends every ordering to the edited graph and applies the
@@ -494,42 +546,45 @@ func qualityOptions(q store.Quality) (registry.Options, int) {
 // record (computed == true, the only path that resets decay); an
 // artifact-cache hit may be a mutation-extended permutation whose
 // quality has already drifted, so it only seeds lineages with no
-// record yet.
+// record yet (or one tracking the same ordering, when computed). The
+// record is built without the lineage's lock and re-checked under it,
+// so a lineage that moved off digest meanwhile is skipped.
 func (s *Server) recordOrderingQuality(digest string, g *graph.Graph, method, optKey string, copts registry.Options, perm order.Permutation, w int, f int64, computed bool) {
 	if method == "" {
 		return
 	}
 	st := s.cfg.Store
-	var packing float64
-	packed := false
+	rebase := func(li store.LineageInfo) bool {
+		return li.Versions[len(li.Versions)-1].Digest == digest && (li.Quality == nil ||
+			computed && li.Quality.Method == method && li.Quality.OptKey == optKey)
+	}
+	var q store.Quality
 	for _, li := range st.Lineages() {
-		if li.Versions[len(li.Versions)-1].Digest != digest {
+		if !rebase(li) {
 			continue
 		}
-		if li.Quality != nil {
-			if li.Quality.Method != method || li.Quality.OptKey != optKey {
-				continue // lineage tracks a different ordering
+		if q.Method == "" {
+			packing := order.PackingFactor(g, perm)
+			optsJSON, _ := json.Marshal(copts)
+			q = store.Quality{
+				Method: method, OptKey: optKey, OptionsJSON: string(optsJSON), Window: w,
+				BaseF: f, BaseEdges: g.NumEdges(), BasePacking: packing,
+				CurF: f, CurEdges: g.NumEdges(), CurPacking: packing,
+				CleanNodes: g.NumNodes(),
 			}
-			if !computed {
-				continue // never re-baseline from a possibly-extended artifact
-			}
 		}
-		if !packed {
-			packing, packed = order.PackingFactor(g, perm), true
+		mu := s.lineageLock(li.Name)
+		mu.Lock()
+		v := 0
+		if cur, ok := st.Lineage(li.Name); ok && rebase(cur) {
+			v, _ = s.writeLineage(&lineageWrite{name: li.Name, from: digest, to: digest,
+				quality: func() store.Quality { return q }})
 		}
-		optsJSON, _ := json.Marshal(copts)
-		q := store.Quality{
-			Method: method, OptKey: optKey, OptionsJSON: string(optsJSON), Window: w,
-			BaseF: f, BaseEdges: g.NumEdges(), BasePacking: packing,
-			CurF: f, CurEdges: g.NumEdges(), CurPacking: packing,
-			CleanNodes: g.NumNodes(),
+		mu.Unlock()
+		if v > 0 {
+			s.log.Info("quality baseline recorded", "graph", li.Name, "method", method,
+				"score_F", f, "nodes", g.NumNodes())
 		}
-		if err := st.SetQuality(li.Name, q); err != nil {
-			s.log.Warn("seeding quality baseline failed", "graph", li.Name, "err", err)
-			continue
-		}
-		s.log.Info("quality baseline recorded", "graph", li.Name, "method", method,
-			"score_F", f, "nodes", g.NumNodes())
 	}
 }
 
@@ -544,10 +599,19 @@ func (s *Server) recordOrderingQuality(digest string, g *graph.Graph, method, op
 // (validateJob checks that it is one), and g and digest its tip.
 func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, name, digest string, found foundFunc) (map[string]float64, error) {
 	st := s.cfg.Store
-	q, ok := st.GetQuality(name)
-	if !ok || q.Method == "" {
+	// The store keeps a record only for its lineage's tip, so the two are
+	// read together: a write that moved the tip off digest supersedes
+	// the repair, and the next edit's decay check enqueues another if the
+	// new tip needs one.
+	li, ok := st.Lineage(name)
+	superseded := map[string]float64{"noop": 1, "superseded": 1}
+	switch {
+	case ok && li.Versions[len(li.Versions)-1].Digest != digest:
+		return superseded, nil
+	case !ok || li.Quality == nil:
 		return nil, fmt.Errorf("lineage %q has no tracked ordering; run an order job on it first", name)
 	}
+	q := *li.Quality
 	decayBefore := q.Decay()
 	if decayBefore >= s.decayThreshold() {
 		// The decay healed between enqueue and execution (an earlier
@@ -586,12 +650,6 @@ func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, name, digest
 	if err != nil {
 		return nil, err
 	}
-	if err := st.PutOrder(digest, q.Method, q.OptKey, perm); err != nil {
-		return nil, fmt.Errorf("persisting repaired ordering: %w", err)
-	}
-	found(perm, newOrderArtifact(digest, q.Method, q.OptKey, perm))
-	s.Query.InvalidateOrdering(digest, q.Method, q.OptKey)
-
 	q.CurF, q.CurEdges, q.CurPacking = f, g.NumEdges(), order.PackingFactor(g, perm)
 	if full {
 		q.BaseF, q.BaseEdges, q.BasePacking = f, q.CurEdges, q.CurPacking
@@ -600,7 +658,20 @@ func (s *Server) executeRepair(ctx context.Context, g *graph.Graph, name, digest
 	} else {
 		q.Repairs++
 	}
-	if err := st.SetQuality(name, q); err != nil {
+	mu := s.lineageLock(name)
+	mu.Lock()
+	v, err := s.writeLineage(&lineageWrite{name: name, from: digest, to: digest,
+		orders:  []carriedOrder{{key: store.OrderKey{Method: q.Method, OptKey: q.OptKey}, perm: perm}},
+		quality: func() store.Quality { return q }})
+	mu.Unlock()
+	switch {
+	case errors.Is(err, errTipMoved):
+		return superseded, nil
+	case v == 0:
+		return nil, fmt.Errorf("persisting repaired ordering: %w", err)
+	}
+	found(perm, newOrderArtifact(digest, q.Method, q.OptKey, perm))
+	if err != nil {
 		return nil, fmt.Errorf("persisting repaired quality record: %w", err)
 	}
 	mode := "suffix"

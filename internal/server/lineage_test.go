@@ -481,12 +481,14 @@ func TestMutationValidation(t *testing.T) {
 // TestAliasUploadIsLineage: uploading bytes already stored under
 // another name makes that name a lineage of its own, right away and not
 // only after a restart: name@latest resolves, the name accepts an edit,
-// and its version history lists.
+// and its version history lists. Editing the alias leaves the hub of
+// the shared digest, which still tips the other lineage.
 func TestAliasUploadIsLineage(t *testing.T) {
 	_, ts := newStoreServer(t, t.TempDir(), 0)
 	g := gen.BarabasiAlbert(200, 3, 4)
 	a := postGraph(t, ts, "a", edgeListBytes(t, g))
 	b := postGraph(t, ts, "b", edgeListBytes(t, g))
+	postQuery(t, ts, query.Request{Graph: "a", Kernel: "BFS"}, http.StatusOK) // records a's hub
 	if latest := getGraphInfo(t, ts, "b@latest", http.StatusOK); latest.ID != a.ID || latest.Version != 1 {
 		t.Fatalf("b@latest = %s v%d, want %s v1", latest.ID, latest.Version, a.ID)
 	}
@@ -502,6 +504,9 @@ func TestAliasUploadIsLineage(t *testing.T) {
 	}
 	if vs, _ := getLineage(t, ts, "a"); len(vs) != 1 || vs[0].Digest != a.ID {
 		t.Fatalf("editing b moved a: %+v", vs)
+	}
+	if n := metricsSnapshot(t, ts)["query_hub_cache_entries"]; n != 1 {
+		t.Fatalf("query_hub_cache_entries = %d after editing b, want a's hub kept", n)
 	}
 }
 
@@ -578,7 +583,7 @@ func TestHubCacheBoundedOnUnorderedLineage(t *testing.T) {
 
 // TestUploadDuringEditKeepsChain races an upload of new content
 // against an edit of the same lineage, sending the upload while the
-// edit holds the mutation lock. Whichever way the two serialize, every
+// edit holds the lineage's lock. Whichever way the two serialize, every
 // edit-made version must be its batch applied to the version before
 // it: an upload the edit did not build on must not fall off the chain.
 func TestUploadDuringEditKeepsChain(t *testing.T) {
@@ -610,8 +615,8 @@ func TestUploadDuringEditKeepsChain(t *testing.T) {
 			done <- json.NewDecoder(r.Body).Decode(&resp)
 		}()
 		raced := true
-		for raced && s.mutMu.TryLock() {
-			s.mutMu.Unlock()
+		for raced && s.lineageLock(name).TryLock() {
+			s.lineageLock(name).Unlock()
 			select {
 			case err := <-done: // the edit finished before the upload
 				if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"log/slog"
 	"net/http"
@@ -82,9 +83,10 @@ type Server struct {
 	Query   *query.Executor
 	mux     *http.ServeMux
 
-	// mutMu serializes lineage mutations (edits and upload tip moves):
+	// lineageMu serializes the writes to each lineage (lineageLock):
 	// versions form a chain, so two must not both extend the same tip.
-	mutMu sync.Mutex
+	lineageMu   [64]sync.Mutex
+	lineageSeed maphash.Seed
 
 	// gc forces the collection at the end of every stage that drops a
 	// graph-sized transient — ingest, order and repair jobs here, relabel
@@ -159,6 +161,7 @@ func New(cfg Config) *Server {
 		httpRequests: m.Counter("http_requests_total"),
 		httpErrors:   m.Counter("http_errors_total"),
 		gc:           new(memstat.Collector),
+		lineageSeed:  maphash.MakeSeed(),
 
 		ingests:       m.Counter("ingest_total"),
 		ingestMillis:  m.Counter("ingest_ms_total"),

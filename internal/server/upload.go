@@ -109,21 +109,19 @@ func (s *Server) ingest(name string, r io.Reader) (GraphInfo, bool, error) {
 
 	st := s.cfg.Store
 	digest := store.DigestSum(h)
-	// The tip moves under the mutation lock, as an edit's does: an
+	// The tip moves under the lineage's lock, as an edit's does: an
 	// upload appended between an edit's tip read and its append would
 	// fall off the chain the edit extends.
-	s.mutMu.Lock()
+	mu := s.lineageLock(name)
+	mu.Lock()
 	created := !st.Has(digest)
-	oldTip, _, _, _ := st.ResolveVersion(name, 0)
-	v, err := st.AppendVersion(name, digest, g, cr.n)
-	if err == nil && oldTip != "" && oldTip != digest {
-		s.Query.DropHub(oldTip)
-	}
-	s.mutMu.Unlock()
+	from, _, _, _ := st.ResolveVersion(name, 0)
+	v, err := s.writeLineage(&lineageWrite{name: name, from: from, to: digest, g: g, srcBytes: cr.n})
+	mu.Unlock()
 	// The parse buffer and the edge shards are garbage now, and so is the
 	// parsed CSR when its content was already stored.
 	s.gc.Collect(memstat.Ingest)
-	if err != nil {
+	if v == 0 {
 		return GraphInfo{}, false, err
 	}
 	if created {

@@ -27,6 +27,10 @@ var ErrUnknownVersion = errors.New("store: unknown version")
 // reference (name@vN or name@latest), which no ref could address.
 var ErrBadName = errors.New("store: lineage name reads as a version reference")
 
+// ErrStaleTip reports a quality record computed for a version that is
+// no longer its lineage's tip.
+var ErrStaleTip = errors.New("store: version is no longer the lineage's tip")
+
 // MaxDirtyTracked caps how many changed-edge endpoints a lineage's
 // quality record accumulates between full orderings. Past the cap the
 // record flips to DirtyOverflow and the next repair must be a full
@@ -101,7 +105,8 @@ type OrderKey struct {
 // AppendVersion persists g as the next version of the named lineage:
 // the blob is stored content-addressed under digest (once — a digest
 // already stored, under any name, keeps its blob), the lineage gains a
-// version entry, and the new tip replaces the old one in memory. g may
+// version entry, the new tip replaces the old one in memory, and the
+// quality record, which described the old tip, is cleared. g may
 // be nil when digest is already stored — a version PatchGraph wrote —
 // and the new tip then takes no residency: its holder keeps it in
 // another form. Appending the digest already at the tip is a no-op
@@ -228,6 +233,7 @@ func (s *Store) advanceLocked(name, digest string, g *graph.Graph) (int, error) 
 	}
 	oldTip := lin.tip()
 	lin.Versions = append(lin.Versions, digest)
+	lin.Quality = nil
 	if err := s.saveManifestLocked(); err != nil {
 		return 0, err
 	}
@@ -369,14 +375,19 @@ func (s *Store) lineageInfoLocked(name string, lin *lineageRec) LineageInfo {
 	return info
 }
 
-// SetQuality records the named lineage's ordering-quality state,
-// clamping the dirty list to MaxDirtyTracked (overflow sticks).
-func (s *Store) SetQuality(name string, q Quality) error {
+// SetQuality records the named lineage's ordering-quality state for
+// its tip, clamping the dirty list to MaxDirtyTracked (overflow
+// sticks). It fails with ErrStaleTip unless tip is still the lineage's
+// tip, so a record computed for a superseded version never lands.
+func (s *Store) SetQuality(name, tip string, q Quality) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	lin := s.man.Lineages[name]
-	if lin == nil || len(lin.Versions) == 0 {
+	switch {
+	case lin == nil || len(lin.Versions) == 0:
 		return fmt.Errorf("%w: %s", ErrUnknownLineage, name)
+	case lin.tip() != tip:
+		return fmt.Errorf("%w: %s is not %s's tip", ErrStaleTip, tip, name)
 	}
 	if len(q.Dirty) > MaxDirtyTracked {
 		q.DirtyOverflow = true
@@ -452,11 +463,14 @@ func (s *Store) persistGraphLocked(digest, name string, g *graph.Graph, srcBytes
 	return nil
 }
 
-// healAllLineagesLocked reconciles every lineage against the graphs
-// actually present (the Open path): versions whose blob records are
-// gone close over, and emptied lineages disappear. Reports whether
+// healLineagesLocked reconciles every lineage against the graphs
+// still recorded (at Open, and after dropGraph drops one): versions
+// whose records are gone close over — a corrupt tip heals to the
+// previous version — and emptied lineages disappear. A quality record
+// of a dropped tip is cleared so the monitor re-baselines instead of
+// trusting totals for a graph that no longer exists. Reports whether
 // anything changed.
-func (s *Store) healAllLineagesLocked() bool {
+func (s *Store) healLineagesLocked() bool {
 	changed := false
 	for name, lin := range s.man.Lineages {
 		tip0 := lin.tip()
@@ -476,22 +490,4 @@ func (s *Store) healAllLineagesLocked() bool {
 		}
 	}
 	return changed
-}
-
-// healLineagesLocked removes a vanished digest from every lineage: a
-// corrupt tip heals to the previous version, a hole in the middle
-// closes over, and a lineage losing its last version disappears. A
-// quality record tracking the dropped tip is cleared so the monitor
-// re-baselines instead of trusting totals for a graph that no longer
-// exists.
-func (s *Store) healLineagesLocked(digest string) {
-	for name, lin := range s.man.Lineages {
-		wasTip := lin.tip() == digest
-		lin.Versions = slices.DeleteFunc(lin.Versions, func(d string) bool { return d == digest })
-		if len(lin.Versions) == 0 {
-			delete(s.man.Lineages, name)
-		} else if wasTip {
-			lin.Quality = nil
-		}
-	}
 }

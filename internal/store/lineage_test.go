@@ -85,7 +85,7 @@ func TestLineageSurvivesRestart(t *testing.T) {
 	if _, err := s.AppendVersion("g", "d2", gen.Ring(12), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetQuality("g", Quality{
+	if err := s.SetQuality("g", "d2", Quality{
 		Method: "gorder", OptKey: "abcd", OptionsJSON: `{"window":5}`, Window: 5,
 		BaseF: 100, BaseEdges: 50, CurF: 90, CurEdges: 55,
 		CleanNodes: 8, Repairs: 1, Dirty: []graph.NodeID{3, 4},
@@ -182,6 +182,33 @@ func TestManifestSaveOmitsNames(t *testing.T) {
 	}
 }
 
+// A quality record describes its lineage's tip: moving the tip clears
+// it, and a record computed for a superseded version is refused.
+func TestQualityStaleTipRefused(t *testing.T) {
+	s := open(t, t.TempDir(), 0)
+	if _, err := s.AppendVersion("g", "d1", gen.Ring(8), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetQuality("g", "d1", Quality{Method: "gorder", CurEdges: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendVersion("g", "d2", gen.Ring(12), 0); err != nil {
+		t.Fatal(err)
+	}
+	if q, ok := s.GetQuality("g"); ok {
+		t.Fatalf("d1's record %+v survived the tip move to d2", q)
+	}
+	if err := s.SetQuality("g", "d1", Quality{Method: "gorder", CurEdges: 8}); !errors.Is(err, ErrStaleTip) {
+		t.Fatalf("record for the superseded d1: err = %v, want ErrStaleTip", err)
+	}
+	if err := s.SetQuality("g", "d2", Quality{Method: "gorder", CurEdges: 12}); err != nil {
+		t.Fatal(err)
+	}
+	if q, ok := s.GetQuality("g"); !ok || q.CurEdges != 12 {
+		t.Fatalf("record = %+v ok=%v, want d2's", q, ok)
+	}
+}
+
 func TestQualityDirtyCapOverflow(t *testing.T) {
 	s := open(t, t.TempDir(), 0)
 	if _, err := s.AppendVersion("g", "d1", gen.Ring(8), 0); err != nil {
@@ -191,14 +218,14 @@ func TestQualityDirtyCapOverflow(t *testing.T) {
 	for i := range dirty {
 		dirty[i] = graph.NodeID(i)
 	}
-	if err := s.SetQuality("g", Quality{Method: "gorder", Dirty: dirty}); err != nil {
+	if err := s.SetQuality("g", "d1", Quality{Method: "gorder", Dirty: dirty}); err != nil {
 		t.Fatal(err)
 	}
 	q, _ := s.GetQuality("g")
 	if !q.DirtyOverflow || len(q.Dirty) != MaxDirtyTracked {
 		t.Fatalf("overflow=%v len=%d", q.DirtyOverflow, len(q.Dirty))
 	}
-	if err := s.SetQuality("nope", Quality{}); !errors.Is(err, ErrUnknownLineage) {
+	if err := s.SetQuality("nope", "", Quality{}); !errors.Is(err, ErrUnknownLineage) {
 		t.Fatalf("quality on unknown lineage err = %v", err)
 	}
 }
@@ -244,7 +271,7 @@ func TestQualityRecordJSONKeys(t *testing.T) {
 	if again, _ := s.GetQuality("g"); again.Dirty[0] != 3 {
 		t.Fatal("GetQuality aliases the stored dirty list")
 	}
-	if err := s.SetQuality("g", want); err != nil {
+	if err := s.SetQuality("g", "d1", want); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -281,7 +308,7 @@ func TestLineageCorruptTipHealsToPrevious(t *testing.T) {
 	if _, err := s.AppendVersion("g", "d2", g2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetQuality("g", Quality{Method: "gorder", CurF: 9}); err != nil {
+	if err := s.SetQuality("g", "d2", Quality{Method: "gorder", CurF: 9}); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the tip blob (keeping the magic so it reads as a damaged

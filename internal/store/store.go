@@ -174,7 +174,7 @@ func Open(cfg Config) (*Store, error) {
 	}
 	// A vanished tip heals its lineage to the previous surviving
 	// version rather than losing the name.
-	if s.healAllLineagesLocked() {
+	if s.healLineagesLocked() {
 		dropped = true
 	}
 	for file, rec := range man.Orders {
@@ -425,7 +425,7 @@ func (s *Store) dropGraph(digest string) {
 		delete(s.resident, digest)
 	}
 	delete(s.man.Graphs, digest)
-	s.healLineagesLocked(digest)
+	s.healLineagesLocked()
 	for _, file := range s.orders[digest] {
 		os.Remove(filepath.Join(s.dir, ordersDirName, file))
 		delete(s.man.Orders, file)

@@ -96,6 +96,23 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
+echo "==> one lineage writer gate (every tip move and quality write goes through writeLineage, locked per lineage)"
+# Edits, uploads, repairs and order-job baselines each once kept their
+# own bookkeeping and drifted apart. A second AppendVersion or
+# SetQuality call site, or a server-wide mutation lock, reopens that.
+for call in '\.AppendVersion\(' '\.SetQuality\('; do
+    n=$(grep -rnE --include='*.go' --exclude='*_test.go' "$call" internal/server | wc -l)
+    if [ "$n" -ne 1 ]; then
+        grep -rnE --include='*.go' --exclude='*_test.go' "$call" internal/server || true
+        echo "FAIL: $n call sites of $call in internal/server, want exactly 1" >&2
+        exit 1
+    fi
+done
+if grep -rn --include='*.go' --exclude='*_test.go' 'mutMu' internal/server; then
+    echo "FAIL: server-wide mutation lock in internal/server" >&2
+    exit 1
+fi
+
 echo "==> one bench schema gate (scripts/bench.sh records BENCH_ingest, BENCH_gorder and BENCH_serve only)"
 # Every committed benchmark is a row file written by the tools and
 # regenerated by scripts/bench.sh. A per-suite script, a cmd/bench JSON
@@ -202,9 +219,11 @@ echo "==> evolving-graph smoke under race (upload, edit batches with deletes, de
 echo "    tip-only residency, relabeled graph carried across edits, one relabel per concurrent miss,"
 echo "    one hub entry per lineage, every upload name a lineage, uploads racing edits stay on the chain,"
 echo "    an edited relabeled tip held once with its blob patched on disk, order records indexed by digest,"
-echo "    a done job's permutation read back from its artifact and refused once a repair replaced it)"
+echo "    a done job's permutation read back from its artifact and refused once a repair replaced it,"
+echo "    a repair superseded by an edit writes nothing, an upload drops the replaced tip's relabeling,"
+echo "    four lineages written concurrently keep their records on their tips and their versions chained)"
 go test -race -count=1 \
-    -run 'TestJobPermutation|TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestPatchGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce|TestHubMapOneEntryPerLineage|TestHubCacheBoundedOnUnorderedLineage|TestAliasUploadIsLineage|TestReuploadOldContentKeepsNameConsistent|TestUploadDuringEditKeepsChain|TestTipResidency|TestEditDeletesParallelEdge|TestOrderIndexMatchesScan|TestPatchBinary|TestApplyEditsDeletesParallelCopies|TestReadPermutation|TestScoreDeltaRelabeledMatchesNatural' \
+    -run 'TestJobPermutation|TestMutationEndToEnd|TestMutationAutoRepair|TestLineageSurvivesDaemonRestart|TestEditStreamCarriesRelabeling|TestEditVersionIDMatchesUpload|TestCachedRelabelingSkipsGraphReload|TestResidency|TestPatchGraph|TestLineageCorruptTipHealsToPrevious|TestCarryOrdering|TestConcurrentMissesRelabelOnce|TestHubMapOneEntryPerLineage|TestHubCacheBoundedOnUnorderedLineage|TestAliasUploadIsLineage|TestReuploadOldContentKeepsNameConsistent|TestUploadDuringEditKeepsChain|TestTipResidency|TestEditDeletesParallelEdge|TestOrderIndexMatchesScan|TestPatchBinary|TestApplyEditsDeletesParallelCopies|TestReadPermutation|TestScoreDeltaRelabeledMatchesNatural|TestRepairStraddlingEditKeepsTipRecord|TestUploadOverQueriedTipDropsRelabeling|TestConcurrentLineageWrites' \
     ./internal/server/ ./internal/store/ ./internal/query/ ./internal/graph/ ./internal/order/
 
 echo "==> examples smoke (evolvinggraph runs the extend/monitor/repair loop end-to-end)"
