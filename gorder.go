@@ -60,9 +60,9 @@ func FromEdgesDedup(n int, edges []Edge) *Graph { return graph.FromEdgesDedup(n,
 
 // ReadEdgeList parses a whitespace-separated text edge list ("u v"
 // per line, # or % comments) — the format SNAP and Konect datasets
-// use. Parsing and CSR construction run on GOMAXPROCS workers for
-// large inputs; GOMAXPROCS=1 forces the serial path.
-func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeList(r) }
+// use. It streams r in bounded memory; parsing and CSR construction
+// run on GOMAXPROCS workers for large inputs.
+func ReadEdgeList(r io.Reader) (*Graph, error) { return graph.ReadEdgeListStream(r) }
 
 // ReadEdgeListBytes parses a text edge list already held in memory,
 // skipping the reader copy.

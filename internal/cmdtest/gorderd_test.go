@@ -170,7 +170,7 @@ func TestGorderdSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("downloaded permutation invalid: %v", err)
 	}
-	g, err := graph.ReadEdgeList(bytes.NewReader(data))
+	g, err := graph.ReadEdgeListStream(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}

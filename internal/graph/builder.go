@@ -28,11 +28,17 @@ func FromEdgesDedup(n int, edges []Edge) *Graph {
 	return build(n, [][]Edge{edges}, true)
 }
 
-// build constructs the graph from edge shards — the per-worker slices
-// the parallel edge-list parser produces. Shard order is significant:
-// the edge sequence is the concatenation of the shards, and both
-// builders place each vertex's neighbours in that order before
-// sorting, so serial and parallel construction yield identical arrays.
+// build counting-sorts edge shards — the per-chunk slices the edge-list
+// parser produces — into the out-CSR and hands it to fromCSR, which
+// sorts each neighbour list and derives the in-CSR, as it does for the
+// binary loader and ApplyEdits. The edge sequence is the concatenation
+// of the shards.
+//
+// Each pass splits the vertices into one contiguous range per worker
+// and every worker scans all shards, touching only the vertices it
+// owns: disjoint writes, no atomics, and each list receives its
+// entries in edge-sequence order at any worker count. One worker is
+// the serial build.
 func build(n int, shards [][]Edge, dedup bool) *Graph {
 	if n < 0 {
 		panic("graph: negative vertex count")
@@ -42,111 +48,17 @@ func build(n int, shards [][]Edge, dedup bool) *Graph {
 		m += int64(len(sh))
 	}
 	workers := csrWorkers(m)
-	validateShards(n, shards, workers)
-	csrBuilds.Add(1)
-	g := &Graph{n: n}
-	if workers > 1 {
-		g.outIdx, g.outAdj = buildCSRParallel(n, shards, false, dedup, workers)
-		g.inIdx, g.inAdj = buildCSRParallel(n, shards, true, dedup, workers)
-	} else {
-		g.outIdx, g.outAdj = buildCSRSerial(n, shards, false, dedup)
-		g.inIdx, g.inAdj = buildCSRSerial(n, shards, true, dedup)
-	}
-	if dedup && len(g.outAdj) != len(g.inAdj) {
-		// Dedup must agree in both directions; a mismatch means a bug.
-		panic("graph: inconsistent dedup between directions")
-	}
-	return g
-}
-
-// validateShards panics on the first out-of-range endpoint. Running it
-// up front keeps the construction passes panic-free, which matters
-// because a panic inside a worker goroutine would kill the process
-// instead of unwinding to the caller.
-func validateShards(n int, shards [][]Edge, workers int) {
-	type bad struct {
-		e  Edge
-		ok bool
-	}
-	found := make([]bad, workers)
-	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
-		for _, sh := range shards {
-			lo, hi := par.Range(len(sh), workers, c)
-			for _, e := range sh[lo:hi] {
-				if int(e.From) >= n || int(e.To) >= n {
-					found[c] = bad{e, true}
-					return
-				}
-			}
-		}
-	})
-	for _, b := range found {
-		if b.ok {
-			panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", b.e.From, b.e.To, n))
-		}
-	}
-}
-
-// buildCSRSerial counting-sorts edges into a CSR array on one
-// goroutine — the oracle the parallel builder is tested against. With
-// reverse set the edge direction is flipped, producing the
-// in-adjacency. Each neighbour list comes out sorted ascending.
-func buildCSRSerial(n int, shards [][]Edge, reverse, dedup bool) (idx []int64, adj []NodeID) {
-	idx = make([]int64, n+1)
-	m := 0
-	for _, sh := range shards {
-		m += len(sh)
-		for _, e := range sh {
-			src := e.From
-			if reverse {
-				src = e.To
-			}
-			idx[src+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		idx[i+1] += idx[i]
-	}
-	adj = make([]NodeID, m)
-	cursor := make([]int64, n)
-	copy(cursor, idx[:n])
-	for _, sh := range shards {
-		for _, e := range sh {
-			src, dst := e.From, e.To
-			if reverse {
-				src, dst = dst, src
-			}
-			adj[cursor[src]] = dst
-			cursor[src]++
-		}
-	}
-	sortAdjacency(idx, adj, 0, n)
-	if !dedup {
-		return idx, adj
-	}
-	return dedupAdjacency(n, idx, adj)
-}
-
-// buildCSRParallel is the multi-core counting sort: per-vertex-range
-// degree histograms merged by a prefix sum, then a scatter pass where
-// each worker owns a contiguous vertex range and writes only the
-// adjacency slots of its own vertices — disjoint writes, no atomics.
-// Every worker scans all shards in order, so each neighbour list
-// receives its entries in exactly the sequence the serial scatter
-// produces, and the final sort pass yields identical arrays.
-func buildCSRParallel(n int, shards [][]Edge, reverse, dedup bool, workers int) (idx []int64, adj []NodeID) {
-	idx = make([]int64, n+1)
+	idx := make([]int64, n+1)
+	// The degree count skips edges with an endpoint out of range, so a
+	// total short of m means a bad edge; panicking here rather than in
+	// a worker goroutine keeps the panic recoverable by the caller.
 	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
 		lo, hi := par.Range(n, workers, c)
 		vlo, vhi := NodeID(lo), NodeID(hi)
 		for _, sh := range shards {
 			for _, e := range sh {
-				src := e.From
-				if reverse {
-					src = e.To
-				}
-				if src >= vlo && src < vhi {
-					idx[src+1]++
+				if e.From >= vlo && e.From < vhi && int(e.To) < n {
+					idx[e.From+1]++
 				}
 			}
 		}
@@ -154,7 +66,10 @@ func buildCSRParallel(n int, shards [][]Edge, reverse, dedup bool, workers int) 
 	for i := 0; i < n; i++ {
 		idx[i+1] += idx[i]
 	}
-	adj = make([]NodeID, idx[n])
+	if idx[n] != m {
+		panicOutOfRange(n, shards)
+	}
+	adj := make([]NodeID, m)
 	cursor := make([]int64, n)
 	copy(cursor, idx[:n])
 	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
@@ -162,25 +77,33 @@ func buildCSRParallel(n int, shards [][]Edge, reverse, dedup bool, workers int) 
 		vlo, vhi := NodeID(lo), NodeID(hi)
 		for _, sh := range shards {
 			for _, e := range sh {
-				src, dst := e.From, e.To
-				if reverse {
-					src, dst = dst, src
-				}
-				if src >= vlo && src < vhi {
-					adj[cursor[src]] = dst
-					cursor[src]++
+				if e.From >= vlo && e.From < vhi {
+					adj[cursor[e.From]] = e.To
+					cursor[e.From]++
 				}
 			}
 		}
 	})
-	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
-		lo, hi := par.Range(n, workers, c)
-		sortAdjacency(idx, adj, lo, hi)
-	})
-	if !dedup {
-		return idx, adj
+	if dedup {
+		par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
+			lo, hi := par.Range(n, workers, c)
+			sortAdjacency(idx, adj, lo, hi)
+		})
+		idx, adj = dedupAdjacency(n, idx, adj, workers)
 	}
-	return dedupAdjacencyParallel(n, idx, adj, workers)
+	return fromCSR(n, idx, adj)
+}
+
+// panicOutOfRange panics naming the first edge with an endpoint
+// outside [0, n).
+func panicOutOfRange(n int, shards [][]Edge) {
+	for _, sh := range shards {
+		for _, e := range sh {
+			if int(e.From) >= n || int(e.To) >= n {
+				panic(fmt.Sprintf("graph: edge (%d,%d) out of range for n=%d", e.From, e.To, n))
+			}
+		}
+	}
 }
 
 // sortAdjacency sorts the neighbour lists of vertices [ulo, uhi).
@@ -196,31 +119,10 @@ func sortAdjacency(idx []int64, adj []NodeID, ulo, uhi int) {
 	}
 }
 
-// dedupAdjacency collapses duplicates in place, then compacts —
-// adjacency lists must already be sorted.
-func dedupAdjacency(n int, idx []int64, adj []NodeID) ([]int64, []NodeID) {
-	newIdx := make([]int64, n+1)
-	w := int64(0)
-	for u := 0; u < n; u++ {
-		newIdx[u] = w
-		var prev NodeID
-		first := true
-		for _, v := range adj[idx[u]:idx[u+1]] {
-			if first || v != prev {
-				adj[w] = v
-				w++
-				prev, first = v, false
-			}
-		}
-	}
-	newIdx[n] = w
-	return newIdx, adj[:w:w]
-}
-
-// dedupAdjacencyParallel collapses duplicates with a count pass, a
-// prefix sum, and a compaction pass into a fresh array, each
-// partitioned by vertex range.
-func dedupAdjacencyParallel(n int, idx []int64, adj []NodeID, workers int) ([]int64, []NodeID) {
+// dedupAdjacency collapses duplicates in sorted neighbour lists with a
+// count pass, a prefix sum, and a compaction pass into a fresh array,
+// each partitioned by vertex range.
+func dedupAdjacency(n int, idx []int64, adj []NodeID, workers int) ([]int64, []NodeID) {
 	newIdx := make([]int64, n+1)
 	par.ForChunks(context.Background(), workers, workers, func(c, _ int) {
 		lo, hi := par.Range(n, workers, c)

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzReadEdgeList cross-checks the serial and parallel edge-list
-// parsers on arbitrary bytes: both must accept or reject together,
-// with byte-identical error messages (same global line numbers), and
-// on acceptance produce bit-identical graphs at several worker counts
-// so chunk boundaries land everywhere — mid-line, mid-number, inside
+// FuzzReadEdgeList cross-checks the edge-list parser at several worker
+// counts against one worker on arbitrary bytes: they must accept or
+// reject together, with byte-identical error messages (same global
+// line numbers), and on acceptance produce bit-identical graphs, so
+// chunk boundaries land everywhere — mid-line, mid-number, inside
 // comments, on CRLF pairs.
 func FuzzReadEdgeList(f *testing.F) {
 	seeds := []string{
@@ -48,9 +48,9 @@ func FuzzReadEdgeList(f *testing.F) {
 				digits = 0
 			}
 		}
-		want, serialErr := readEdgeListSerial(data)
+		want, serialErr := parseWith(1, data)
 		for _, workers := range []int{2, 3, 5} {
-			got, parallelErr := readEdgeListParallel(data, workers)
+			got, parallelErr := parseWith(workers, data)
 			if (serialErr == nil) != (parallelErr == nil) {
 				t.Fatalf("%d workers: serial err %v, parallel err %v", workers, serialErr, parallelErr)
 			}

@@ -9,10 +9,11 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Ingest benchmarks: edge-list parsing, CSR construction, and the
-// binary loader, serial vs parallel. scripts/bench.sh ingest runs
+// binary loader, at one worker and at several. scripts/bench.sh ingest runs
 // these and records BENCH_ingest.json. The workload is a ~1M-edge
 // random graph — big enough that the parallel paths engage even in
 // automatic mode.
@@ -54,8 +55,8 @@ func benchSetup(b *testing.B) {
 	b.Helper()
 }
 
-// benchParallelisms is the worker-count axis: the serial oracle, a
-// fixed 4-way point for cross-machine comparability, and whatever this
+// benchParallelisms is the worker-count axis: one worker, a fixed
+// 4-way point for cross-machine comparability, and whatever this
 // machine's GOMAXPROCS gives (skipped if it duplicates an earlier
 // point).
 func benchParallelisms() []int {
@@ -73,20 +74,67 @@ func benchLabel(k int) string {
 	return fmt.Sprintf("parallel-p%d", k)
 }
 
+// benchIngestAt times load at k ingest workers (0: automatic),
+// reporting size bytes per op. The clock starts after one untimed load
+// and warmGoroutines, so allocs/op counts the loader's own allocations
+// and not the runtime's first-use growth.
+func benchIngestAt(b *testing.B, k int, size int, load func() error) {
+	forcedWorkers = k
+	defer func() { forcedWorkers = 0 }()
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	if err := load(); err != nil {
+		b.Fatal(err)
+	}
+	warmGoroutines()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := load(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// warmGoroutines starts 64 goroutines per P plus 64, parks them all
+// on a channel, then lets each sleep a millisecond and exit. Runtime
+// structures the timed load would otherwise allocate on first use are
+// then in place, so allocs/op counts the loader's own allocations:
+//   - goroutine descriptors and wait-queue entries (sudogs): a P keeps
+//     at most 63 exited descriptors and 128 sudogs locally and hands
+//     the rest to shared lists, so every P can reuse them for the go
+//     statements and blocking waits of par.ForChunks;
+//   - threads (Ms): enough run the goroutines that an idle one is
+//     there when a load's workers start;
+//   - timer heaps: every P holds many sleep timers at once, so a
+//     background runtime timer landing on a P never grows its heap.
+//
+// Without this, allocs/op of the parallel rows varied by up to ten
+// between runs: whether a load allocated descriptors depended on which
+// P the previous load's goroutines had exited on.
+func warmGoroutines() {
+	k := 64 * (runtime.GOMAXPROCS(0) + 1)
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(k)
+	for i := 0; i < k; i++ {
+		go func() {
+			defer wg.Done()
+			<-release
+			time.Sleep(time.Millisecond)
+		}()
+	}
+	close(release)
+	wg.Wait()
+}
+
 func BenchmarkReadEdgeList(b *testing.B) {
 	benchSetup(b)
 	for _, k := range benchParallelisms() {
 		b.Run(benchLabel(k), func(b *testing.B) {
-			forcedWorkers = k
-			defer func() { forcedWorkers = 0 }()
-			b.SetBytes(int64(len(benchIngest.text)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ReadEdgeListBytes(benchIngest.text); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchIngestAt(b, k, len(benchIngest.text), func() error {
+				_, err := ReadEdgeListBytes(benchIngest.text)
+				return err
+			})
 		})
 	}
 }
@@ -95,13 +143,10 @@ func BenchmarkFromEdges(b *testing.B) {
 	benchSetup(b)
 	for _, k := range benchParallelisms() {
 		b.Run(benchLabel(k), func(b *testing.B) {
-			forcedWorkers = k
-			defer func() { forcedWorkers = 0 }()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			benchIngestAt(b, k, 0, func() error {
 				FromEdges(benchIngest.n, benchIngest.edges)
-			}
+				return nil
+			})
 		})
 	}
 }
@@ -110,32 +155,20 @@ func BenchmarkReadBinary(b *testing.B) {
 	benchSetup(b)
 	for _, k := range benchParallelisms() {
 		b.Run("direct-"+benchLabel(k), func(b *testing.B) {
-			forcedWorkers = k
-			defer func() { forcedWorkers = 0 }()
-			b.SetBytes(int64(len(benchIngest.bin)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ReadBinaryBytes(benchIngest.bin); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchIngestAt(b, k, len(benchIngest.bin), func() error {
+				_, err := ReadBinaryBytes(benchIngest.bin)
+				return err
+			})
 		})
 	}
 	// The pre-optimization pipeline, kept here as the regression
 	// reference: decode, materialize an []Edge, rebuild both CSR
 	// directions from scratch.
 	b.Run("via-edges-reference", func(b *testing.B) {
-		forcedWorkers = 1
-		defer func() { forcedWorkers = 0 }()
-		b.SetBytes(int64(len(benchIngest.bin)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := readBinaryViaEdges(benchIngest.bin); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchIngestAt(b, 1, len(benchIngest.bin), func() error {
+			_, err := readBinaryViaEdges(benchIngest.bin)
+			return err
+		})
 	})
 }
 

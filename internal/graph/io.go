@@ -19,31 +19,22 @@ import (
 // lists ("u v" per line, # comments). We support that format plus a
 // compact binary CSR format for fast reloading of generated datasets.
 //
-// Both loaders are parallel by default: the edge list is split into
-// line-aligned chunks parsed on ingestWorkers() goroutines, and the
-// binary format feeds its decoded CSR straight to fromCSR. See
-// parallel.go for the worker-count and serial fallback rules.
+// Both loaders end in fromCSR. Text is split into line-aligned chunks
+// parsed concurrently (parseBlock), and build counting-sorts the edges
+// into the out-CSR; the binary format decodes its out-CSR directly.
+// See parallel.go for how the worker count is chosen.
 
-// ReadEdgeList parses a text edge list. Lines starting with '#' or '%'
-// are comments; blank lines are skipped. The vertex count is
-// max(endpoint)+1 — the convention SNAP and Konect files follow.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading edge list: %w", err)
-	}
-	return ReadEdgeListBytes(data)
-}
-
-// ReadEdgeListBytes parses a text edge list already held in memory,
-// skipping the io.Reader copy — the daemon's upload path and the CLI's
-// file loads land here.
+// ReadEdgeListBytes parses a text edge list already held in memory.
+// Lines starting with '#' or '%' are comments; blank lines are
+// skipped. The vertex count is max(endpoint)+1 — the convention SNAP
+// and Konect files follow. ReadEdgeListStream parses the same format
+// from an io.Reader in bounded memory.
 func ReadEdgeListBytes(data []byte) (*Graph, error) {
-	workers, forced := ingestWorkers()
-	if workers <= 1 || (!forced && len(data) < serialByteCutoff) {
-		return readEdgeListSerial(data)
+	shards, maxID, _, errLine, err := parseBlock(data, parseWorkers(len(data)))
+	if err != nil {
+		return nil, fmt.Errorf("graph: line %d: %w", errLine, err)
 	}
-	return readEdgeListParallel(data, workers)
+	return build(int(maxID+1), shards, false), nil
 }
 
 // nextLine splits data at the first '\n', stripping a trailing '\r'
@@ -113,54 +104,14 @@ func parseUint(b []byte) (int64, []byte, error) {
 	return v, b[i:], nil
 }
 
-// readEdgeListSerial is the single-goroutine oracle the parallel
-// parser is tested against.
-func readEdgeListSerial(data []byte) (*Graph, error) {
-	edges := make([]Edge, 0, len(data)/16+1)
-	maxID := int64(-1)
-	lineNo := 0
-	for len(data) > 0 {
-		var line []byte
-		line, data = nextLine(data)
-		lineNo++
-		u, v, skip, err := parseEdgeLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
-		}
-		if skip {
-			continue
-		}
-		if u > maxID {
-			maxID = u
-		}
-		if v > maxID {
-			maxID = v
-		}
-		edges = append(edges, Edge{NodeID(u), NodeID(v)})
-	}
-	return FromEdges(int(maxID+1), edges), nil
-}
-
-// readEdgeListParallel splits data into line-aligned chunks and parses
-// them concurrently. The per-chunk edge slices are handed to the CSR
-// builder as shards in chunk order, which preserves the exact edge
-// sequence of a serial parse; per-chunk line counts reconstruct global
-// line numbers for error messages.
-func readEdgeListParallel(data []byte, workers int) (*Graph, error) {
-	shards, maxID, _, errLine, err := parseBlock(data, workers)
-	if err != nil {
-		return nil, fmt.Errorf("graph: line %d: %w", errLine, err)
-	}
-	return build(int(maxID+1), shards, false), nil
-}
-
-// parseBlock parses one block of edge-list text into per-worker edge
-// shards, splitting it into line-aligned chunks parsed concurrently.
-// Shard concatenation order equals the serial edge sequence. It
-// returns the shards, the largest endpoint seen (-1 if none), the
-// number of lines consumed, and on failure the bare parse error with
-// its block-local 1-based line number. The streaming loader calls this
-// once per buffered block; the buffered loader once for the whole file.
+// parseBlock parses one block of edge-list text into per-chunk edge
+// shards, splitting it into at most workers line-aligned chunks parsed
+// concurrently. Concatenated in order, the shards are the block's edge
+// sequence. It returns the shards, the largest endpoint seen (-1 if
+// none), the number of lines consumed, and on failure the bare parse
+// error with its block-local 1-based line number. The streaming loader
+// calls this once per buffered block; ReadEdgeListBytes once for the
+// whole text.
 func parseBlock(data []byte, workers int) (shards [][]Edge, maxID int64, lines, errLine int, err error) {
 	starts := chunkStarts(data, workers)
 	type chunkResult struct {
@@ -207,7 +158,7 @@ func parseBlock(data []byte, workers int) (shards [][]Edge, maxID int64, lines, 
 	})
 	// The earliest erroring chunk holds the first bad line, and every
 	// chunk before it parsed to completion, so its line count prefix is
-	// exact — the reported line number matches the serial parse.
+	// exact — the reported line number is the same at any worker count.
 	maxID = -1
 	shards = make([][]Edge, 0, len(chunks))
 	for i := range chunks {

@@ -20,7 +20,7 @@ func TestReadEdgeList(t *testing.T) {
   1 3
 3 0
 `
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, err := ReadEdgeListStream(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +34,8 @@ func TestReadEdgeList(t *testing.T) {
 
 func TestReadEdgeListErrors(t *testing.T) {
 	for _, bad := range []string{"0", "a b", "0 x", "0 99999999999999999999"} {
-		if _, err := ReadEdgeList(strings.NewReader(bad)); err == nil {
-			t.Errorf("ReadEdgeList(%q) succeeded, want error", bad)
+		if _, err := ReadEdgeListStream(strings.NewReader(bad)); err == nil {
+			t.Errorf("ReadEdgeListStream(%q) succeeded, want error", bad)
 		}
 	}
 }
@@ -49,7 +49,7 @@ func TestReadEdgeListRejectsOutOfRangeEndpoints(t *testing.T) {
 		"way too large":    "0 1099511627776\n",
 	}
 	for name, in := range cases {
-		_, err := ReadEdgeList(strings.NewReader(in))
+		_, err := ReadEdgeListStream(strings.NewReader(in))
 		if err == nil {
 			t.Errorf("%s: accepted", name)
 			continue
@@ -66,7 +66,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := g.WriteEdgeList(&buf); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadEdgeList(&buf)
+	h, err := ReadEdgeListStream(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestQuickEdgeListRoundTrip(t *testing.T) {
 		if err := g.WriteEdgeList(&buf); err != nil {
 			return false
 		}
-		h, err := ReadEdgeList(&buf)
+		h, err := ReadEdgeListStream(&buf)
 		if err != nil {
 			return false
 		}

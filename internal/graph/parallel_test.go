@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -12,10 +13,65 @@ import (
 )
 
 // sameGraph compares all four CSR arrays — Equal only checks the out
-// direction, but the parallel builders must reproduce the in-CSR
-// bit-for-bit too.
+// direction, but the builders must reproduce the in-CSR bit-for-bit
+// too.
 func sameGraph(g, h *Graph) bool {
 	return g.Equal(h) && slices.Equal(g.inIdx, h.inIdx) && slices.Equal(g.inAdj, h.inAdj)
+}
+
+// oracleGraph is the graph FromEdges (FromEdgesDedup with dedup set)
+// must build, computed without the CSR builder: each direction sorts
+// a copy of the edge list by (source, target), drops repeats if
+// dedup, and groups it into rows.
+func oracleGraph(n int, edges []Edge, dedup bool) *Graph {
+	g := &Graph{n: n}
+	g.outIdx, g.outAdj = oracleRows(n, edges, false, dedup)
+	g.inIdx, g.inAdj = oracleRows(n, edges, true, dedup)
+	return g
+}
+
+func oracleRows(n int, edges []Edge, reverse, dedup bool) ([]int64, []NodeID) {
+	es := slices.Clone(edges)
+	if reverse {
+		for i, e := range es {
+			es[i] = Edge{e.To, e.From}
+		}
+	}
+	slices.SortFunc(es, func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.To, b.To)
+	})
+	if dedup {
+		es = slices.Compact(es)
+	}
+	idx := make([]int64, n+1)
+	adj := make([]NodeID, len(es))
+	for i, e := range es {
+		idx[e.From+1]++
+		adj[i] = e.To
+	}
+	for u := 0; u < n; u++ {
+		idx[u+1] += idx[u]
+	}
+	return idx, adj
+}
+
+// oracleParse is the graph a text rendering of edges must parse to:
+// the vertex count is the largest endpoint plus one.
+func oracleParse(edges []Edge) *Graph {
+	n := 0
+	for _, e := range edges {
+		n = max(n, int(e.From)+1, int(e.To)+1)
+	}
+	return oracleGraph(n, edges, false)
+}
+
+// parseWith parses data with the ingest worker count forced to k.
+func parseWith(k int, data []byte) (g *Graph, err error) {
+	withParallelism(k, func() { g, err = ReadEdgeListBytes(data) })
+	return g, err
 }
 
 // withParallelism runs fn with the ingest worker count forced to k and
@@ -44,21 +100,18 @@ func messyEdges(rng *rand.Rand, n, m int) []Edge {
 	return edges
 }
 
-// The parallel CSR builder must be bit-identical to the serial oracle
-// on randomized graphs of varied size, duplicate density, and
-// self-loop density — for both the plain and the dedup builder.
+// The CSR builder must be bit-identical to the sort oracle at every
+// worker count, one included, on randomized graphs of varied size,
+// duplicate density, and self-loop density — for both the plain and
+// the dedup builder.
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(300)
 		m := rng.Intn(8 * n)
 		edges := messyEdges(rng, n, m)
-		var want, wantDedup *Graph
-		withParallelism(1, func() {
-			want = FromEdges(n, edges)
-			wantDedup = FromEdgesDedup(n, edges)
-		})
-		for _, workers := range []int{2, 3, 4, 8} {
+		want, wantDedup := oracleGraph(n, edges, false), oracleGraph(n, edges, true)
+		for _, workers := range []int{1, 2, 3, 4, 8} {
 			var got, gotDedup *Graph
 			withParallelism(workers, func() {
 				got = FromEdges(n, edges)
@@ -81,7 +134,7 @@ func TestShardedBuildMatchesFlat(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(100)
 		edges := messyEdges(rng, n, rng.Intn(5*n))
-		want := FromEdges(n, edges)
+		want := oracleGraph(n, edges, false)
 		// Split into random contiguous shards.
 		var shards [][]Edge
 		for rest := edges; len(rest) > 0; {
@@ -139,7 +192,7 @@ func writeMessyEdgeList(rng *rand.Rand, edges []Edge) []byte {
 	return sb.Bytes()
 }
 
-// The parallel parser must agree with the serial parser on randomized
+// The parser must reproduce the edge list it was given on randomized
 // inputs — same graph, for every worker count, at every chunk split.
 func TestParallelReadEdgeListMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -147,30 +200,27 @@ func TestParallelReadEdgeListMatchesSerial(t *testing.T) {
 		n := 1 + rng.Intn(200)
 		edges := messyEdges(rng, n, rng.Intn(6*n))
 		data := writeMessyEdgeList(rng, edges)
-		want, err := readEdgeListSerial(data)
-		if err != nil {
-			t.Fatalf("trial %d: serial parse: %v", trial, err)
-		}
-		for _, workers := range []int{2, 3, 5, 9} {
-			got, err := readEdgeListParallel(data, workers)
+		want := oracleParse(edges)
+		for _, workers := range []int{1, 2, 3, 5, 9} {
+			got, err := parseWith(workers, data)
 			if err != nil {
-				t.Fatalf("trial %d: parallel parse (%d workers): %v", trial, workers, err)
+				t.Fatalf("trial %d: parse (%d workers): %v", trial, workers, err)
 			}
 			if !sameGraph(want, got) {
-				t.Fatalf("trial %d: parallel parse differs at %d workers", trial, workers)
+				t.Fatalf("trial %d: parse differs from the oracle at %d workers", trial, workers)
 			}
 		}
 	}
 }
 
-// Malformed input must fail identically — same line number, same
-// message — no matter which chunk the bad line lands in.
+// Malformed input must fail with the planted line's number and
+// message no matter which chunk the bad line lands in.
 func TestParallelReadEdgeListErrorParity(t *testing.T) {
-	badLines := []string{
-		"17 oops\n",                // non-numeric field
-		"17\n",                     // missing field
-		"0 4294967296\n",           // past the NodeID range
-		"99999999999999999999 1\n", // int64 overflow
+	badLines := []struct{ line, msg string }{
+		{"17 oops\n", "expected integer field"},                                   // non-numeric field
+		{"17\n", "expected integer field"},                                        // missing field
+		{"0 4294967296\n", "endpoint 4294967296 exceeds the 32-bit NodeID range"}, // past the NodeID range
+		{"99999999999999999999 1\n", "integer field overflows int64"},             // int64 overflow
 	}
 	mk := func(bad string, badLine, total int) []byte {
 		var sb strings.Builder
@@ -185,19 +235,15 @@ func TestParallelReadEdgeListErrorParity(t *testing.T) {
 	}
 	for _, badLine := range []int{1, 13, 50, 99, 100} {
 		bad := badLines[badLine%len(badLines)]
-		data := mk(bad, badLine, 100)
-		_, serialErr := readEdgeListSerial(data)
-		if serialErr == nil {
-			t.Fatalf("bad line %d: serial parse accepted malformed input", badLine)
-		}
-		for _, workers := range []int{2, 3, 7} {
-			_, parallelErr := readEdgeListParallel(data, workers)
-			if parallelErr == nil {
-				t.Fatalf("bad line %d: parallel parse (%d workers) accepted malformed input", badLine, workers)
+		data := mk(bad.line, badLine, 100)
+		want := fmt.Sprintf("graph: line %d: %s", badLine, bad.msg)
+		for _, workers := range []int{1, 2, 3, 7} {
+			_, err := parseWith(workers, data)
+			if err == nil {
+				t.Fatalf("bad line %d: parse (%d workers) accepted malformed input", badLine, workers)
 			}
-			if parallelErr.Error() != serialErr.Error() {
-				t.Fatalf("bad line %d, %d workers: error %q, serial says %q",
-					badLine, workers, parallelErr, serialErr)
+			if err.Error() != want {
+				t.Fatalf("bad line %d, %d workers: error %q, want %q", badLine, workers, err, want)
 			}
 		}
 	}
@@ -205,46 +251,48 @@ func TestParallelReadEdgeListErrorParity(t *testing.T) {
 
 // Chunk boundaries must never split a line: a file of wide multi-digit
 // lines parsed with worker counts that place boundaries mid-number
-// must match the serial parse exactly.
+// must reproduce its edges exactly.
 func TestParallelReadEdgeListChunkBoundaries(t *testing.T) {
 	var sb strings.Builder
+	var edges []Edge
 	for i := 0; i < 101; i++ {
-		fmt.Fprintf(&sb, "%d %d\n", 1000000+i*7919, 2000000+i*104729)
+		e := Edge{NodeID(1000000 + i*7919), NodeID(2000000 + i*104729)}
+		fmt.Fprintf(&sb, "%d %d\n", e.From, e.To)
+		edges = append(edges, e)
 	}
 	data := []byte(sb.String())
-	want, err := readEdgeListSerial(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for workers := 2; workers <= 16; workers++ {
-		got, err := readEdgeListParallel(data, workers)
+	want := oracleParse(edges)
+	for workers := 1; workers <= 16; workers++ {
+		got, err := parseWith(workers, data)
 		if err != nil {
 			t.Fatalf("%d workers: %v", workers, err)
 		}
 		if !sameGraph(want, got) {
-			t.Fatalf("%d workers: parse differs from serial", workers)
+			t.Fatalf("%d workers: parse differs from the oracle", workers)
 		}
 	}
 }
 
-// The public entry must produce identical results whichever path the
-// knob selects.
+// The public entry must produce identical results at the automatic
+// worker count (one worker: the input is under the size cutoff) and a
+// forced one.
 func TestReadEdgeListBytesKnob(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	edges := messyEdges(rng, 80, 400)
 	data := writeMessyEdgeList(rng, edges)
-	var want, got *Graph
-	var err error
-	withParallelism(1, func() { want, err = ReadEdgeListBytes(data) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	withParallelism(6, func() { got, err = ReadEdgeListBytes(data) })
+	want := oracleParse(edges)
+	got, err := ReadEdgeListBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameGraph(want, got) {
-		t.Fatal("ReadEdgeListBytes differs between serial and forced-parallel")
+		t.Fatal("ReadEdgeListBytes differs from the oracle at the automatic worker count")
+	}
+	if got, err = parseWith(6, data); err != nil {
+		t.Fatal(err)
+	}
+	if !sameGraph(want, got) {
+		t.Fatal("ReadEdgeListBytes differs from the oracle at 6 forced workers")
 	}
 }
 
@@ -260,8 +308,7 @@ func TestUndirectedMatchesExpansionOracle(t *testing.T) {
 			expanded = append(expanded, Edge{u, v}, Edge{v, u})
 			return true
 		})
-		var want *Graph
-		withParallelism(1, func() { want = FromEdgesDedup(n, expanded) })
+		want := oracleGraph(n, expanded, true)
 		for _, workers := range []int{1, 4} {
 			withParallelism(workers, func() {
 				if got := g.Undirected(); !sameGraph(want, got) {

@@ -177,11 +177,8 @@ func BenchmarkPatchBinary(b *testing.B) {
 	}
 	blob := binaryOf(b, FromEdgesDedup(n, edges))
 	add := []Edge{{17, 99_999}}
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := PatchBinary(io.Discard, bytes.NewReader(blob), int64(len(blob)), 0, add, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchIngestAt(b, 0, len(blob), func() error {
+		_, err := PatchBinary(io.Discard, bytes.NewReader(blob), int64(len(blob)), 0, add, nil)
+		return err
+	})
 }

@@ -11,7 +11,7 @@ import (
 // from an io.Reader without ever materializing the whole body. The
 // reader is consumed in fixed-size buffers; each buffer is cut at its
 // last newline and the complete-line prefix goes through the same
-// sharded parallel parser the buffered loader uses (parseBlock), with
+// sharded parser ReadEdgeListBytes uses (parseBlock), with
 // the partial tail carried into the next buffer. Peak memory is the
 // parse buffer plus the accumulated edge shards plus the final CSR —
 // the raw text never exists in memory at once, which is what lets
@@ -37,7 +37,6 @@ func readEdgeListStreamBuffer(r io.Reader, bufSize int) (*Graph, error) {
 	if bufSize < 4<<10 {
 		bufSize = 4 << 10
 	}
-	workers, forced := ingestWorkers()
 	buf := make([]byte, 0, bufSize)
 	var shards [][]Edge
 	maxID := int64(-1)
@@ -69,11 +68,7 @@ func readEdgeListStreamBuffer(r io.Reader, bufSize int) (*Graph, error) {
 			block, rest = buf[:i+1], buf[i+1:]
 		}
 		if len(block) > 0 {
-			wk := workers
-			if wk > 1 && !forced && len(block) < serialByteCutoff {
-				wk = 1
-			}
-			s, mx, lines, errLine, err := parseBlock(block, wk)
+			s, mx, lines, errLine, err := parseBlock(block, parseWorkers(len(block)))
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: %w", lineBase+errLine, err)
 			}

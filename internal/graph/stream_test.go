@@ -31,16 +31,20 @@ func (r *chunkyReader) Read(p []byte) (int, error) {
 
 // randomEdgeList renders a reproducible messy edge list: comments,
 // blank lines, tabs, CRLF on some lines, no trailing newline when odd.
-func randomEdgeList(seed int64, n, m int) []byte {
+// It returns the text and the edges it holds.
+func randomEdgeList(seed int64, n, m int) ([]byte, []Edge) {
 	rng := rand.New(rand.NewSource(seed))
 	var b strings.Builder
+	var edges []Edge
 	b.WriteString("# header comment\n\n% konect-style comment\n")
 	for i := 0; i < m; i++ {
 		sep := " "
 		if rng.Intn(3) == 0 {
 			sep = "\t"
 		}
-		fmt.Fprintf(&b, "%d%s%d", rng.Intn(n), sep, rng.Intn(n))
+		e := Edge{NodeID(rng.Intn(n)), NodeID(rng.Intn(n))}
+		edges = append(edges, e)
+		fmt.Fprintf(&b, "%d%s%d", e.From, sep, e.To)
 		if rng.Intn(5) == 0 {
 			b.WriteString("\r\n")
 		} else {
@@ -54,28 +58,25 @@ func randomEdgeList(seed int64, n, m int) []byte {
 	if seed%2 == 1 {
 		data = bytes.TrimRight(data, "\n") // exercise the unterminated final line
 	}
-	return data
+	return data, edges
 }
 
 // TestStreamMatchesSerial: the streaming loader must produce a graph
-// bit-identical to the serial oracle on the same bytes, across buffer
-// sizes that force single- and many-round parses and reader chunk
-// sizes that force partial fills.
+// bit-identical to the sort oracle over the rendered edges, across
+// buffer sizes that force single- and many-round parses and reader
+// chunk sizes that force partial fills.
 func TestStreamMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		data := randomEdgeList(seed, 500, 3000)
-		want, err := readEdgeListSerial(data)
-		if err != nil {
-			t.Fatal(err)
-		}
+		data, edges := randomEdgeList(seed, 500, 3000)
+		want := oracleParse(edges)
 		for _, bufSize := range []int{4 << 10, 8 << 10, 1 << 20} {
 			for _, readMax := range []int{1 << 30, 1000, 7} {
 				got, err := readEdgeListStreamBuffer(&chunkyReader{data: data, max: readMax}, bufSize)
 				if err != nil {
 					t.Fatalf("seed %d buf %d read %d: %v", seed, bufSize, readMax, err)
 				}
-				if !got.Equal(want) {
-					t.Fatalf("seed %d buf %d read %d: stream CSR differs from serial", seed, bufSize, readMax)
+				if !sameGraph(got, want) {
+					t.Fatalf("seed %d buf %d read %d: stream CSR differs from the oracle", seed, bufSize, readMax)
 				}
 			}
 		}
@@ -83,8 +84,8 @@ func TestStreamMatchesSerial(t *testing.T) {
 }
 
 // TestStreamErrorLineNumbers: a bad line deep in the input must report
-// the same global line number the buffered loaders report, even when
-// the error lands many buffer rounds in.
+// its global line number, even when the error lands many buffer rounds
+// in.
 func TestStreamErrorLineNumbers(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# c\n")
@@ -94,16 +95,13 @@ func TestStreamErrorLineNumbers(t *testing.T) {
 	b.WriteString("12 oops\n1 2\n")
 	data := []byte(b.String())
 
-	_, serialErr := readEdgeListSerial(data)
-	if serialErr == nil {
-		t.Fatal("serial parse accepted the bad line")
-	}
+	const want = "graph: line 3002: expected integer field"
 	_, streamErr := readEdgeListStreamBuffer(bytes.NewReader(data), 4<<10)
 	if streamErr == nil {
 		t.Fatal("stream parse accepted the bad line")
 	}
-	if streamErr.Error() != serialErr.Error() {
-		t.Fatalf("stream error %q != serial error %q", streamErr, serialErr)
+	if streamErr.Error() != want {
+		t.Fatalf("stream error %q, want %q", streamErr, want)
 	}
 }
 
@@ -191,16 +189,12 @@ func TestReadRejectsGarbage(t *testing.T) {
 func TestStreamParallelWorkers(t *testing.T) {
 	forcedWorkers = 4
 	defer func() { forcedWorkers = 0 }()
-	data := randomEdgeList(2, 300, 2000)
-	want, err := readEdgeListSerial(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, edges := randomEdgeList(2, 300, 2000)
 	got, err := readEdgeListStreamBuffer(bytes.NewReader(data), 4<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
-		t.Fatal("forced-parallel stream CSR differs from serial")
+	if !sameGraph(got, oracleParse(edges)) {
+		t.Fatal("forced-parallel stream CSR differs from the oracle")
 	}
 }

@@ -115,3 +115,48 @@ func TestJobTableBounded(t *testing.T) {
 			len(list), list[0].ID, list[len(list)-1].ID, maxFinishedJobs, first.ID, last.ID)
 	}
 }
+
+// TestJobPanicFailsJob: an executor that panics fails its own job —
+// state failed, the panic value in the error, jobs_failed counted —
+// and the worker goes on to run the next job to done.
+func TestJobPanicFailsJob(t *testing.T) {
+	m := NewMetrics()
+	calls := 0
+	exec := func(ctx context.Context, req JobRequest, found foundFunc) (map[string]float64, error) {
+		if calls++; calls == 1 {
+			panic("executor bug")
+		}
+		return map[string]float64{"ok": 1}, nil
+	}
+	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 4}, nil, m, nil, exec)
+	p.Start()
+	defer p.Shutdown(context.Background())
+	bad, err := p.Submit(JobRequest{Kind: KindEval, Graph: "bad"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := p.Submit(JobRequest{Kind: KindEval, Graph: "good"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := func(id string) JobStatus {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if st, ok := p.Get(id); ok && st.Finished != nil {
+				return st
+			}
+		}
+		t.Fatalf("job %s never finished", id)
+		return JobStatus{}
+	}
+	st := wait(bad.ID)
+	if st.State != StateFailed || st.Error != "job panicked: executor bug" {
+		t.Fatalf("panicking job: state %q error %q, want failed with the panic value", st.State, st.Error)
+	}
+	if st = wait(good.ID); st.State != StateDone || st.Metrics["ok"] != 1 {
+		t.Fatalf("job after the panic: state %q metrics %v, want done", st.State, st.Metrics)
+	}
+	if got := m.Snapshot()["jobs_failed"]; got != 1 {
+		t.Fatalf("jobs_failed = %d, want 1", got)
+	}
+}

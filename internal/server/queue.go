@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"os"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"time"
@@ -152,8 +153,6 @@ type PoolConfig struct {
 	// lower (e.g. half) in multi-tenant deployments so one flooding
 	// tenant leaves admission headroom for the others.
 	TenantQueueDepth int
-	// Weights are the fair-queueing tenant weights (nil = all equal).
-	Weights fair.Weights
 }
 
 // Pool runs jobs on a fixed set of worker goroutines over a bounded
@@ -203,11 +202,12 @@ type Pool struct {
 // keeps art alone.
 type foundFunc func(perm order.Permutation, art *OrderArtifact)
 
-// NewPool builds a pool wired to m. exec runs one job: it receives the
-// job's context and request, calls found with the permutation it
-// produced (order and repair jobs), and returns the job's metrics.
-// Call Start to launch the workers.
-func NewPool(cfg PoolConfig, m *Metrics, logger *slog.Logger,
+// NewPool builds a pool wired to m that queues tenants by weights (nil
+// = all equal). exec runs one job: it receives the job's context and
+// request, calls found with the permutation it produced (order and
+// repair jobs), and returns the job's metrics. Call Start to launch
+// the workers.
+func NewPool(cfg PoolConfig, weights fair.Weights, m *Metrics, logger *slog.Logger,
 	exec func(ctx context.Context, req JobRequest, found foundFunc) (map[string]float64, error)) *Pool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -231,7 +231,7 @@ func NewPool(cfg PoolConfig, m *Metrics, logger *slog.Logger,
 		log:        logger,
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		pending:    fair.NewMultiQueue[*job](cfg.Weights),
+		pending:    fair.NewMultiQueue[*job](weights),
 		jobs:       make(map[string]*job),
 		svcMs:      fair.NewEWMA(0.2),
 		submitted:  m.Counter("jobs_submitted"),
@@ -408,14 +408,7 @@ func (p *Pool) runJob(j *job) {
 	defer cancel()
 
 	start := time.Now()
-	metrics, err := p.exec(ctx, j.status.Request, func(perm order.Permutation, art *OrderArtifact) {
-		if art != nil {
-			perm = nil // the artifact holds it
-		}
-		p.mu.Lock()
-		j.perm, j.art = perm, art
-		p.mu.Unlock()
-	})
+	metrics, err := p.execJob(ctx, j)
 	elapsed := time.Since(start)
 	finished := time.Now().UTC()
 	p.svcMs.Observe(float64(elapsed) / float64(time.Millisecond))
@@ -445,6 +438,29 @@ func (p *Pool) runJob(j *job) {
 		"job", j.status.ID, "kind", j.status.Request.Kind,
 		"graph", j.status.Request.Graph, "method", j.status.Request.Method,
 		"state", state, "duration", elapsed.Round(time.Millisecond))
+}
+
+// execJob runs p.exec for j. A panic in the executor fails the job
+// (its error names the panic value, the log has the stack) instead of
+// ending the process. Only a panic on this goroutine is recovered: one
+// inside a par.ForChunks worker goroutine the executor started still
+// ends the process, so code that fans out must not panic in its
+// workers.
+func (p *Pool) execJob(ctx context.Context, j *job) (metrics map[string]float64, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.log.Error("job panicked", "job", j.status.ID, "panic", v, "stack", string(debug.Stack()))
+			metrics, err = nil, fmt.Errorf("job panicked: %v", v)
+		}
+	}()
+	return p.exec(ctx, j.status.Request, func(perm order.Permutation, art *OrderArtifact) {
+		if art != nil {
+			perm = nil // the artifact holds it
+		}
+		p.mu.Lock()
+		j.perm, j.art = perm, art
+		p.mu.Unlock()
+	})
 }
 
 // Shutdown drains the pool: intake stops immediately, workers finish

@@ -150,9 +150,6 @@ func New(cfg Config) *Server {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	if cfg.Pool.Weights == nil {
-		cfg.Pool.Weights = cfg.TenantWeights
-	}
 	m := NewMetrics()
 	s := &Server{
 		cfg:          cfg,
@@ -199,7 +196,7 @@ func New(cfg Config) *Server {
 		s.orderingMS[key] = m.Counter("ordering_ms_" + key)
 		s.orderingCanceled[key] = m.Counter("ordering_canceled_" + key)
 	}
-	s.Pool = NewPool(cfg.Pool, m, cfg.Logger, s.execute)
+	s.Pool = NewPool(cfg.Pool, cfg.TenantWeights, m, cfg.Logger, s.execute)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)

@@ -191,7 +191,7 @@ func TestFairDequeueAcrossTenants(t *testing.T) {
 		<-step
 		return nil, nil
 	}
-	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 16}, NewMetrics(), nil, exec)
+	p := NewPool(PoolConfig{Workers: 1, QueueDepth: 16}, nil, NewMetrics(), nil, exec)
 	p.Start()
 	submit := func(tenant, label string) {
 		t.Helper()

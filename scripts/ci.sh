@@ -113,6 +113,20 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'mutMu' internal/server; then
     exit 1
 fi
 
+echo "==> one CSR builder gate (every graph build ends in fromCSR; one worker is the serial path)"
+# build counting-sorts the edges into the out-CSR once and fromCSR
+# derives the in-CSR, as for the binary loader and ApplyEdits. A serial
+# twin of the builder or the parser, a builder that fills the in-CSR by
+# flipping edges, or a text reader that buffers the whole input would
+# each need its own parity test to stay identical to the one path.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    -e 'buildCSRSerial' -e 'readEdgeListSerial' -e 'reverse(, *[A-Za-z_]+)* bool' \
+    -e 'func ReadEdgeList\(' \
+    internal/graph 2>/dev/null; then
+    echo "FAIL: a second CSR builder or edge-list reader in internal/graph" >&2
+    exit 1
+fi
+
 echo "==> one bench schema gate (scripts/bench.sh records BENCH_ingest, BENCH_gorder and BENCH_serve only)"
 # Every committed benchmark is a row file written by the tools and
 # regenerated by scripts/bench.sh. A per-suite script, a cmd/bench JSON
@@ -200,7 +214,7 @@ go test -race -count=1 ./internal/par/ ./internal/exec/
 echo "==> parallel ordering smoke under race (boba + gorder-partitioned, workers=4, mid-size web graph)"
 go test -race -count=1 -run 'TestParallelSmokeMidSize' ./internal/core/
 
-echo "==> GOMAXPROCS=1 go test (serial ingest fallback + registry parity)"
+echo "==> GOMAXPROCS=1 go test (ingest at one worker + registry parity)"
 GOMAXPROCS=1 go test ./internal/graph/ ./internal/server/ ./internal/registry/
 GOMAXPROCS=1 go test -run 'TestParity' .
 
